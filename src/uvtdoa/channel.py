@@ -2,7 +2,8 @@
 
 The link budget maps transmit power to a mean photoelectron count per symbol
 for a line-of-sight path; the frame renderer turns that rate into Poisson
-chip counts for the three time-division pilot slots.
+chip counts for the three time-division pilot slots by placing individual
+photons on the chip axis and binning them.
 """
 
 from __future__ import annotations
@@ -173,81 +174,63 @@ class ChipTrace:
     def __len__(self) -> int:
         return len(self.counts)
 
-    # Binary layout, little endian: float64 chip duration, float64 origin
-    # time, uint64 length, then uint32 counts.
-    _HEADER = np.dtype([("chip_s", "<f8"), ("origin_s", "<f8"), ("n", "<u8")])
 
-    def to_bytes(self) -> bytes:
-        header = np.array(
-            [(self.chip_duration_s, self.origin_time_s, len(self.counts))],
-            dtype=self._HEADER,
-        )
-        return header.tobytes() + self.counts.astype("<u4").tobytes()
+def pilot_rate_profile(sequence, chips_per_symbol: int, start_chip, n_chips: int) -> np.ndarray:
+    """Fractional start chip of every "on" symbol of a pilot in a chip window.
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "ChipTrace":
-        header = np.frombuffer(blob[: cls._HEADER.itemsize], dtype=cls._HEADER)[0]
-        n = int(header["n"])
-        counts = np.frombuffer(
-            blob[cls._HEADER.itemsize : cls._HEADER.itemsize + 4 * n], dtype="<u4"
-        )
-        if len(counts) != n:
-            raise ChannelError("truncated chip trace blob")
-        return cls(counts.astype(np.int64), float(header["chip_s"]), float(header["origin_s"]))
-
-    def to_csv(self, fh) -> None:
-        fh.write(f"# chip_duration_s = {self.chip_duration_s!r}\n")
-        fh.write(f"# origin_time_s = {self.origin_time_s!r}\n")
-        fh.write("chip_index,count\n")
-        for i, v in enumerate(self.counts):
-            fh.write(f"{i},{v}\n")
+    The k-th on-symbol spreads its rate evenly over [start + k*n,
+    start + (k+1)*n), so chips straddling a symbol edge get a prorated share.
+    An array ``start_chip`` gives one row of symbol starts per entry.
+    """
+    on = np.nonzero(np.asarray(sequence).reshape(-1))[0]
+    n = int(chips_per_symbol)
+    a = np.asarray(start_chip, dtype=float)[..., None] + on * n
+    if np.any(a < 0) or np.any(a + n > n_chips):
+        raise ChannelError("pilot extends outside the chip window")
+    return a
 
 
-def pilot_rate_profile(
-    sequence,
-    chips_per_symbol: int,
-    lambda_s: float,
+def sample_chip_counts(
+    rng: np.random.Generator,
+    symbol_starts: np.ndarray,
+    lambda_s,
     lambda_b: float,
-    start_chip,
+    chips_per_symbol: int,
     n_chips: int,
 ) -> np.ndarray:
-    """Per-chip mean photoelectron counts for one pilot in a chip window.
+    """Poisson chip counts of a batch of windows, drawn photon by photon.
 
-    The pilot's k-th "on" symbol adds lambda_s/n over the fractional chip
-    interval [start + k*n, start + (k+1)*n); chips straddling a symbol edge
-    receive a prorated share. ``start_chip`` may be fractional, and may be an
-    array, in which case one profile per start is returned (batch leading
-    axis). A constant lambda_b/n background is added everywhere.
+    Each on-symbol, at fractional chip a in a (batch, n_on) row of
+    ``symbol_starts``, emits Poisson(lambda_s) photons uniform over
+    [a, a + n); each window adds Poisson(lambda_b * n_chips / n) uniform
+    background photons. Binned into chips these are independent Poisson
+    counts whose means are lambda_b/n plus lambda_s/n times each symbol's
+    overlap with the chip. Returns (batch, n_chips) int64 counts.
     """
-    seq = np.asarray(sequence, dtype=np.int64).reshape(-1)
     n = int(chips_per_symbol)
-    starts = np.atleast_1d(np.asarray(start_chip, dtype=float))
-    batch = starts.shape[0]
-    on = np.nonzero(seq)[0]
-    rate = np.full((batch, n_chips), lambda_b / n, dtype=float)
-    if lambda_s > 0 and len(on):
-        lam_chip = lambda_s / n
-        a = starts[:, None] + on[None, :] * n  # (batch, n_on) fractional chip starts
-        if np.any(a < 0) or np.any(a + n > n_chips):
-            raise ChannelError("pilot extends outside the chip window")
-        ia = np.floor(a).astype(np.int64)
-        first_frac = ia + 1 - a
-        rows = np.repeat(np.arange(batch), len(on))
-        # Boundary chips: prorate by overlap; interior chips via a running
-        # difference so each on-symbol costs O(1) instead of O(n). The
-        # difference array only spans the pilot's chip range.
-        np.add.at(rate, (rows, ia.ravel()), lam_chip * first_frac.ravel())
-        np.add.at(rate, (rows, np.minimum((ia + n).ravel(), n_chips - 1)),
-                  lam_chip * (1.0 - first_frac.ravel()))
-        lo = int(ia.min())
-        hi = min(int(ia.max()) + n + 1, n_chips)
-        step = np.zeros((batch, hi - lo + 1), dtype=float)
-        np.add.at(step, (rows, (ia + 1 - lo).ravel()), lam_chip)
-        np.add.at(step, (rows, (ia + n - lo).ravel()), -lam_chip)
-        rate[:, lo:hi] += np.cumsum(step[:, :-1], axis=1)
-    if np.isscalar(start_chip) or np.asarray(start_chip).ndim == 0:
-        return rate[0]
-    return rate
+    batch = symbol_starts.shape[0]
+    per_symbol = rng.poisson(lambda_s, size=symbol_starts.shape).ravel()
+    per_window = rng.poisson(lambda_b * n_chips / n, size=batch)
+    whole = np.floor(symbol_starts)
+    frac = (symbol_starts - whole).ravel()
+    first = (whole.astype(np.int64) + np.arange(batch)[:, None] * n_chips).ravel()
+    n_sig = int(per_symbol.sum())
+    flat = np.empty(n_sig + int(per_window.sum()), dtype=np.int64)
+    # A photon lands floor(frac + n*u) chips past its symbol's first chip
+    # (the cast truncates). Clamping to n keeps float round-up in the
+    # symbol's last straddle chip, which pilot_rate_profile keeps in the window.
+    pos = rng.random(n_sig)
+    pos *= n
+    pos += np.repeat(frac, per_symbol)
+    sig = flat[:n_sig]
+    sig[:] = pos
+    del pos
+    np.minimum(sig, n, out=sig)
+    sig += np.repeat(first, per_symbol)
+    bg = flat[n_sig:]
+    bg[:] = rng.random(len(bg)) * n_chips
+    bg += np.repeat(np.arange(0, batch * n_chips, n_chips), per_window)
+    return np.bincount(flat, minlength=batch * n_chips).reshape(batch, n_chips)
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -270,8 +253,9 @@ def render_frame(
     Anchor i transmits at i * slot_interval; its pilot reaches the receiver
     delayed by the clock offset, the flight time, and the shared fractional
     offset ``frac_offset_eps_s``. Counts are Poisson with per-chip means from
-    the background plus the prorated pilot overlap, independent across chips.
-    Identical inputs and seed give an identical trace.
+    the background plus the prorated pilot overlap, independent across chips,
+    drawn photon by photon (see ``sample_chip_counts``). Identical inputs and
+    seed give an identical trace.
     """
     offsets = np.asarray(clock_offsets_s, dtype=float).reshape(-1)
     if offsets.shape != (3,):
@@ -281,9 +265,7 @@ def render_frame(
     slot_chips = params.slot_chips
     n_chips = 3 * slot_chips
     dists = ranges(scene, scene.rx_true)
-    lambdas = (params.lambda_s_a, params.lambda_s_b, params.lambda_s_c)
-    rate = np.full(n_chips, budget.lambda_b / params.chips_per_symbol, dtype=float)
-    seq = params.sequence_array()
+    arrivals_s = np.empty(3)
     for i in range(3):
         arrival_s = i * params.slot_interval_s + offsets[i] + dists[i] / scene.c + frac_offset_eps_s
         if arrival_s + params.length * params.symbol_s > (i + 1) * params.slot_interval_s:
@@ -296,8 +278,13 @@ def render_frame(
                 f"anchor {'ABC'[i]} pilot arriving at {arrival_s:.9f} s starts "
                 f"before its slot {i * params.slot_interval_s:.9f} s"
             )
-        rate += pilot_rate_profile(
-            seq, params.chips_per_symbol, lambdas[i], 0.0, arrival_s / t_chip, n_chips
-        )
-    counts = rng.poisson(rate)
-    return ChipTrace(counts, t_chip, 0.0)
+        arrivals_s[i] = arrival_s
+    starts = pilot_rate_profile(
+        params.sequence_array(), params.chips_per_symbol, arrivals_s / t_chip, n_chips
+    )
+    lambdas = np.array([params.lambda_s_a, params.lambda_s_b, params.lambda_s_c])
+    counts = sample_chip_counts(
+        rng, starts.reshape(1, -1), np.repeat(lambdas, starts.shape[1]),
+        budget.lambda_b, params.chips_per_symbol, n_chips,
+    )
+    return ChipTrace(counts[0], t_chip, 0.0)

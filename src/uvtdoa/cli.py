@@ -3,7 +3,7 @@ experiment-log replay, and differential clock correction.
 
 All outputs are deterministic for a given config and seed and carry the
 config hash and seed in their headers. Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 I/O error.
+error, 3 numerical failure or any other library error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -18,14 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
-from .errortheory import SingularGeometryError, theory_grid
+from .errortheory import TheoryError, theory_grid
 from .montecarlo import (
+    CampaignError,
     differential_correction,
     power_sweep,
     run_campaign,
 )
 from .scene import Scene
+from .sync import SyncError
 from .tdoa import measurement_from_times, solve_position
 
 EXIT_OK = 0
@@ -347,7 +350,8 @@ def cmd_sweep(cfg: Config, args, out: Path) -> int:
     ]
     if args.format == "json":
         _write_json(out / "sweep.json", {
-            "meta": {"tool": "uvtdoa sweep", "config_sha256": chash, "seed": cfg.seed},
+            "meta": {"tool": "uvtdoa sweep", "config_sha256": chash, "seed": cfg.seed,
+                     "detector_efficiency": cfg.budget.detector_efficiency},
             "entries": [dict(zip(header, r)) for r in rows],
         })
     else:
@@ -556,8 +560,8 @@ def main(argv=None) -> int:
     except ReplayError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SingularGeometryError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (ChannelError, SyncError, TheoryError, CampaignError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import ClockModel, TheoryError
 from .montecarlo import CampaignSpec
-from .scene import GridSpec, Scene, SceneError, default_grid
+from .scene import GridSpec, Scene, SceneError, default_grid, ranges
 from .sync import generate_pilot
 
 
@@ -126,6 +126,20 @@ def _parse_value(kind: str, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from exc
 
 
+def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: ClockModel) -> None:
+    """Reject a slot shorter than the pilot plus the longest flight time (to
+    the receiver or a grid corner, the farthest grid points), the clock's
+    upper bound and one chip."""
+    corners = [(x, y) for x in (grid.x_min, grid.x_max) for y in (grid.y_min, grid.y_max)]
+    flight_s = max(max(ranges(scene, p)) for p in [scene.rx_true, *corners]) / scene.c
+    need_s = signal.length * signal.symbol_s + flight_s + clock.hi_s + signal.chip_s
+    if signal.slot_interval_s < need_s:
+        raise ConfigError(
+            f"[signal] slot_interval_s = {signal.slot_interval_s!r} is shorter than pilot "
+            f"+ longest flight time + clock hi + one chip = {need_s!r} s"
+        )
+
+
 def parse_config(text: str) -> Config:
     """Parse and validate configuration text; raises ConfigError with
     section/key diagnostics on any unknown key, missing key, or bad value."""
@@ -218,6 +232,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(
                 f"[clock] distribution must be 'uniform' or 'none', got {dist!r}"
             )
+        _check_slot_fits(scene, grid, signal, clock)
         return Config(
             scene=scene,
             grid=grid,

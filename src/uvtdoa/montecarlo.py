@@ -20,6 +20,7 @@ from .channel import (
     los_photon_rate,
     pilot_rate_profile,
     render_frame,
+    sample_chip_counts,
 )
 from .errortheory import (
     ClockModel,
@@ -298,10 +299,8 @@ def sync_mse_empirical(
     while done < trials:
         b = min(batch, trials - done)
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
-        rate = pilot_rate_profile(
-            seq, n, lambda_s, lambda_b, t_true + eps / t_chip, total
-        )
-        counts = rng.poisson(rate)
+        starts = pilot_rate_profile(seq, n, t_true + eps / t_chip, total)
+        counts = sample_chip_counts(rng, starts, lambda_s, lambda_b, n, total)
         scores = correlate(counts, seq, n, window)
         start = estimate_start(scores)
         err = (start - t_true) * t_chip - eps

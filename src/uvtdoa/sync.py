@@ -92,18 +92,6 @@ def generate_pilot(length_l: int, seed: int) -> np.ndarray:
     raise SyncError(f"no balanced window of length {length_l} found")  # pragma: no cover
 
 
-def pilot_to_text(sequence) -> str:
-    """Render a pilot as a 0/1 text line for firmware export or replay."""
-    return "".join(str(int(b)) for b in np.asarray(sequence).reshape(-1))
-
-
-def pilot_from_text(text: str) -> np.ndarray:
-    bits = text.strip()
-    if not bits or any(ch not in "01" for ch in bits):
-        raise SyncError(f"pilot text must be a nonempty 0/1 string, got {text!r}")
-    return np.array([int(ch) for ch in bits], dtype=np.int64)
-
-
 def correlate(trace, sequence, chips_per_symbol: int, window: range) -> np.ndarray:
     """Correlation score for every candidate start chip in ``window``.
 

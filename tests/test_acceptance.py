@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines as they
-complete. Budgets are generous; the whole suite takes roughly 15 minutes on
-two cores.
+complete. Budgets are generous; the whole suite takes about 5.5 minutes on
+two cores. Deselect it with ``pytest -m "not acceptance"``.
 """
 
 import time
@@ -33,6 +33,8 @@ from uvtdoa.sync import correlate, generate_pilot
 from conftest import ALL_GEOMETRIES, GEOMETRY_II, make_budget, make_scene, make_signal
 
 WORKERS = 2
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:

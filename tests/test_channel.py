@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from scipy import stats
 
 from uvtdoa import ChannelError, ChipTrace, Scene, SignalParams, SlotOverrunError, los_photon_rate, render_frame
-from uvtdoa.channel import PLANCK_CONSTANT, pilot_rate_profile
+from uvtdoa.channel import PLANCK_CONSTANT, pilot_rate_profile, sample_chip_counts
 from uvtdoa.scene import SPEED_OF_LIGHT
 
 from conftest import make_budget, make_signal
@@ -111,7 +110,6 @@ class TestRenderFrame:
         t1 = render_frame(scene, params, budget, (1e-8, 2e-8, 0), 3e-9, 1234)
         t2 = render_frame(scene, params, budget, (1e-8, 2e-8, 0), 3e-9, 1234)
         assert np.array_equal(t1.counts, t2.counts)
-        assert t1.to_bytes() == t2.to_bytes()
 
     def test_slot_overrun_rejected(self):
         params = make_signal(length=16, n=4, slot_s=17e-6).with_rates(5.0, 5.0, 5.0)
@@ -149,45 +147,88 @@ def poisson_gof_pvalue(draws, mean):
     return float(stats.chi2.sf(chi2, dof))
 
 
+def overlap_means(starts, chips_per_symbol, lambda_s, lambda_b, n_chips):
+    """Per-chip Poisson means from the overlap of each chip with each symbol.
+
+    Chip j covers [j, j + 1); a symbol starting at fractional chip a covers
+    [a, a + n) and adds lambda_s/n per unit of overlap.
+    """
+    n = chips_per_symbol
+    lo = np.arange(n_chips, dtype=float)
+    means = np.full(n_chips, lambda_b / n)
+    for a in np.ravel(starts):
+        overlap = np.clip(np.minimum(lo + 1, a + n) - np.maximum(lo, a), 0.0, None)
+        means += lambda_s / n * overlap
+    return means
+
+
 class TestPilotRateProfile:
     def test_total_mass_preserved_under_fraction(self):
         seq = np.array([1, 0, 1, 1, 0, 1, 0, 0])
         for frac in (0.0, 0.25, 0.5, 0.9):
-            profile = pilot_rate_profile(seq, 4, 3.0, 0.0, 10 + frac, 80)
-            assert profile.sum() == pytest.approx(3.0 * seq.sum(), rel=1e-12)
+            starts = pilot_rate_profile(seq, 4, 10 + frac, 80)
+            assert starts == pytest.approx(10 + frac + 4.0 * np.nonzero(seq)[0])
+            means = overlap_means(starts, 4, 3.0, 0.0, 80)
+            assert means.sum() == pytest.approx(3.0 * seq.sum(), rel=1e-12)
 
     def test_straddle_proration(self):
         # single on-symbol of 4 chips starting at chip 2.5: coverage
         # 0.5, 1, 1, 1, 0.5 chips
-        profile = pilot_rate_profile([1], 4, 4.0, 0.0, 2.5, 12)
+        starts = pilot_rate_profile([1], 4, 2.5, 12)
+        assert starts.tolist() == [2.5]
         expected = np.zeros(12)
         expected[2:7] = [0.5, 1.0, 1.0, 1.0, 0.5]
-        assert profile == pytest.approx(expected)
+        assert overlap_means(starts, 4, 4.0, 0.0, 12) == pytest.approx(expected)
 
     def test_batch_matches_scalar(self):
         seq = np.array([1, 0, 1, 1])
         starts = np.array([3.0, 4.25, 7.5])
-        batch = pilot_rate_profile(seq, 4, 2.0, 0.5, starts, 40)
+        batch = pilot_rate_profile(seq, 4, starts, 40)
+        assert batch.shape == (3, 3)
         for row, s in zip(batch, starts):
-            assert row == pytest.approx(pilot_rate_profile(seq, 4, 2.0, 0.5, float(s), 40))
+            assert np.array_equal(row, pilot_rate_profile(seq, 4, float(s), 40))
+
+    @pytest.mark.parametrize("start", [-0.3, -4.0, 28.5, [3.0, -0.01]])
+    def test_outside_window_rejected(self, start):
+        # 4 on-symbols x 4 chips in a 40-chip window: starts in [0, 24] fit.
+        with pytest.raises(ChannelError, match="outside the chip window"):
+            pilot_rate_profile([1, 1, 0, 1, 1, 0], 4, start, 40)
+
+
+class TestSampleChipCounts:
+    def test_straddle_moments_match_prorated_means(self):
+        # Symbols at 10.37 and 18.37 of 4 chips each: chips 10 and 14 (and
+        # 18, 22) straddle a symbol edge, chip 12 is interior. Over many
+        # seeded windows the sample mean and variance of each chip must
+        # match the overlap-formula mean (Poisson: variance = mean) within
+        # four standard errors, and adjacent chips must be uncorrelated.
+        n, lam_s, lam_b, n_chips, frames = 4, 6.0, 0.5, 30, 40_000
+        starts = pilot_rate_profile([1, 0, 1], n, np.full(frames, 10.37), n_chips)
+        counts = sample_chip_counts(np.random.default_rng(2024), starts, lam_s, lam_b, n, n_chips)
+        means = overlap_means(starts[0], n, lam_s, lam_b, n_chips)
+        assert means[10] == pytest.approx(lam_b / n + lam_s / n * 0.63)
+        assert means[14] == pytest.approx(lam_b / n + lam_s / n * 0.37)
+        for chip in (10, 12, 14, 18, 22, 26):
+            x = counts[:, chip].astype(float)
+            lam = means[chip]
+            assert abs(x.mean() - lam) < 4 * math.sqrt(lam / frames), chip
+            # Var of the sample variance of Poisson(lam) ~ (lam + 2 lam^2) / N.
+            assert abs(x.var(ddof=1) - lam) < 4 * math.sqrt((lam + 2 * lam**2) / frames), chip
+        r = np.corrcoef(counts[:, 13], counts[:, 14])[0, 1]
+        assert abs(r) < 4 / math.sqrt(frames)
+
+    def test_rows_stay_in_their_window(self):
+        # Row 0's last symbol ends exactly at the window end; row 1 has no
+        # signal and no background, so any photon there leaked across rows.
+        starts = pilot_rate_profile([1, 1], 4, np.array([12.0, 0.0]), 20)
+        lam = np.array([[50.0, 50.0], [0.0, 0.0]])
+        counts = sample_chip_counts(np.random.default_rng(3), starts, lam, 0.0, 4, 20)
+        assert counts.shape == (2, 20)
+        assert counts[0, 12:].sum() > 0 and counts[0, :12].sum() == 0
+        assert not counts[1].any()
 
 
 class TestChipTrace:
-    def test_bytes_round_trip(self):
-        trace = ChipTrace(np.array([0, 3, 1, 7]), 1e-8, 0.5)
-        back = ChipTrace.from_bytes(trace.to_bytes())
-        assert np.array_equal(back.counts, trace.counts)
-        assert back.chip_duration_s == trace.chip_duration_s
-        assert back.origin_time_s == trace.origin_time_s
-
-    def test_csv_export(self):
-        trace = ChipTrace(np.array([2, 0, 5]), 1e-8)
-        buf = io.StringIO()
-        trace.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[2] == "chip_index,count"
-        assert lines[3] == "0,2"
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ChannelError):
             ChipTrace(np.array([1, -1]), 1e-8)

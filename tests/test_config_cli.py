@@ -246,6 +246,54 @@ class TestCliSweep:
         assert float(sim_avg) == payload["grid_average_rmse_m"]
         assert float(theory_avg) == payload["theory_average_m"]
 
+    def test_json_meta_carries_detector_efficiency(self, config_file, tmp_path):
+        out = tmp_path / "sweepj"
+        assert main(["sweep", "--config", str(config_file), "--out", str(out),
+                     "--powers-mw", "150", "--format", "json"]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert payload["meta"]["detector_efficiency"] == 0.15
+        assert payload["meta"]["tool"] == "uvtdoa sweep"
+
+
+class TestCliExitCodes:
+    def test_slot_too_short_for_clock_is_config_error(self, tmp_path, capsys):
+        # 64 us pilot + ~0.3 us flight + 5 us clock bound does not fit a
+        # 64.5 us slot; the config used to load, run under theory, and
+        # crash simulate with a slot-overrun traceback.
+        text = CONFIG_TEXT.replace("slot_interval_s = 100e-6", "slot_interval_s = 64.5e-6")
+        text = text.replace("hi_ns = 100", "hi_ns = 5000")
+        with pytest.raises(ConfigError, match="slot_interval_s"):
+            parse_config(text)
+        path = tmp_path / "short.cfg"
+        path.write_text(text)
+        for command in ("theory", "simulate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "slot_interval_s" in capsys.readouterr().err
+
+    def test_slot_fits_farthest_grid_corner(self):
+        # The check uses the farthest grid corner, not only rx_true: with a
+        # grid reaching 400 m out, a slot that holds rx_true's flight time
+        # but not the corner's is rejected.
+        text = CONFIG_TEXT.replace("slot_interval_s = 100e-6", "slot_interval_s = 65e-6")
+        parse_config(text)
+        with pytest.raises(ConfigError, match="slot_interval_s"):
+            parse_config(text.replace("x_max_m = 50", "x_max_m = 400"))
+
+    @pytest.mark.parametrize("old, new", [
+        # Negative clock offsets start anchor A's pilot before its slot.
+        ("lo_ns = 0\nhi_ns = 100", "lo_ns = -2000\nhi_ns = -1000"),
+        # No trials: the campaign specification is invalid.
+        ("trials_per_point = 4", "trials_per_point = 0"),
+    ])
+    def test_library_error_is_exit_3(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad_run.cfg"
+        assert old in CONFIG_TEXT
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "Traceback" not in err
+
 
 def write_log(path, rows, header=True):
     lines = []
