@@ -15,7 +15,6 @@ from .errortheory import (
     ErrorBudget,
     SingularGeometryError,
     SyncBoundParams,
-    clock_variance,
     misdetect_prob_cross_symbol,
     misdetect_prob_within_symbol,
     positioning_mse,
@@ -34,7 +33,7 @@ from .montecarlo import (
 )
 from .scene import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
 from .sync import SyncResult, arrival_times, correlate, estimate_start, generate_pilot, synchronize_frame
-from .tdoa import PositionFix, TdoaMeasurement, default_init, measurement_from_times, solve_position
+from .tdoa import PositionFix, TdoaMeasurement, measurement_from_times, solve_position
 
 __version__ = "0.1.0"
 
@@ -59,11 +58,9 @@ __all__ = [
     "SyncResult",
     "TdoaMeasurement",
     "arrival_times",
-    "clock_variance",
     "config_hash",
     "correlate",
     "default_grid",
-    "default_init",
     "differential_campaign",
     "differential_correction",
     "estimate_start",

@@ -444,17 +444,15 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         d = np.linalg.norm(scene.anchors - np.asarray(sess.truth), axis=1)
         cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
         cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
+    tols = [2.0 * scene.c * s.chip_s for s in sessions]
     measurements = [
-        measurement_from_times(
-            s.t_ba_s, s.t_cb_s, c=scene.c, scene=scene,
-            feasibility_tol_m=2.0 * scene.c * s.chip_s,
-        )
-        for s in sessions
+        measurement_from_times(s.t_ba_s, s.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol)
+        for s, tol in zip(sessions, tols)
     ]
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = differential_correction(scene, cal, measurements, rng=rng)
+        res = differential_correction(scene, cal, measurements, rng=rng, feasibility_tol_m=tols)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     chash = config_hash(cfg)

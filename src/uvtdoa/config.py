@@ -14,6 +14,8 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import ClockModel, TheoryError
 from .montecarlo import CampaignSpec
@@ -127,9 +129,15 @@ def _parse_value(kind: str, raw: str, where: str):
 
 
 def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: ClockModel) -> None:
-    """Reject a slot shorter than the pilot plus the longest flight time (to
+    """Reject a slot that cannot hold every pilot a campaign renders.
+
+    Late side: the slot must hold the pilot plus the longest flight time (to
     the receiver or a grid corner, the farthest grid points), the clock's
-    upper bound and one chip."""
+    upper bound and one chip. Early side: the earliest arrival (shortest
+    flight time to the receiver or any grid point, the clock's lower bound
+    and a -1/2 chip fractional offset) may start at most one chip before its
+    slot, the limit ``render_frame`` enforces.
+    """
     corners = [(x, y) for x in (grid.x_min, grid.x_max) for y in (grid.y_min, grid.y_max)]
     flight_s = max(max(ranges(scene, p)) for p in [scene.rx_true, *corners]) / scene.c
     need_s = signal.length * signal.symbol_s + flight_s + clock.hi_s + signal.chip_s
@@ -137,6 +145,14 @@ def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: 
         raise ConfigError(
             f"[signal] slot_interval_s = {signal.slot_interval_s!r} is shorter than pilot "
             f"+ longest flight time + clock hi + one chip = {need_s!r} s"
+        )
+    points = np.vstack([scene.rx_true, grid.points()])
+    nearest_m = np.linalg.norm(points[:, None, :] - scene.anchors, axis=-1).min()
+    earliest_s = float(nearest_m) / scene.c + clock.lo_s - signal.chip_s / 2.0
+    if earliest_s < -signal.chip_s:
+        raise ConfigError(
+            f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts a pilot {-earliest_s!r} s "
+            f"before its slot, more than one chip ({signal.chip_s!r} s)"
         )
 
 
@@ -233,13 +249,16 @@ def parse_config(text: str) -> Config:
                 f"[clock] distribution must be 'uniform' or 'none', got {dist!r}"
             )
         _check_slot_fits(scene, grid, signal, clock)
+        trials = int(get("campaign", "trials_per_point"))
+        if trials < 1:
+            raise ConfigError(f"[campaign] trials_per_point must be >= 1, got {trials}")
         return Config(
             scene=scene,
             grid=grid,
             budget=budget,
             signal=signal,
             clock=clock,
-            trials_per_point=int(get("campaign", "trials_per_point")),
+            trials_per_point=trials,
             seed=int(get("campaign", "seed")),
             pilot_seed=pilot_seed,
         )

@@ -64,6 +64,7 @@ class ClockModel:
 
     @property
     def variance_s2(self) -> float:
+        """Analytic variance (seconds^2) of the clock-edge error model."""
         if self.distribution == "none":
             return 0.0
         return (self.hi_s - self.lo_s) ** 2 / 12.0
@@ -72,11 +73,6 @@ class ClockModel:
         if self.distribution == "none":
             return np.zeros(size if size is not None else ())
         return rng.uniform(self.lo_s, self.hi_s, size=size)
-
-
-def clock_variance(model: ClockModel) -> float:
-    """Analytic variance (seconds^2) of the clock-edge error model."""
-    return model.variance_s2
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ independent of scheduling or worker count.
 
 from __future__ import annotations
 
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -30,7 +29,7 @@ from .errortheory import (
 )
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
 from .sync import arrival_times, correlate, estimate_start, generate_pilot, synchronize_frame
-from .tdoa import PositionFix, measurement_from_times, solve_position
+from .tdoa import DEFAULT_FEASIBILITY_TOL_M, PositionFix, measurement_from_times, solve_position
 
 
 class CampaignError(ValueError):
@@ -95,7 +94,6 @@ class CampaignResult:
     seed: int
     trials_per_point: int
     point_results: list[PointResult]
-    wall_time_s: float  # in-memory diagnostic; kept out of serialized output
 
     @property
     def grid_average_rmse_m(self) -> float:
@@ -217,7 +215,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
     """
     points = spec.receiver_points()
     tasks = [(spec, (float(p[0]), float(p[1])), i) for i, p in enumerate(points)]
-    t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks))
@@ -227,7 +224,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
         seed=spec.seed,
         trials_per_point=spec.trials_per_point,
         point_results=results,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -325,6 +321,7 @@ def differential_correction(
     estimates_per_anchor_pair: dict,
     subsequent_measurements,
     rng: np.random.Generator | None = None,
+    feasibility_tol_m=DEFAULT_FEASIBILITY_TOL_M,
 ) -> CorrectionResult:
     """Subtract calibrated inter-anchor timing biases before solving.
 
@@ -332,7 +329,9 @@ def differential_correction(
     timing-bias estimates in seconds; one estimate per pair is selected
     (randomly when an rng is given, else the first) and subtracted from every
     measurement's time differences. Pairs without calibration are skipped
-    with a warning and left uncorrected.
+    with a warning and left uncorrected. Corrected measurements are clamped
+    with ``feasibility_tol_m``, one value for all or one per measurement;
+    pass the tolerance the measurements were built with.
     """
     selected: dict[str, float | None] = {}
     skipped = []
@@ -349,13 +348,15 @@ def differential_correction(
             selected[pair] = float(cal[int(rng.integers(len(cal)))])
         else:
             selected[pair] = float(cal[0])
+    measurements = list(subsequent_measurements)
+    tols = np.broadcast_to(np.asarray(feasibility_tol_m, dtype=float), (len(measurements),))
     corrected = []
     uncorrected = []
-    for meas in subsequent_measurements:
+    for meas, tol in zip(measurements, tols.tolist()):
         uncorrected.append(solve_position(scene, meas))
         t_ba = meas.t_ba_s - (selected["ba"] or 0.0)
         t_cb = meas.t_cb_s - (selected["cb"] or 0.0)
-        fixed = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene)
+        fixed = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene, feasibility_tol_m=tol)
         corrected.append(solve_position(scene, fixed))
     return CorrectionResult(
         corrected=corrected,
@@ -415,13 +416,12 @@ def differential_campaign(
             "ba": [measured[i][0] - true_ba for i in range(calibration_trials)],
             "cb": [measured[i][1] - true_cb for i in range(calibration_trials)],
         }
+        feas_tol = 2.0 * scene.c * t_chip
         meas_objs = [
-            measurement_from_times(
-                ba, cb, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * t_chip
-            )
+            measurement_from_times(ba, cb, c=scene.c, scene=scene, feasibility_tol_m=feas_tol)
             for ba, cb in measured[calibration_trials:]
         ]
-        res = differential_correction(scene, cal, meas_objs)
+        res = differential_correction(scene, cal, meas_objs, feasibility_tol_m=feas_tol)
         err = lambda fixes: float(
             np.sqrt(
                 np.mean(

@@ -125,14 +125,28 @@ def correlate(trace, sequence, chips_per_symbol: int, window: range) -> np.ndarr
     w[1:-1] = sign[:-1] - sign[1:]
     w[-1] = sign[-1]
     segment = counts[..., start : start + width - 1 + len(seq) * n]
-    csum = np.concatenate(
-        [np.zeros(segment.shape[:-1] + (1,), dtype=np.int64), np.cumsum(segment, axis=-1)],
-        axis=-1,
-    )
-    scores = np.zeros(counts.shape[:-1] + (width,), dtype=np.int64)
-    for j in np.nonzero(w)[0]:
-        scores += w[j] * csum[..., n * j : n * j + width]
-    return scores
+    # The two accumulators below share at most L + 1 prefix sums, none larger
+    # in magnitude than a row's absolute total, so every intermediate,
+    # 2 * (pos - neg) included, stays within 2 * (L + 1) * total: int32 is
+    # exact while that is below 2**31.
+    total = int(np.abs(segment).sum(axis=-1).max(initial=0))
+    dtype = np.int32 if 2 * (len(seq) + 1) * total < 2**31 else np.int64
+    csum = np.empty(segment.shape[:-1] + (segment.shape[-1] + 1,), dtype=dtype)
+    csum[..., 0] = 0
+    np.cumsum(segment, axis=-1, dtype=dtype, out=csum[..., 1:])
+    # Interior weights are +/-2 and the end weights +/-1: sum the prefix sums
+    # of each sign in place, double the difference, then take one copy of
+    # each end term back out.
+    pos = np.zeros(counts.shape[:-1] + (width,), dtype=dtype)
+    neg = np.zeros_like(pos)
+    for acc, terms in ((pos, w > 0), (neg, w < 0)):
+        for k in (n * np.nonzero(terms)[0]).tolist():
+            np.add(acc, csum[..., k : k + width], out=acc)
+    pos -= neg
+    pos *= 2
+    for j in (0, len(seq)):
+        pos -= int(w[j]) * csum[..., n * j : n * j + width]
+    return pos.astype(np.int64, copy=False)
 
 
 def estimate_start(scores) -> int:
@@ -172,17 +186,27 @@ def slot_search_window(params: SignalParams, slot_index: int, guard_chips: int =
 
 
 def synchronize_frame(trace: ChipTrace, params: SignalParams, guard_chips: int = 0) -> SyncResult:
-    """Correlation-peak start estimate for each of the three anchor slots."""
-    seq = params.sequence_array()
-    starts = []
-    peaks = []
-    for i in range(3):
-        window = slot_search_window(params, i, guard_chips)
-        scores = correlate(trace, seq, params.chips_per_symbol, window)
-        rel = estimate_start(scores)
-        starts.append(window.start + rel - i * params.slot_chips)
-        peaks.append(float(scores[rel]))
-    return SyncResult(starts[0], starts[1], starts[2], (peaks[0], peaks[1], peaks[2]))
+    """Correlation-peak start estimate for each of the three anchor slots.
+
+    The first three slots of the trace are scored as the rows of one batch,
+    each over slot 0's search window, which is every slot's window taken
+    relative to its slot start.
+    """
+    slot = params.slot_chips
+    counts = trace.counts
+    if len(counts) < 3 * slot:
+        raise WindowOverrunError(
+            f"trace of {len(counts)} chips is shorter than three slots of {slot} chips"
+        )
+    window = slot_search_window(params, 0, guard_chips)
+    scores = correlate(
+        counts[: 3 * slot].reshape(3, slot), params.sequence_array(),
+        params.chips_per_symbol, window,
+    )
+    rel = estimate_start(scores)
+    starts = [window.start + int(r) for r in rel]
+    peaks = tuple(float(scores[i, r]) for i, r in enumerate(rel))
+    return SyncResult(starts[0], starts[1], starts[2], peaks)
 
 
 def arrival_times(sync: SyncResult, params: SignalParams) -> tuple[float, float, float]:

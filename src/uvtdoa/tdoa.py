@@ -64,11 +64,6 @@ class PositionFix:
     converged: bool
 
 
-def default_init(scene: Scene) -> tuple[float, float]:
-    """Anchor-triangle centroid, the default solver start."""
-    return scene.centroid()
-
-
 def _residual(scene: Scene, meas: TdoaMeasurement, p: np.ndarray) -> np.ndarray:
     a = scene.anchors
     d = np.linalg.norm(a - p, axis=1)
@@ -208,7 +203,7 @@ def solve_position(
     initialization. ``converged`` means the step shrank below tolerance and
     the residual is below ``residual_tol`` meters.
     """
-    p0 = np.asarray(init if init is not None else default_init(scene), dtype=float).reshape(2)
+    p0 = np.asarray(init if init is not None else scene.centroid(), dtype=float).reshape(2)
     seeds = _branch_intersections(scene, meas)
     if not seeds:
         seeds = [p0]

@@ -279,17 +279,34 @@ class TestCliExitCodes:
         with pytest.raises(ConfigError, match="slot_interval_s"):
             parse_config(text.replace("x_max_m = 50", "x_max_m = 400"))
 
-    @pytest.mark.parametrize("old, new", [
-        # Negative clock offsets start anchor A's pilot before its slot.
-        ("lo_ns = 0\nhi_ns = 100", "lo_ns = -2000\nhi_ns = -1000"),
+    @pytest.mark.parametrize("old, new, key", [
+        # Negative clock offsets would start anchor A's pilot before its slot.
+        ("lo_ns = 0\nhi_ns = 100", "lo_ns = -2000\nhi_ns = -1000", "lo_ns"),
         # No trials: the campaign specification is invalid.
-        ("trials_per_point = 4", "trials_per_point = 0"),
-    ])
-    def test_library_error_is_exit_3(self, tmp_path, capsys, old, new):
-        path = tmp_path / "bad_run.cfg"
+        ("trials_per_point = 4", "trials_per_point = 0", "trials_per_point"),
+    ], ids=["clock_below_zero", "no_trials"])
+    def test_unrunnable_config_is_exit_2(self, tmp_path, capsys, old, new, key):
         assert old in CONFIG_TEXT
-        path.write_text(CONFIG_TEXT.replace(old, new))
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        text = CONFIG_TEXT.replace(old, new)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+        path = tmp_path / "bad_run.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_early_check_uses_nearest_grid_point(self):
+        # The grid point (50, 20) is 106.8 ns from anchor B; with 50 ns chips
+        # and the -25 ns fractional offset a pilot may start up to 50 ns early,
+        # so lo_ns may go down to -131.8. rx_true alone would allow -171.
+        parse_config(CONFIG_TEXT.replace("lo_ns = 0", "lo_ns = -130"))
+        with pytest.raises(ConfigError, match="lo_ns"):
+            parse_config(CONFIG_TEXT.replace("lo_ns = 0", "lo_ns = -135"))
+
+    def test_library_error_is_exit_3(self, config_file, tmp_path, capsys):
+        # An empty power list loads and reaches power_sweep's CampaignError.
+        assert main(["sweep", "--config", str(config_file), "--powers-mw", ",",
+                     "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
         assert "Traceback" not in err

@@ -9,7 +9,6 @@ from uvtdoa import (
     Scene,
     SingularGeometryError,
     SyncBoundParams,
-    clock_variance,
     misdetect_prob_cross_symbol,
     misdetect_prob_within_symbol,
     positioning_mse,
@@ -36,19 +35,19 @@ def bound_params(lam_s=5.0, lam_b=1.0, length=256, n=100, **kw):
 
 class TestClockVariance:
     def test_degenerate(self):
-        assert clock_variance(ClockModel.ideal()) == 0.0
+        assert ClockModel.ideal().variance_s2 == 0.0
 
     def test_uniform_100ns_closed_form_and_monte_carlo(self):
         model = ClockModel.uniform(0.0, 100e-9)
         expected = (1e-7) ** 2 / 12.0
-        assert clock_variance(model) == pytest.approx(expected, rel=1e-12)
-        assert clock_variance(model) == pytest.approx(8.333e-16, rel=1e-3)
+        assert model.variance_s2 == pytest.approx(expected, rel=1e-12)
+        assert model.variance_s2 == pytest.approx(8.333e-16, rel=1e-3)
         draws = model.sample(np.random.default_rng(1), 1_000_000)
         assert np.var(draws) == pytest.approx(expected, rel=0.01)
 
     def test_quadratic_scaling(self):
-        full = clock_variance(ClockModel.uniform(0.0, 100e-9))
-        half = clock_variance(ClockModel.uniform(0.0, 50e-9))
+        full = ClockModel.uniform(0.0, 100e-9).variance_s2
+        half = ClockModel.uniform(0.0, 50e-9).variance_s2
         assert half == pytest.approx(full / 4.0, rel=1e-12)
 
 

@@ -11,6 +11,7 @@ from uvtdoa import (
     ranges,
     run_campaign,
     run_point,
+    solve_position,
     sync_mse_empirical,
 )
 from uvtdoa.errortheory import anchor_sigma2
@@ -140,6 +141,36 @@ class TestDifferentialCorrection:
         a = differential_correction(scene, cal, meas, rng=np.random.default_rng(4))
         b = differential_correction(scene, cal, meas, rng=np.random.default_rng(4))
         assert a.applied_ba_s == b.applied_ba_s
+
+
+    def test_corrected_measurements_use_the_chip_tolerance(self):
+        # 50 ns chips give a 2-chip slack of 30 m. Corrected range differences
+        # 10 m past |AB| (beyond the 6 m slack of 10 ns chips) and 40 m past
+        # must be kept and clamped at 30 m, exactly as measurement_from_times
+        # treats them at that tolerance.
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        tol = 2.0 * scene.c * 50e-9
+        ab = float(np.linalg.norm(scene.anchors[1] - scene.anchors[0]))
+        bias_ba = -20.0 / scene.c
+        meas = [
+            measurement_from_times(
+                (ab + past) / scene.c + bias_ba, -30.0 / scene.c,
+                c=scene.c, scene=scene, feasibility_tol_m=tol,
+            )
+            for past in (10.0, 40.0)
+        ]
+        cal = {"ba": [bias_ba], "cb": [0.0]}
+        res = differential_correction(scene, cal, meas, feasibility_tol_m=tol)
+        clamped = []
+        for m, fix in zip(meas, res.corrected):
+            expected = measurement_from_times(
+                m.t_ba_s - bias_ba, m.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol
+            )
+            clamped.append(expected.clamped)
+            assert fix == solve_position(scene, expected)
+        assert clamped == [False, True]
+        per_measurement = differential_correction(scene, cal, meas, feasibility_tol_m=[tol, tol])
+        assert per_measurement.corrected == res.corrected
 
 
 class TestDifferentialCampaign:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uvtdoa import Scene, estimate_start, generate_pilot, ranges, render_frame, synchronize_frame
-from uvtdoa.channel import pilot_rate_profile, sample_chip_counts
+from uvtdoa.channel import ChipTrace, pilot_rate_profile, sample_chip_counts
 from uvtdoa.scene import SPEED_OF_LIGHT
 from uvtdoa.sync import (
     SyncError,
@@ -111,6 +111,69 @@ class TestCorrelate:
         for k in (1, 5, 17):
             shifted = np.roll(base, k)
             assert estimate_start(correlate(shifted, seq, n, w)) == ref + k
+
+
+    def test_fuzz_matches_brute_force(self):
+        # Random pilot lengths, symbol widths, window starts and widths (some
+        # a multiple of n, some not), 1-D and batched counts; rows are scored
+        # independently and every score is exact.
+        rng = np.random.default_rng(2024)
+        for case in range(60):
+            length = int(rng.integers(2, 24))
+            n = int(rng.integers(1, 7))
+            seq = generate_pilot(length, int(rng.integers(0, 50)))
+            width = n * int(rng.integers(1, 8)) if case % 2 else int(rng.integers(1, 40))
+            start = int(rng.integers(0, 15))
+            n_chips = start + width - 1 + length * n + int(rng.integers(0, 6))
+            rows = () if case % 3 == 0 else (int(rng.integers(1, 4)),)
+            counts = rng.poisson(rng.uniform(0.0, 40.0), size=rows + (n_chips,))
+            window = range(start, start + width)
+            scores = correlate(counts, seq, n, window)
+            assert scores.dtype == np.int64 and scores.shape == rows + (width,)
+            for row, got in zip(counts.reshape(-1, n_chips), scores.reshape(-1, width)):
+                assert np.array_equal(got, brute_force_scores(row, seq, n, window))
+
+    def test_large_counts_stay_exact(self):
+        # The peak score (on-symbol chips x 2**29 photons) is past 2**31, so
+        # only a 64-bit accumulator gives the exact value.
+        seq = generate_pilot(8, 1)
+        n, t0 = 2, 5
+        counts = np.zeros(40, dtype=np.int64)
+        for i, bit in enumerate(seq):
+            if bit:
+                counts[t0 + n * i : t0 + n * (i + 1)] = 2**29
+        window = range(0, 20)
+        scores = correlate(counts, seq, n, window)
+        assert np.array_equal(scores, brute_force_scores(counts, seq, n, window))
+        assert scores.max() > 2**31
+        assert estimate_start(scores) == t0
+
+
+class TestSynchronizeFrame:
+    @pytest.mark.parametrize("guard, extra_chips", [(0, 0), (7, 0), (0, 113), (5, 40)])
+    def test_matches_per_slot_correlation(self, guard, extra_chips):
+        params = make_signal(length=16, n=4, slot_s=100e-6)
+        slot = params.slot_chips
+        rng = np.random.default_rng(guard + extra_chips)
+        counts = rng.poisson(0.5, size=3 * slot + extra_chips)
+        for i, t0 in enumerate((31, 120, 250)):
+            for j, bit in enumerate(params.sequence):
+                if bit:
+                    counts[i * slot + t0 + 4 * j : i * slot + t0 + 4 * (j + 1)] += 9
+        trace = ChipTrace(counts, params.chip_s)
+        sync = synchronize_frame(trace, params, guard_chips=guard)
+        for i in range(3):
+            window = slot_search_window(params, i, guard)
+            scores = correlate(trace, params.sequence_array(), params.chips_per_symbol, window)
+            rel = estimate_start(scores)
+            assert sync.start_chips[i] == window.start + rel - i * slot
+            assert sync.peak_scores[i] == float(scores[rel])
+
+    def test_trace_shorter_than_three_slots(self):
+        params = make_signal(length=16, n=4, slot_s=100e-6)
+        trace = ChipTrace(np.zeros(3 * params.slot_chips - 1, dtype=np.int64), params.chip_s)
+        with pytest.raises(WindowOverrunError):
+            synchronize_frame(trace, params)
 
 
 class TestEstimateStart:

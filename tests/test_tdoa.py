@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uvtdoa import (
-    default_init,
     inside_triangle,
     measurement_from_times,
     positioning_mse,
@@ -123,7 +122,7 @@ class TestSolvePosition:
             t_ba = rng.normal(0, 2e-7)
             t_cb = rng.normal(0, 2e-7)
             m = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene)
-            init = np.asarray(default_init(scene))
+            init = np.asarray(scene.centroid())
             fix = solve_position(scene, m, init=init)
             a = scene.anchors
             d = np.linalg.norm(a - init, axis=1)
@@ -159,9 +158,9 @@ class TestSolvePosition:
 class TestDefaultInit:
     def test_simple_centroid(self):
         scene = Scene(tx_a=(0, 0), tx_b=(3, 0), tx_c=(0, 3), rx_true=(1, 1))
-        assert default_init(scene) == pytest.approx((1.0, 1.0))
+        assert scene.centroid() == pytest.approx((1.0, 1.0))
 
     def test_experiment_i_centroid(self):
         scene = make_scene(GEOMETRY_I)
         expected = ((30.2 + 0 + 60.7) / 3.0, (53.9 + 0 + 0) / 3.0)
-        assert default_init(scene) == pytest.approx(expected)
+        assert scene.centroid() == pytest.approx(expected)
