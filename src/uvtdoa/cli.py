@@ -184,10 +184,31 @@ def sessions_from_records(records) -> tuple[list[SessionTdoa], int]:
     return out, dropped
 
 
+# Pairwise distances are scanned this many (row, column) pairs at a time.
+_PAIR_BLOCK = 1 << 16
+
+
+def _farthest_pair(points: np.ndarray) -> tuple[int, int]:
+    """First maximum, in row-major order, of the pairwise squared distances.
+
+    Scans blocks of rows, so memory stays O(N) instead of N x N. The first
+    block holding the overall maximum (or a NaN, as argmax counts it) wins.
+    """
+    n = len(points)
+    x, y = points[:, 0], points[:, 1]
+    rows = max(1, _PAIR_BLOCK // n)
+    block_max = []
+    for r0 in range(0, n, rows):
+        d2 = (x[r0:r0 + rows, None] - x) ** 2 + (y[r0:r0 + rows, None] - y) ** 2
+        flat = int(np.argmax(d2))
+        block_max.append((d2.flat[flat], r0 * n + flat))
+    _, at = block_max[int(np.argmax([v for v, _ in block_max]))]
+    return divmod(at, n)
+
+
 def _split_two_clusters(points: np.ndarray):
     """Two-means split with farthest-pair seeding; returns (labels, centers)."""
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    i, j = _farthest_pair(points)
     centers = np.array([points[i], points[j]], dtype=float)
     labels = np.zeros(len(points), dtype=int)
     for iteration in range(10):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelError, LinkBudget, SignalParams
-from .errortheory import ClockModel, TheoryError
+from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
 from .montecarlo import CampaignSpec
 from .scene import GridSpec, Scene, SceneError, default_grid, ranges
 from .sync import generate_pilot
@@ -229,8 +229,15 @@ def parse_config(text: str) -> Config:
             lambda_clip=get("budget", "lambda_clip_per_symbol"),
         )
         pilot_seed = int(get("signal", "pilot_seed"))
+        length = int(get("signal", "sequence_length"))
+        if 2 * DEFAULT_M_MAX >= length:
+            # theory's cross-symbol sum needs 2 * m_max < L to stay in its domain
+            raise ConfigError(
+                f"[signal] sequence_length must be > {2 * DEFAULT_M_MAX} for the sync "
+                f"bound's m_max = {DEFAULT_M_MAX}, got {length}"
+            )
         signal = SignalParams(
-            sequence=generate_pilot(int(get("signal", "sequence_length")), pilot_seed),
+            sequence=generate_pilot(length, pilot_seed),
             symbol_rate_hz=get("signal", "symbol_rate_hz"),
             chips_per_symbol=int(get("signal", "chips_per_symbol")),
             slot_interval_s=get("signal", "slot_interval_s"),

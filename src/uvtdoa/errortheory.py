@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
@@ -75,6 +76,10 @@ class ClockModel:
         return rng.uniform(self.lo_s, self.hi_s, size=size)
 
 
+# Cross-symbol terms summed by default: offsets of up to 2 * 8 symbols.
+DEFAULT_M_MAX = 8
+
+
 @dataclass(frozen=True)
 class SyncBoundParams:
     """Inputs of the synchronization-MSE upper bound for one anchor link."""
@@ -84,7 +89,7 @@ class SyncBoundParams:
     length: int
     chips_per_symbol: int
     symbol_s: float
-    m_max: int = 8
+    m_max: int = DEFAULT_M_MAX
     eps_quadrature_points: int = 33
 
     def __post_init__(self):
@@ -98,6 +103,11 @@ class SyncBoundParams:
             raise TheoryError("symbol_s must be > 0")
         if self.m_max < 1:
             raise TheoryError("m_max must be >= 1")
+        if 2 * self.m_max >= self.length:
+            # offsets of 2m >= L symbols leave no overlap with the shifted pilot
+            raise TheoryError(
+                f"m_max must be < length/2 = {self.length / 2:g}, got {self.m_max}"
+            )
         if self.eps_quadrature_points < 8:
             raise TheoryError("eps_quadrature_points must be >= 8")
 
@@ -107,7 +117,8 @@ class SyncBoundParams:
 
     @classmethod
     def from_signal(cls, params: SignalParams, lambda_s: float, lambda_b: float,
-                    m_max: int = 8, eps_quadrature_points: int = 33) -> "SyncBoundParams":
+                    m_max: int = DEFAULT_M_MAX,
+                    eps_quadrature_points: int = 33) -> "SyncBoundParams":
         return cls(
             lambda_s=lambda_s,
             lambda_b=lambda_b,
@@ -119,53 +130,88 @@ class SyncBoundParams:
         )
 
 
-def _p_within(params: SyncBoundParams, k, eps_s):
+def _within_factors(k, e, n: int):
+    """Rate-free factors of the within-symbol gap: mean ``2e - k/n``, variance ``2k/n``."""
+    return 2.0 * e - k / n, 2.0 * (k / n)
+
+
+def _cross_factors(m, k, e, n: int, big_l: int):
+    """Rate-free factors of the gap for an offset of 2m*n + k chips.
+
+    Returns ``-2m``, ``1 - 2(k/n - e)``, ``1 - e``, ``2e - k/n`` and the
+    variance factor ``(L - m) - (-2m)(1 - 2k/n) - k/n``.
+    """
+    return (
+        -2.0 * m,
+        1.0 - 2.0 * (k / n - e),
+        1.0 - e,
+        2.0 * e - k / n,
+        (big_l - m) - (-2.0 * m) * (1.0 - 2.0 * k / n) - k / n,
+    )
+
+
+# normal_cdf is exactly 0.0 in double precision at and below this point: the
+# true value is under 1e-349, past the smallest subnormal, and erfc already
+# returns 0 beyond 26.64 (a standardized gap of -37.7).
+_CDF_ZERO_BELOW = -40.0
+
+
+def _sparse_normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with normal_cdf(z), running erfc only where it can be non-zero.
+
+    The mask is ``z <= _CDF_ZERO_BELOW`` rather than its converse, so a NaN
+    still goes through erfc and comes out NaN.
+    """
+    live = ~(z <= _CDF_ZERO_BELOW)
+    z[live] = normal_cdf(z[live])
+    z[~live] = 0.0
+    return z
+
+
+def _p_within(params: SyncBoundParams, factors, e):
     """Misdetection-probability bound for a |k|-chip offset inside one symbol.
 
     Gaussian approximation of the correlation-score gap between the true
-    start and a start offset by k chips; broadcasts over k and eps arrays.
+    start and a start offset by k chips, from ``_within_factors`` and the
+    fractional offset ``e`` in symbols; broadcasts over their arrays.
     """
-    lam_s, lam_b = params.lambda_s, params.lambda_b
-    big_l, n, t_s = params.length, params.chips_per_symbol, params.symbol_s
-    k = np.asarray(k, dtype=float)
-    e = np.asarray(eps_s, dtype=float) / t_s
-    num = 0.5 * lam_s * (2.0 * e - k / n) * (big_l - 1)
-    var = 2.0 * (k / n) * (0.5 * lam_s + lam_b) * (big_l - 1) + e * lam_s
+    lam_s, lam_b, big_l = params.lambda_s, params.lambda_b, params.length
+    mean_f, var_f = factors
+    num = 0.5 * lam_s * mean_f * (big_l - 1)
+    var = var_f * (0.5 * lam_s + lam_b) * (big_l - 1) + e * lam_s
     if lam_s == 0:
         # No signal: the score gap is pure noise, even odds per comparison.
-        return np.broadcast_to(0.5, np.broadcast(num, var).shape).copy()
-    return normal_cdf(num / np.sqrt(var))
+        return np.full(np.broadcast(num, var).shape, 0.5)
+    return _sparse_normal_cdf(num / np.sqrt(var))
 
 
-def _p_cross(params: SyncBoundParams, m, k, eps_s):
+def _p_cross(params: SyncBoundParams, factors, e):
     """Misdetection-probability bound for offsets of 2m*n + k chips, m >= 1.
 
-    Where the Gaussian variance term degenerates (possible for extreme m at
-    small pilot lengths) the limiting value of the CDF is used.
+    Takes ``_cross_factors`` and the fractional offset ``e`` in symbols.
+    ``-2m * x`` must already have the output's shape: the other terms are
+    subtracted from it in place. Where the Gaussian variance term
+    degenerates (possible for extreme m at small pilot lengths) the limiting
+    value of the CDF is used.
     """
-    lam_s, lam_b = params.lambda_s, params.lambda_b
-    big_l, n, t_s = params.length, params.chips_per_symbol, params.symbol_s
-    m = np.asarray(m, dtype=float)
-    k = np.asarray(k, dtype=float)
-    e = np.asarray(eps_s, dtype=float) / t_s
-    num = (
-        (-2.0 * m) * 0.5 * lam_s * (1.0 - 2.0 * (k / n - e))
-        - big_l * 0.5 * lam_s * (1.0 - e)
-        - 0.5 * lam_s * (2.0 * e - k / n)
-    )
-    var = (
-        2.0 * (0.5 * lam_s + lam_b)
-        * ((big_l - m) - (-2.0 * m) * (1.0 - 2.0 * k / n) - k / n)
-        + e * lam_s
-    )
-    num, var = np.broadcast_arrays(num, var)
-    ok = var > 0
-    out = np.where(num >= 0, 1.0, 0.0)  # limit of the CDF as the variance vanishes
-    safe = np.where(ok, var, 1.0)
-    out = np.where(ok, normal_cdf(num / np.sqrt(safe)), out)
+    lam_s, lam_b, big_l = params.lambda_s, params.lambda_b, params.length
+    neg_2m, x, y, z, var_f = factors
+    # In place on two full-size buffers: fresh large arrays cost page faults.
+    num = neg_2m * 0.5 * lam_s * x
+    num -= big_l * 0.5 * lam_s * y
+    num -= 0.5 * lam_s * z
     if lam_s == 0:
-        out = np.full_like(out, 0.5)
-    return out
+        return np.full(num.shape, 0.5)
+    var = 2.0 * (0.5 * lam_s + lam_b) * var_f
+    var += e * lam_s
+    ok = var > 0
+    limit = None
+    if not ok.all():
+        limit = np.where(num >= 0, 1.0, 0.0)  # limit of the CDF as the variance vanishes
+        var[~ok] = 1.0
+    num /= np.sqrt(var, out=var)
+    p = _sparse_normal_cdf(num)
+    return p if limit is None else np.where(ok, p, limit)
 
 
 def misdetect_prob_within_symbol(params: SyncBoundParams, k: int, eps_s: float) -> float:
@@ -177,7 +223,8 @@ def misdetect_prob_within_symbol(params: SyncBoundParams, k: int, eps_s: float) 
     n = params.chips_per_symbol
     if k == 0 or not 1 <= abs(k) <= n - 1:
         raise TheoryError(f"k must satisfy 1 <= |k| <= {n - 1}, got {k}")
-    return float(np.clip(_p_within(params, abs(k), eps_s), 0.0, 1.0))
+    e = np.full(1, eps_s, dtype=float) / params.symbol_s
+    return _p_within(params, _within_factors(float(abs(k)), e, n), e).item()
 
 
 def misdetect_prob_cross_symbol(params: SyncBoundParams, m: int, k: int, eps_s: float) -> float:
@@ -187,7 +234,8 @@ def misdetect_prob_cross_symbol(params: SyncBoundParams, m: int, k: int, eps_s: 
         raise TheoryError(f"m must be >= 1, got {m}")
     if not -n <= k <= n - 1:
         raise TheoryError(f"k must satisfy -{n} <= k <= {n - 1}, got {k}")
-    return float(np.clip(_p_cross(params, m, k, eps_s), 0.0, 1.0))
+    e = np.full(1, eps_s, dtype=float) / params.symbol_s
+    return _p_cross(params, _cross_factors(float(m), float(k), e, n, params.length), e).item()
 
 
 # Truncation is declared unconverged when the last m-term carries more than
@@ -215,38 +263,81 @@ def sync_mse_bound(params: SyncBoundParams) -> float:
     return value
 
 
-def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
-    n = params.chips_per_symbol
-    t_c = params.chip_s
-    nodes, weights = np.polynomial.legendre.leggauss(params.eps_quadrature_points)
+class _BoundGrid(NamedTuple):
+    """Everything in the sync-MSE bound that does not depend on the rates.
+
+    The cross-symbol factors are laid out as (m_max or 1, 2n * Q) rows, so
+    each rate-dependent pass runs over long contiguous inner loops.
+    """
+
+    weights: np.ndarray  # Gauss-Legendre weights over the fractional offset, (Q,)
+    eps: np.ndarray  # fractional offsets in seconds: the quadrature nodes, (Q,)
+    e_within: np.ndarray  # the same in symbols, (1, Q)
+    within: tuple  # _within_factors over k = 1..n-1
+    e_k2: np.ndarray  # squared timing errors of the within-symbol offsets, (n-1, Q)
+    e_cross: np.ndarray  # fractional offsets in symbols, (1, 2n * Q)
+    cross: tuple  # _cross_factors over m = 1..m_max and k = -n..n-1
+    shift_mk: np.ndarray  # cross-symbol offsets (2m*n + k) * Tc in seconds, (m_max, 2n, 1)
+
+
+@lru_cache(maxsize=64)
+def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) -> _BoundGrid:
+    t_c = symbol_s / n
+    nodes, weights = np.polynomial.legendre.leggauss(points)
     eps = nodes * (t_c / 2.0)  # quadrature nodes in (-Tc/2, Tc/2)
+    e = eps / symbol_s
 
-    # Exact detection: timing error is just the fractional offset.
-    p01 = np.clip(_p_within(params, 1, eps), 0.0, 1.0) if n > 1 else np.zeros_like(eps)
-    p00 = np.clip(1.0 - p01, 0.0, None)
-    integrand = eps**2 * p00
+    # Offsets of 1..n-1 chips within a symbol.
+    k = np.arange(1, n, dtype=float)[:, None]
+    e_k = k * t_c - eps[None, :]
 
-    # Offsets of 1..n-1 chips within a symbol, both directions.
-    if n > 1:
-        k = np.arange(1, n, dtype=float)[:, None]
-        e_k = k * t_c - eps[None, :]
-        p0k = np.clip(_p_within(params, k, eps[None, :]), 0.0, 1.0)
-        integrand = integrand + 2.0 * np.sum(e_k**2 * p0k, axis=0)
+    # Offsets beyond a symbol: 2m*n + k chips for m = 1..m_max.
+    m = np.arange(1, m_max + 1, dtype=float)[:, None, None]
+    k_c = np.arange(-n, n, dtype=float)[None, :, None]
+    e_c = e[None, None, :]
 
-    # Offsets beyond a symbol: 2m*n + k chips for m = 1..m_max, doubled for
-    # the mirrored direction.
-    m = np.arange(1, params.m_max + 1, dtype=float)[:, None, None]
-    k = np.arange(-n, n, dtype=float)[None, :, None]
-    e_mk = (2.0 * m * n + k) * t_c - eps[None, None, :]
-    pmk = np.clip(_p_cross(params, m, k, eps[None, None, :]), 0.0, 1.0)
-    cross = 2.0 * np.sum(e_mk**2 * pmk, axis=(0, 1))
-    tail = 2.0 * np.sum((e_mk**2 * pmk)[-1], axis=0)
-    integrand = integrand + cross
+    def rows(a):
+        return np.broadcast_to(a, (len(a), 2 * n, points)).reshape(len(a), -1)
 
-    # Average over the fractional offset: density 1/Tc over a Tc-wide
-    # interval cancels the interval half-width against the node scaling.
-    value = float(0.5 * np.sum(weights * integrand))
-    tail_value = float(0.5 * np.sum(weights * tail))
+    neg_2m, *block = _cross_factors(m, k_c, e_c, n, big_l)
+    grid = _BoundGrid(
+        weights, eps, e[None, :], _within_factors(k, e[None, :], n), e_k**2,
+        rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), (2.0 * m * n + k_c) * t_c,
+    )
+    for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk):
+        arr.setflags(write=False)  # shared by every call with the same grid
+    return grid
+
+
+def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
+    g = _bound_grid(
+        params.chips_per_symbol, params.length, params.symbol_s,
+        params.m_max, params.eps_quadrature_points,
+    )
+
+    # Exact detection: timing error is just the fractional offset. Offsets of
+    # 1..n-1 chips within a symbol count in both directions; the 1-chip row
+    # is the exact detection's complement.
+    if params.chips_per_symbol > 1:
+        p0k = _p_within(params, g.within, g.e_within)
+        integrand = g.eps**2 * (1.0 - p0k[0])
+        integrand = integrand + 2.0 * np.sum(g.e_k2 * p0k, axis=0)
+    else:
+        integrand = g.eps**2
+
+    # Offsets beyond a symbol, doubled for the mirrored direction; where every
+    # probability underflows to 0.0 the block adds exactly nothing. Averaging
+    # over the fractional offset, the density 1/Tc over a Tc-wide interval
+    # cancels the interval half-width against the node scaling.
+    pmk = _p_cross(params, g.cross, g.e_cross)
+    tail_value = 0.0
+    if pmk.any():
+        terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
+        terms *= pmk.reshape(terms.shape)
+        integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))
+        tail = 2.0 * np.sum(terms[-1], axis=0)
+        tail_value = float(0.5 * np.sum(g.weights * tail))
+    value = float(0.5 * np.sum(g.weights * integrand))
     tail_fraction = tail_value / value if value > 0 else 0.0
     return value, tail_fraction
 
@@ -370,7 +461,7 @@ def anchor_sigma2(
     budget: LinkBudget,
     params: SignalParams,
     clock: ClockModel,
-    m_max: int = 8,
+    m_max: int = DEFAULT_M_MAX,
     eps_quadrature_points: int = 33,
 ) -> tuple[float, float, float]:
     """Total per-anchor arrival-time variance at a receiver point.

@@ -295,6 +295,19 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    def test_pilot_too_short_for_sync_bound_is_exit_2(self, tmp_path, capsys):
+        # The default m_max = 8 sums offsets of up to 16 symbols, which
+        # leaves the bound's domain for a pilot of 16 symbols or fewer.
+        parse_config(CONFIG_TEXT.replace("sequence_length = 64", "sequence_length = 17"))
+        text = CONFIG_TEXT.replace("sequence_length = 64", "sequence_length = 16")
+        with pytest.raises(ConfigError, match="sequence_length"):
+            parse_config(text)
+        path = tmp_path / "short_pilot.cfg"
+        path.write_text(text)
+        for command in ("theory", "simulate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "sequence_length" in capsys.readouterr().err
+
     def test_early_check_uses_nearest_grid_point(self):
         # The grid point (50, 20) is 106.8 ns from anchor B; with 50 ns chips
         # and the -25 ns fractional offset a pilot may start up to 50 ns early,
@@ -430,6 +443,67 @@ class TestClusterStats:
             rng.normal((30, 30), 0.3, size=(15, 2)),
         ])
         assert cluster_stats(pts)["n_clusters"] == 2
+
+
+def _dense_split_two_clusters(points):
+    # The split as it was with a full N x N distance matrix: the oracle.
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    centers = np.array([points[i], points[j]], dtype=float)
+    labels = np.zeros(len(points), dtype=int)
+    for iteration in range(10):
+        dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
+        new_labels = np.argmin(dists, axis=1)
+        if iteration > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for kk in (0, 1):
+            if np.any(labels == kk):
+                centers[kk] = points[labels == kk].mean(axis=0)
+    return labels, centers
+
+
+def _clouds(seed):
+    rng = np.random.default_rng(seed)
+    for n in (4, 5, 31, 300, 1000):
+        yield rng.normal((36, 25), 3.0, size=(n, 2))
+        yield np.round(rng.uniform(0, 4, size=(n, 2)))  # many tied distances
+        pts = rng.normal(size=(n, 2))
+        pts[n // 2:] = pts[: n - n // 2]  # every point duplicated
+        yield pts
+        yield np.vstack([rng.normal(0, 0.3, (n // 2, 2)), rng.normal(30, 0.3, (n - n // 2, 2))])
+
+
+class TestClusterSplitBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_equals_dense_oracle(self, monkeypatch, block):
+        from uvtdoa import cli
+
+        monkeypatch.setattr(cli, "_PAIR_BLOCK", block)
+        for pts in _clouds(block):
+            labels, centers = cli._split_two_clusters(pts)
+            want_labels, want_centers = _dense_split_two_clusters(pts)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(centers, want_centers)
+
+    def test_seed_pair_is_first_maximum(self):
+        from uvtdoa.cli import _farthest_pair
+
+        # the corners of a square: four pairs tie for the largest distance
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+        assert _farthest_pair(square) == (0, 3)
+
+    def test_memory_is_linear(self):
+        import tracemalloc
+
+        pts = np.random.default_rng(3).normal(size=(5000, 2))
+        tracemalloc.start()
+        try:
+            cluster_stats(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestCliDiffcal:

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from uvtdoa import (
     ClockModel,
@@ -16,7 +18,16 @@ from uvtdoa import (
     sync_mse_empirical,
     theory_grid,
 )
-from uvtdoa.errortheory import TheoryError, anchor_sigma2, normal_cdf
+from uvtdoa.errortheory import (
+    _CDF_ZERO_BELOW,
+    TheoryError,
+    _bound_grid,
+    _p_cross,
+    _p_within,
+    _sync_mse_bound_detail,
+    anchor_sigma2,
+    normal_cdf,
+)
 
 from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
 
@@ -281,3 +292,157 @@ class TestTheoryGrid:
             if p.singular:
                 assert np.isnan(p.e_p)
         assert np.isfinite(tmap.average_ep())
+
+
+# Verbatim copy of the sync-MSE bound as it was before the sparse evaluation
+# and the cached rate-free grid; the bound must still equal it bit for bit.
+def _oracle_cdf(x):
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def _oracle_p_within(params, k, eps_s):
+    lam_s, lam_b = params.lambda_s, params.lambda_b
+    big_l, n, t_s = params.length, params.chips_per_symbol, params.symbol_s
+    k = np.asarray(k, dtype=float)
+    e = np.asarray(eps_s, dtype=float) / t_s
+    num = 0.5 * lam_s * (2.0 * e - k / n) * (big_l - 1)
+    var = 2.0 * (k / n) * (0.5 * lam_s + lam_b) * (big_l - 1) + e * lam_s
+    if lam_s == 0:
+        return np.broadcast_to(0.5, np.broadcast(num, var).shape).copy()
+    return _oracle_cdf(num / np.sqrt(var))
+
+
+def _oracle_p_cross(params, m, k, eps_s):
+    lam_s, lam_b = params.lambda_s, params.lambda_b
+    big_l, n, t_s = params.length, params.chips_per_symbol, params.symbol_s
+    m = np.asarray(m, dtype=float)
+    k = np.asarray(k, dtype=float)
+    e = np.asarray(eps_s, dtype=float) / t_s
+    num = (
+        (-2.0 * m) * 0.5 * lam_s * (1.0 - 2.0 * (k / n - e))
+        - big_l * 0.5 * lam_s * (1.0 - e)
+        - 0.5 * lam_s * (2.0 * e - k / n)
+    )
+    var = (
+        2.0 * (0.5 * lam_s + lam_b)
+        * ((big_l - m) - (-2.0 * m) * (1.0 - 2.0 * k / n) - k / n)
+        + e * lam_s
+    )
+    num, var = np.broadcast_arrays(num, var)
+    ok = var > 0
+    out = np.where(num >= 0, 1.0, 0.0)
+    safe = np.where(ok, var, 1.0)
+    out = np.where(ok, _oracle_cdf(num / np.sqrt(safe)), out)
+    if lam_s == 0:
+        out = np.full_like(out, 0.5)
+    return out
+
+
+def _oracle_bound_detail(params):
+    n = params.chips_per_symbol
+    t_c = params.chip_s
+    nodes, weights = np.polynomial.legendre.leggauss(params.eps_quadrature_points)
+    eps = nodes * (t_c / 2.0)
+    p01 = np.clip(_oracle_p_within(params, 1, eps), 0.0, 1.0) if n > 1 else np.zeros_like(eps)
+    p00 = np.clip(1.0 - p01, 0.0, None)
+    integrand = eps**2 * p00
+    if n > 1:
+        k = np.arange(1, n, dtype=float)[:, None]
+        e_k = k * t_c - eps[None, :]
+        p0k = np.clip(_oracle_p_within(params, k, eps[None, :]), 0.0, 1.0)
+        integrand = integrand + 2.0 * np.sum(e_k**2 * p0k, axis=0)
+    m = np.arange(1, params.m_max + 1, dtype=float)[:, None, None]
+    k = np.arange(-n, n, dtype=float)[None, :, None]
+    e_mk = (2.0 * m * n + k) * t_c - eps[None, None, :]
+    pmk = np.clip(_oracle_p_cross(params, m, k, eps[None, None, :]), 0.0, 1.0)
+    cross = 2.0 * np.sum(e_mk**2 * pmk, axis=(0, 1))
+    tail = 2.0 * np.sum((e_mk**2 * pmk)[-1], axis=0)
+    integrand = integrand + cross
+    value = float(0.5 * np.sum(weights * integrand))
+    tail_value = float(0.5 * np.sum(weights * tail))
+    tail_fraction = tail_value / value if value > 0 else 0.0
+    return value, tail_fraction
+
+
+SWEEP_RATES_S = [float(v) for v in np.logspace(-2, 3, 40)] + [0.0]
+
+
+class TestSyncBoundExactness:
+    @pytest.mark.parametrize("length", [8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_equals_dense_oracle_over_sweep(self, length, n):
+        cases = 0
+        for m_max in (m for m in (1, 8, 22) if 2 * m < length):
+            for lam_s, lam_b, t_s in itertools.product(
+                SWEEP_RATES_S, (0.0, 0.5, 1.0, 5.0), (1e-6, 0.33e-6)
+            ):
+                params = SyncBoundParams(
+                    lambda_s=lam_s, lambda_b=lam_b, length=length,
+                    chips_per_symbol=n, symbol_s=t_s, m_max=m_max,
+                )
+                assert _sync_mse_bound_detail(params) == _oracle_bound_detail(params), params
+                cases += 1
+        assert cases == {8: 1, 16: 1, 64: 3, 256: 3}[length] * 41 * 4 * 2
+
+    def test_degenerate_variance_cells_use_the_limit(self):
+        # At L = 64, m = 22, n = 100 the variance factor goes negative for
+        # offsets near +n chips, so these cells take the CDF's limit value.
+        length, m, n = 64, 22, 100
+        k = np.arange(-n, n)
+        assert ((length - m) - (-2.0 * m) * (1.0 - 2.0 * k / n) - k / n).min() < 0
+        for lam_s in (0.01, 1.0, 100.0):
+            params = SyncBoundParams(
+                lambda_s=lam_s, lambda_b=5.0, length=length,
+                chips_per_symbol=n, symbol_s=1e-6, m_max=m,
+            )
+            assert _sync_mse_bound_detail(params) == _oracle_bound_detail(params)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 1.0), (5.0, math.nan), (math.nan, math.nan)])
+    def test_nan_rate_gives_nan_bound(self, rates):
+        lam_s, lam_b = rates
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(sync_mse_bound(bound_params(lam_s=lam_s, lam_b=lam_b, length=64)))
+
+    def test_cdf_is_exactly_zero_at_the_skip_threshold(self):
+        assert normal_cdf(_CDF_ZERO_BELOW) == 0.0
+        assert normal_cdf(-np.inf) == 0.0
+
+    @pytest.mark.parametrize("lam_s", [0.0, 2.0, 50.0])
+    def test_scalar_helpers_equal_bound_cells(self, lam_s):
+        params = bound_params(lam_s=lam_s, lam_b=1.0, length=64, n=10)
+        n, t_s = params.chips_per_symbol, params.symbol_s
+        grid = _bound_grid(n, params.length, t_s, params.m_max, params.eps_quadrature_points)
+        p0k = _p_within(params, grid.within, grid.e_within)
+        pmk = _p_cross(params, grid.cross, grid.e_cross).reshape(params.m_max, 2 * n, -1)
+        if lam_s == 2.0:
+            assert pmk.any()  # the cross cells are not all zero here
+        for q, eps in enumerate(grid.eps):
+            for k in range(1, n):
+                assert misdetect_prob_within_symbol(params, k, eps) == p0k[k - 1, q]
+                assert misdetect_prob_within_symbol(params, -k, eps) == p0k[k - 1, q]
+            for m in range(1, params.m_max + 1):
+                for k in range(-n, n):
+                    got = misdetect_prob_cross_symbol(params, m, k, eps)
+                    assert got == pmk[m - 1, k + n, q]
+
+    def test_scalar_helpers_equal_oracle_off_grid(self):
+        params = bound_params(lam_s=3.0, lam_b=0.5, length=64, n=10)
+        for eps in (-3e-8, 0.0, 1.7e-8, 2e-6, -2e-6):
+            for k in (1, 4, 9):
+                assert misdetect_prob_within_symbol(params, k, eps) == float(
+                    np.clip(_oracle_p_within(params, k, eps), 0.0, 1.0))
+            for m, k in ((1, -10), (3, 0), (8, 9)):
+                assert misdetect_prob_cross_symbol(params, m, k, eps) == float(
+                    np.clip(_oracle_p_cross(params, m, k, eps), 0.0, 1.0))
+
+
+class TestSyncBoundDomain:
+    def test_m_max_at_half_length_rejected(self):
+        bound_params(length=64, m_max=31)
+        with pytest.raises(TheoryError, match="m_max"):
+            bound_params(length=64, m_max=32)
+
+    def test_default_m_max_needs_length_above_16(self):
+        bound_params(length=17)
+        with pytest.raises(TheoryError, match="m_max"):
+            bound_params(length=16)
