@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .montecarlo import (
     power_sweep,
     run_campaign,
 )
-from .scene import Scene
+from .scene import Scene, ranges
 from .sync import SyncError
 from .tdoa import measurement_from_times, solve_position
 
@@ -92,11 +93,20 @@ def write_detection_log(path: Path, meta: list[str], rows) -> None:
     _write_csv(path, meta, _LOG_COLUMNS, rows)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
     """Parse a detection log; returns (records, skipped_line_count).
 
-    Malformed lines and timestamp regressions within a session are skipped
-    and counted. An empty or headerless-and-empty file raises ReplayError.
+    Malformed lines (including a non-finite timestamp or truth coordinate and
+    a non-finite or non-positive chip duration) and timestamp regressions
+    within a session are skipped and counted. An empty or
+    headerless-and-empty file raises ReplayError.
     """
     records: list[ReplayRecord] = []
     skipped = 0
@@ -117,16 +127,18 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
             skipped += 1
             continue
         try:
-            ts = float(parts[0])
+            ts = _finite_float(parts[0])
             session = parts[1]
             anchor = parts[2].upper()
             if anchor not in ("A", "B", "C"):
                 raise ValueError(f"bad anchor {parts[2]!r}")
             chip = int(parts[3])
-            chip_ns = float(parts[4])
+            chip_ns = _finite_float(parts[4])
+            if chip_ns <= 0.0:
+                raise ValueError(f"non-positive chip duration {parts[4]!r}")
             truth = None
             if len(parts) == 7 and parts[5] != "" and parts[6] != "":
-                truth = (float(parts[5]), float(parts[6]))
+                truth = (_finite_float(parts[5]), _finite_float(parts[6]))
         except ValueError:
             skipped += 1
             continue
@@ -410,7 +422,7 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
     for idx, (sess, fix) in enumerate(zip(sessions, fixes)):
         err = ""
         if sess.truth is not None:
-            err = _fmt(float(np.linalg.norm(np.asarray(fix.position) - np.asarray(sess.truth))))
+            err = _fmt(math.dist(fix.position, sess.truth))
         rows.append(
             [sess.session,
              _fmt(sess.truth[0]) if sess.truth else "",
@@ -462,7 +474,7 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     for sess in cal_sessions:
         if sess.truth is None:
             continue  # cannot derive a bias estimate without truth
-        d = np.linalg.norm(scene.anchors - np.asarray(sess.truth), axis=1)
+        d = ranges(scene, sess.truth)
         cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
         cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
     tols = [2.0 * scene.c * s.chip_s for s in sessions]
@@ -485,9 +497,8 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     for sess, unc, cor in zip(sessions, res.uncorrected, res.corrected):
         unc_err = cor_err = ""
         if sess.truth is not None:
-            t = np.asarray(sess.truth)
-            unc_err_v = float(np.linalg.norm(np.asarray(unc.position) - t))
-            cor_err_v = float(np.linalg.norm(np.asarray(cor.position) - t))
+            unc_err_v = math.dist(unc.position, sess.truth)
+            cor_err_v = math.dist(cor.position, sess.truth)
             unc_errs.append(unc_err_v)
             cor_errs.append(cor_err_v)
             unc_err, cor_err = _fmt(unc_err_v), _fmt(cor_err_v)

@@ -7,6 +7,7 @@ independent of scheduling or worker count.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -149,7 +150,7 @@ def run_point(
     params = params_for_point(scene, signal, budget)
     t_chip = params.chip_s
     feas_tol = 2.0 * scene.c * t_chip
-    truth = np.asarray(scene.rx_true)
+    truth = scene.rx_true
     fixes: list[PositionFix] = []
     chips: list[tuple[int, int, int]] = []
     errors = np.empty(trials)
@@ -172,10 +173,10 @@ def run_point(
             failures += 1
         fixes.append(fix)
         chips.append(sync.start_chips)
-        errors[t] = np.linalg.norm(np.asarray(fix.position) - truth)
+        errors[t] = math.dist(fix.position, truth)
     return PointResult(
-        x=float(truth[0]),
-        y=float(truth[1]),
+        x=truth[0],
+        y=truth[1],
         inside=inside_triangle(scene, truth),
         rmse_m=float(np.sqrt(np.mean(errors**2))),
         mean_error_m=float(np.mean(errors)),

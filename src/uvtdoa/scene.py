@@ -68,8 +68,8 @@ class Scene:
         return np.array([self.tx_a, self.tx_b, self.tx_c], dtype=float)
 
     def centroid(self) -> tuple[float, float]:
-        g = self.anchors.mean(axis=0)
-        return float(g[0]), float(g[1])
+        (ax, ay), (bx, by), (cx, cy) = self.tx_a, self.tx_b, self.tx_c
+        return (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
 
     def with_receiver(self, p) -> "Scene":
         """Copy of this scene with the true receiver moved to ``p``."""

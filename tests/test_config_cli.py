@@ -427,6 +427,45 @@ class TestCliReplay:
         assert skipped == 1
         assert len(records) == 1
 
+    @pytest.mark.parametrize("bad", [
+        "nan,s0,B,100,50.0,1,1",  # timestamp
+        "inf,s0,B,100,50.0,1,1",
+        "0.5,s0,B,100,nan,1,1",  # chip duration
+        "0.5,s0,B,100,inf,1,1",
+        "0.5,s0,B,100,-10,1,1",
+        "0.5,s0,B,100,0.0,1,1",
+        "0.5,s0,B,100,50.0,inf,1",  # truth coordinate
+        "0.5,s0,B,100,50.0,1,nan",
+    ])
+    def test_non_finite_or_nonphysical_line_skipped(self, tmp_path, bad):
+        log = tmp_path / "log.csv"
+        write_log(log, ["0.0,s0,A,100,50.0,1,1", bad, "1.0,s0,C,100,50.0,1,1"])
+        records, skipped = parse_replay_log(log)
+        assert skipped == 1
+        assert [r.anchor for r in records] == ["A", "C"]
+
+    def test_bad_values_never_reach_the_outputs(self, config_file, tmp_path, capsys):
+        from conftest import make_scene
+        rows = synthetic_log_rows(make_scene(), [(36.0, 25.0), (30.0, 40.0)] * 2)
+        # one bad value in each of three sessions: chip_ns nan, chip_ns -10,
+        # an infinite truth coordinate
+        rows[1] = rows[1].replace(",50.0,", ",nan,")
+        rows[4] = rows[4].replace(",50.0,", ",-10,")
+        rows[8] = rows[8].rsplit(",", 2)[0] + ",inf,25.0"
+        log = tmp_path / "log.csv"
+        write_log(log, rows)
+        out = tmp_path / "rep"
+        assert main(["replay", "--config", str(config_file), "--log", str(log),
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "sessions_replayed = 1" in stdout
+        assert "lines_skipped = 3" in stdout
+        assert read_meta(out / "replay_fixes.csv")["skipped_lines"] == "3"
+        assert read_meta(out / "replay_fixes.csv")["incomplete_sessions"] == "3"
+        for name in ("replay_fixes.csv", "replay_clusters.csv"):
+            body = (out / name).read_text().lower()
+            assert "nan" not in body and "inf" not in body, name
+
 
 class TestClusterStats:
     def test_single_cluster(self):
@@ -551,6 +590,25 @@ class TestCliDiffcal:
         for line in lines:
             parts = line.split(",")
             assert parts[6] == parts[3] and parts[7] == parts[4]  # unchanged
+
+    def test_non_finite_lines_skipped_in_both_logs(self, config_file, tmp_path, capsys):
+        from conftest import make_scene
+        scene = make_scene()
+        meas_rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 3, offset_chips=(4, 2))
+        meas_rows[4] = meas_rows[4].replace(",50.0,", ",nan,")
+        cal_rows = synthetic_log_rows(scene, [(36.0, 25.0)], offset_chips=(4, 2))
+        cal_rows[0] = cal_rows[0].rsplit(",", 2)[0] + ",inf,25.0"
+        meas = tmp_path / "meas.csv"
+        cal = tmp_path / "cal.csv"
+        write_log(meas, meas_rows)
+        write_log(cal, cal_rows)
+        out = tmp_path / "dc"
+        assert main(["diffcal", "--config", str(config_file), "--calibration",
+                     str(cal), "--log", str(meas), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "sessions = 2" in captured.out
+        assert "skipped" in captured.err  # the calibration session lost anchor A
+        assert read_meta(out / "diffcal_fixes.csv")["calibration_sessions"] == "0"
 
 
 class TestSessionsFromRecords:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from uvtdoa import (
+    TdoaMeasurement,
     inside_triangle,
     measurement_from_times,
     positioning_mse,
@@ -9,6 +12,7 @@ from uvtdoa import (
     solve_position,
 )
 from uvtdoa.scene import SPEED_OF_LIGHT, Scene
+from uvtdoa.tdoa import PositionFix
 
 from conftest import ALL_GEOMETRIES, GEOMETRY_I, GEOMETRY_II, make_scene
 
@@ -164,3 +168,288 @@ class TestDefaultInit:
         scene = make_scene(GEOMETRY_I)
         expected = ((30.2 + 0 + 60.7) / 3.0, (53.9 + 0 + 0) / 3.0)
         assert scene.centroid() == pytest.approx(expected)
+
+
+class TestFeasibilityBound:
+    # |AB| = 5 and |BC| = 10 exactly, and c = 1 makes the range difference
+    # the time argument itself, so the bound is hit to the last bit
+    scene = Scene(tx_a=(0.0, 0.0), tx_b=(3.0, 4.0), tx_c=(9.0, -4.0), rx_true=(4.0, 0.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exactly_at_bound_is_kept(self, sign):
+        m = measurement_from_times(sign * 5.5, sign * 10.5, c=1.0, scene=self.scene,
+                                   feasibility_tol_m=0.5)
+        assert (m.r21_m, m.r32_m, m.clamped) == (sign * 5.5, sign * 10.5, False)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("pair", ["ba", "cb"])
+    def test_one_ulp_past_bound_is_clamped(self, sign, pair):
+        past_ba = math.nextafter(sign * 5.5, sign * math.inf)
+        past_cb = math.nextafter(sign * 10.5, sign * math.inf)
+        t_ba, t_cb = (past_ba, 0.0) if pair == "ba" else (0.0, past_cb)
+        m = measurement_from_times(t_ba, t_cb, c=1.0, scene=self.scene,
+                                   feasibility_tol_m=0.5)
+        assert m.clamped
+        if pair == "ba":
+            assert (m.r21_m, m.r32_m, m.t_ba_s) == (sign * 5.5, 0.0, sign * 5.5)
+        else:
+            assert (m.r21_m, m.r32_m, m.t_cb_s) == (0.0, sign * 10.5, sign * 10.5)
+
+
+# --- Oracle: the numpy solver that the plain-float solver replaced, verbatim
+# except that ``solve_position`` is renamed ``oracle_solve_position``. The
+# new arithmetic rounds differently from BLAS/LAPACK, so results are compared
+# with tolerances, not bit for bit.
+
+def _residual(scene: Scene, meas: TdoaMeasurement, p: np.ndarray) -> np.ndarray:
+    a = scene.anchors
+    d = np.linalg.norm(a - p, axis=1)
+    return np.array([d[1] - d[0] - meas.r21_m, d[2] - d[1] - meas.r32_m])
+
+
+def _jacobian(scene: Scene, p: np.ndarray) -> np.ndarray:
+    a = scene.anchors
+    d = np.linalg.norm(a - p, axis=1)
+    d = np.maximum(d, 1e-12)  # guard against iterates landing on an anchor
+    u = (p - a) / d[:, None]
+    return np.array([u[1] - u[0], u[2] - u[1]])
+
+
+def _iterate_region(scene: Scene) -> tuple[np.ndarray, float]:
+    a = scene.anchors
+    center = a.mean(axis=0)
+    diagonal = float(np.linalg.norm(a.max(axis=0) - a.min(axis=0)))
+    return center, 100.0 * (diagonal + 1.0)
+
+
+def _damped_gauss_newton(
+    scene: Scene,
+    meas: TdoaMeasurement,
+    start: np.ndarray,
+    step_tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, float, int, bool]:
+    p = start.astype(float).copy()
+    f = _residual(scene, meas, p)
+    cost = float(f @ f)
+    mu = 0.0
+    step_converged = False
+    it = 0
+    eye = np.eye(2)
+    center, radius = _iterate_region(scene)
+    for it in range(1, max_iter + 1):
+        jac = _jacobian(scene, p)
+        jtj = jac.T @ jac
+        jtf = jac.T @ f
+        accepted = False
+        for _ in range(60):
+            try:
+                delta = np.linalg.solve(jtj + mu * eye, -jtf)
+            except np.linalg.LinAlgError:
+                mu = max(mu * 10.0, 1e-12)
+                continue
+            if not np.all(np.isfinite(delta)):
+                mu = max(mu * 10.0, 1e-12)
+                continue
+            p_new = p + delta
+            if float(np.linalg.norm(p_new - center)) > radius:
+                # walking the asymptote of an infeasible measurement; damp
+                # harder so the iterate stays bounded
+                mu = max(mu * 10.0, 1e-12)
+                continue
+            f_new = _residual(scene, meas, p_new)
+            cost_new = float(f_new @ f_new)
+            if cost_new <= cost:
+                p, f, cost = p_new, f_new, cost_new
+                mu = mu * 0.25 if mu > 1e-14 else 0.0
+                accepted = True
+                break
+            mu = max(mu * 10.0, 1e-12)  # Levenberg shift: damp and retry
+        if not accepted:
+            break
+        if float(np.linalg.norm(delta)) < step_tol:
+            step_converged = True
+            break
+    return p, float(np.sqrt(cost)), it, step_converged
+
+
+def _branch_intersections(scene: Scene, meas: TdoaMeasurement) -> list[np.ndarray]:
+    a = scene.anchors
+    r21, s = meas.r21_m, meas.r21_m + meas.r32_m
+    m = 2.0 * np.array([a[1] - a[0], a[2] - a[0]])
+    norms = np.sum(a * a, axis=1)
+    b0 = np.array([norms[1] - norms[0] - r21 * r21, norms[2] - norms[0] - s * s])
+    b1 = np.array([-2.0 * r21, -2.0 * s])
+    try:
+        u = np.linalg.solve(m, b0)
+        v = np.linalg.solve(m, b1)
+    except np.linalg.LinAlgError:  # pragma: no cover - anchors are non-collinear
+        return []
+    ua = u - a[0]
+    qa = float(v @ v - 1.0)
+    qb = 2.0 * float(ua @ v)
+    qc = float(ua @ ua)
+    roots = []
+    if abs(qa) < 1e-14:
+        if abs(qb) > 1e-14:
+            roots.append(-qc / qb)
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            sq = np.sqrt(disc)
+            roots.extend([(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)])
+    out = []
+    for d1 in roots:
+        # admissible only if every implied anchor distance is non-negative
+        if d1 >= 0.0 and d1 + r21 >= -1e-9 and d1 + s >= -1e-9:
+            out.append(u + v * d1)
+    return out
+
+
+def oracle_solve_position(
+    scene: Scene,
+    meas: TdoaMeasurement,
+    init=None,
+    step_tol: float = 1e-9,
+    max_iter: int = 100,
+    residual_tol: float = 1e-6,
+) -> PositionFix:
+    p0 = np.asarray(init if init is not None else scene.centroid(), dtype=float).reshape(2)
+    seeds = _branch_intersections(scene, meas)
+    if not seeds:
+        seeds = [p0]
+    best = None
+    best_key = None
+    def consider(start):
+        nonlocal best, best_key
+        p, res, it, step_ok = _damped_gauss_newton(scene, meas, start, step_tol, max_iter)
+        d0 = float(np.linalg.norm(p - p0))
+        key = (res, d0)
+        if best is None or res < best_key[0] - 1e-12 or (
+            abs(res - best_key[0]) <= 1e-12 and d0 < best_key[1]
+        ):
+            best, best_key = (p, res, it, step_ok), key
+    for seed in seeds:
+        consider(seed)
+    if not (best[3] and best[1] < residual_tol):
+        a = scene.anchors
+        lo = a.min(axis=0)
+        hi = a.max(axis=0)
+        for y in np.linspace(lo[1], hi[1], 5):
+            for x in np.linspace(lo[0], hi[0], 5):
+                consider(np.array([x, y]))
+    best_p, best_res, best_it, best_step = best
+    converged = bool(best_step and best_res < residual_tol)
+    return PositionFix(
+        (float(best_p[0]), float(best_p[1])), best_res, best_it, converged
+    )
+
+
+ORACLE_CHIP_S = 10e-9
+ORACLE_SYMBOL_S = 100 * ORACLE_CHIP_S  # paper signal: 100 chips per symbol
+
+
+def oracle_cases():
+    """Seeded (scene, measurement, init, inside) rows for the oracle test.
+
+    Per geometry: a 4x4 grid over the anchor box widened by 30 % on each
+    side (points inside and outside the triangle), each with its exact and
+    its chip-quantised time differences; on two of those points, one inside
+    and one outside, every +-1 and +-2 symbol misdetection on each anchor
+    (all clamped at this symbol length). Every other row passes an ``init``
+    near the truth.
+    """
+    rng = np.random.default_rng(515)
+    rows = []
+    for geometry in ALL_GEOMETRIES.values():
+        scene = make_scene(geometry)
+        lo, hi = scene.anchors.min(axis=0), scene.anchors.max(axis=0)
+        lo, hi = lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo)
+        points = [(x, y) for y in np.linspace(lo[1], hi[1], 4)
+                  for x in np.linspace(lo[0], hi[0], 4)]
+        points = [tuple(p + rng.uniform(-2.0, 2.0, size=2)) for p in points]
+        inside = [p for p in points if inside_triangle(scene, p)]
+        outside = [p for p in points if not inside_triangle(scene, p)]
+        for p in points:
+            r1, r2, r3 = ranges(scene, p)
+            t_ba, t_cb = (r2 - r1) / scene.c, (r3 - r2) / scene.c
+            times = [(t_ba, t_cb), (round(t_ba / ORACLE_CHIP_S) * ORACLE_CHIP_S,
+                                    round(t_cb / ORACLE_CHIP_S) * ORACLE_CHIP_S)]
+            if p in (inside[0], outside[0]):
+                for k in (-2, -1, 1, 2):
+                    shift = k * ORACLE_SYMBOL_S
+                    # a start chip found k symbols late on A, B or C
+                    times += [(t_ba - shift, t_cb), (t_ba + shift, t_cb - shift),
+                              (t_ba, t_cb + shift)]
+            for t in times:
+                meas = measurement_from_times(
+                    *t, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * ORACLE_CHIP_S
+                )
+                init = (p[0] + 3.0, p[1] - 2.0) if len(rows) % 2 else None
+                rows.append((scene, meas, init, p in inside))
+    return rows
+
+
+class TestOracle:
+    def test_cases_cover_the_paths(self):
+        rows = oracle_cases()
+        assert sum(inside for *_, inside in rows) >= 3 * 2
+        assert sum(not inside for *_, inside in rows) >= 3 * 10
+        assert sum(m.clamped for _, m, _, _ in rows) >= 60
+        assert sum(init is None for _, _, init, _ in rows) == len(rows) // 2
+
+    def test_matches_numpy_solver(self):
+        converged = nonconverged = 0
+        for scene, meas, init, _ in oracle_cases():
+            new = solve_position(scene, meas, init=init)
+            old = oracle_solve_position(scene, meas, init=init)
+            assert isinstance(new.iterations, int) and isinstance(new.converged, bool)
+            assert new.converged == old.converged, (meas, init, new, old)
+            if old.converged:
+                converged += 1
+                assert math.dist(new.position, old.position) <= 1e-9, (meas, init, new, old)
+                assert new.iterations == old.iterations, (meas, init, new, old)
+            else:
+                nonconverged += 1
+                assert abs(new.residual_norm - old.residual_norm) <= 1e-9, (meas, init, new, old)
+        assert converged > 0 and nonconverged > 0
+
+
+class TestGuards:
+    def test_start_on_an_anchor(self):
+        # an infeasible measurement has no branch crossing, so the init point
+        # is the only start before the multistart: the Jacobian there divides
+        # by a zero anchor distance unless the 1e-12 floor applies
+        scene = make_scene(GEOMETRY_II)
+        m = measurement_from_times(1e-6, -1e-6, c=scene.c, scene=scene)
+        assert m.clamped
+        for anchor in (scene.tx_a, scene.tx_b, scene.tx_c):
+            fix = solve_position(scene, m, init=anchor, max_iter=3)
+            old = oracle_solve_position(scene, m, init=anchor, max_iter=3)
+            assert all(math.isfinite(v) for v in fix.position)
+            assert math.isfinite(fix.residual_norm)
+            assert fix.converged == old.converged
+            assert abs(fix.residual_norm - old.residual_norm) <= 1e-9
+
+    def test_nan_range_difference_returns_unconverged_fix(self):
+        scene = make_scene(GEOMETRY_II)
+        m = measurement_from_times(math.nan, 0.0, c=scene.c, scene=scene)
+        fix = solve_position(scene, m)
+        old = oracle_solve_position(scene, m)
+        assert not fix.converged and not old.converged
+        assert math.isnan(fix.residual_norm)
+        assert fix.position == old.position == scene.centroid()
+        assert fix.iterations == old.iterations == 1
+
+    def test_init_far_outside_iterate_region(self):
+        scene = make_scene(GEOMETRY_II)
+        far = (1e7, -1e7)
+        for t in ((5e-8, 3e-8), (1e-6, -1e-6)):  # feasible, then clamped
+            m = measurement_from_times(*t, c=scene.c, scene=scene)
+            fix = solve_position(scene, m, init=far)
+            old = oracle_solve_position(scene, m, init=far)
+            assert fix.converged == old.converged
+            assert abs(fix.residual_norm - old.residual_norm) <= 1e-9
+            # a start outside the region cannot take a step, so the fix
+            # comes from a branch crossing or the multistart box
+            assert math.dist(fix.position, scene.centroid()) < 2e4
