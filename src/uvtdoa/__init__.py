@@ -32,7 +32,7 @@ from .montecarlo import (
     sync_mse_empirical,
 )
 from .scene import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
-from .sync import SyncResult, arrival_times, correlate, estimate_start, generate_pilot, synchronize_frame
+from .sync import correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, TdoaMeasurement, measurement_from_times, solve_position
 
 __version__ = "0.1.0"
@@ -55,9 +55,7 @@ __all__ = [
     "SingularGeometryError",
     "SlotOverrunError",
     "SyncBoundParams",
-    "SyncResult",
     "TdoaMeasurement",
-    "arrival_times",
     "config_hash",
     "correlate",
     "default_grid",

@@ -233,13 +233,6 @@ def sample_chip_counts(
     return np.bincount(flat, minlength=batch * n_chips).reshape(batch, n_chips)
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int / SeedSequence / Generator into a numpy Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def render_frame(
     scene: Scene,
     params: SignalParams,
@@ -260,7 +253,7 @@ def render_frame(
     offsets = np.asarray(clock_offsets_s, dtype=float).reshape(-1)
     if offsets.shape != (3,):
         raise ChannelError("clock_offsets_s must hold one offset per anchor")
-    rng = as_generator(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     t_chip = params.chip_s
     slot_chips = params.slot_chips
     n_chips = 3 * slot_chips

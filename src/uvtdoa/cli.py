@@ -24,13 +24,13 @@ from .config import Config, ConfigError, config_hash, load_config
 from .errortheory import TheoryError, theory_grid
 from .montecarlo import (
     CampaignError,
+    calibration_offsets,
     differential_correction,
     power_sweep,
     run_campaign,
 )
-from .scene import Scene, ranges
 from .sync import SyncError
-from .tdoa import measurement_from_times, solve_position
+from .tdoa import SessionTdoa, measure_and_solve, time_differences
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,15 +152,6 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
     return records, skipped
 
 
-@dataclass
-class SessionTdoa:
-    session: str
-    t_ba_s: float
-    t_cb_s: float
-    chip_s: float
-    truth: tuple[float, float] | None
-
-
 def sessions_from_records(records) -> tuple[list[SessionTdoa], int]:
     """Group detections into per-session TDOA inputs; sessions missing an
     anchor are dropped and counted."""
@@ -183,16 +174,9 @@ def sessions_from_records(records) -> tuple[list[SessionTdoa], int]:
             dropped += 1
             continue
         chip_s = chip_ns / 1e9
+        chips = [group[k].arrival_chip for k in "ABC"]
         truth = group["A"].truth or group["B"].truth or group["C"].truth
-        out.append(
-            SessionTdoa(
-                session=name,
-                t_ba_s=(group["B"].arrival_chip - group["A"].arrival_chip) * chip_s,
-                t_cb_s=(group["C"].arrival_chip - group["B"].arrival_chip) * chip_s,
-                chip_s=chip_s,
-                truth=truth,
-            )
-        )
+        out.append(SessionTdoa(name, *time_differences(chips, chip_s), chip_s, truth))
     return out, dropped
 
 
@@ -395,24 +379,13 @@ def cmd_sweep(cfg: Config, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _solve_sessions(scene: Scene, sessions):
-    fixes = []
-    for sess in sessions:
-        meas = measurement_from_times(
-            sess.t_ba_s, sess.t_cb_s, c=scene.c, scene=scene,
-            feasibility_tol_m=2.0 * scene.c * sess.chip_s,
-        )
-        fixes.append(solve_position(scene, meas))
-    return fixes
-
-
 def cmd_replay(cfg: Config, args, out: Path) -> int:
     records, skipped = parse_replay_log(args.log)
     sessions, dropped = sessions_from_records(records)
     if not sessions:
         print("error: no complete A/B/C sessions in log", file=sys.stderr)
         return EXIT_IO
-    fixes = _solve_sessions(cfg.scene, sessions)
+    fixes = [measure_and_solve(cfg.scene, s.t_ba_s, s.t_cb_s, s.chip_s)[1] for s in sessions]
     chash = config_hash(cfg)
     meta = _meta_lines("replay", chash, cfg.seed, cfg.budget.detector_efficiency)
     meta.append(f"# skipped_lines = {skipped}")
@@ -463,35 +436,30 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
 
 def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     cal_records, cal_skipped = parse_replay_log(args.calibration)
-    cal_sessions, _ = sessions_from_records(cal_records)
+    cal_sessions, cal_dropped = sessions_from_records(cal_records)
     records, skipped = parse_replay_log(args.log)
-    sessions, _ = sessions_from_records(records)
+    sessions, dropped = sessions_from_records(records)
     if not sessions:
         print("error: no complete A/B/C sessions in measurement log", file=sys.stderr)
         return EXIT_IO
-    scene = cfg.scene
-    cal = {"ba": [], "cb": []}
-    for sess in cal_sessions:
-        if sess.truth is None:
-            continue  # cannot derive a bias estimate without truth
-        d = ranges(scene, sess.truth)
-        cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
-        cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
-    tols = [2.0 * scene.c * s.chip_s for s in sessions]
-    measurements = [
-        measurement_from_times(s.t_ba_s, s.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol)
-        for s, tol in zip(sessions, tols)
-    ]
+    cal = calibration_offsets(cfg.scene, cal_sessions)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = differential_correction(scene, cal, measurements, rng=rng, feasibility_tol_m=tols)
+        res = differential_correction(cfg.scene, cal, sessions, rng=rng)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     chash = config_hash(cfg)
     meta = _meta_lines("diffcal", chash, cfg.seed, cfg.budget.detector_efficiency)
     meta.append(f"# calibration_sessions = {len(cal['ba'])}")
     meta.append(f"# skipped_pairs = {','.join(res.skipped_pairs) or 'none'}")
+    counts = {
+        "calibration_skipped_lines": cal_skipped,
+        "calibration_incomplete_sessions": cal_dropped,
+        "skipped_lines": skipped,
+        "incomplete_sessions": dropped,
+    }
+    meta.extend(f"# {key} = {value}" for key, value in counts.items())
     rows = []
     unc_errs, cor_errs = [], []
     for sess, unc, cor in zip(sessions, res.uncorrected, res.corrected):
@@ -519,6 +487,8 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         print(f"uncorrected_average_error_m = {np.mean(unc_errs):.6f}")
         print(f"corrected_average_error_m = {np.mean(cor_errs):.6f}")
     print(f"sessions = {len(sessions)}")
+    for key, value in counts.items():
+        print(f"{key} = {value}")
     return EXIT_OK
 
 

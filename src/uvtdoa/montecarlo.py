@@ -29,8 +29,8 @@ from .errortheory import (
     positioning_mse,
 )
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
-from .sync import arrival_times, correlate, estimate_start, generate_pilot, synchronize_frame
-from .tdoa import DEFAULT_FEASIBILITY_TOL_M, PositionFix, measurement_from_times, solve_position
+from .sync import correlate, estimate_start, generate_pilot, synchronize_frame
+from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
 
 class CampaignError(ValueError):
@@ -130,6 +130,33 @@ def params_for_point(
     )
 
 
+def detect(
+    scene: Scene,
+    params: SignalParams,
+    budget: LinkBudget,
+    clock: ClockModel,
+    trials: int,
+    seed: int,
+    point_index: int = 0,
+    session_offsets=None,
+) -> list[tuple[int, int, int]]:
+    """Slot-relative start chips of the three pilots, one triple per trial.
+
+    Trial t draws from its own substream, in order: the clock offsets (unless
+    ``session_offsets`` gives a session's shared offsets), a shared fractional
+    arrival offset, then the frame; the frame is then synchronized.
+    """
+    t_chip = params.chip_s
+    chips = []
+    for t in range(trials):
+        rng = trial_rng(seed, point_index, t)
+        offsets = clock.sample(rng, 3) if session_offsets is None else session_offsets
+        eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0)
+        trace = render_frame(scene, params, budget, offsets, eps, rng)
+        chips.append(synchronize_frame(trace.counts, params))
+    return chips
+
+
 def run_point(
     scene: Scene,
     signal: SignalParams,
@@ -138,42 +165,19 @@ def run_point(
     trials: int,
     seed: int,
     point_index: int = 0,
-    constant_offsets: bool = False,
 ) -> PointResult:
     """Monte-Carlo positioning trials for the receiver at scene.rx_true.
 
-    Each trial draws clock offsets (once per point when ``constant_offsets``,
-    emulating short-interval sessions) and a shared fractional arrival
-    offset, renders a frame, synchronizes, and solves. Non-converged solves
-    are counted but their best iterate still enters the RMSE.
+    Each trial detects the three pilots of one frame (see ``detect``) and
+    solves. Non-converged solves are counted but their best iterate still
+    enters the RMSE.
     """
     params = params_for_point(scene, signal, budget)
-    t_chip = params.chip_s
-    feas_tol = 2.0 * scene.c * t_chip
+    chips = detect(scene, params, budget, clock, trials, seed, point_index)
+    chip_s = params.chip_s
+    fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s)[1] for c in chips]
     truth = scene.rx_true
-    fixes: list[PositionFix] = []
-    chips: list[tuple[int, int, int]] = []
-    errors = np.empty(trials)
-    failures = 0
-    if constant_offsets:
-        session_rng = trial_rng(seed, point_index, 0, tag=1)
-        session_offsets = clock.sample(session_rng, 3)
-    for t in range(trials):
-        rng = trial_rng(seed, point_index, t)
-        offsets = session_offsets if constant_offsets else clock.sample(rng, 3)
-        eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0)
-        trace = render_frame(scene, params, budget, offsets, eps, rng)
-        sync = synchronize_frame(trace, params)
-        t_a, t_b, t_c = arrival_times(sync, params)
-        meas = measurement_from_times(
-            t_b - t_a, t_c - t_b, c=scene.c, scene=scene, feasibility_tol_m=feas_tol
-        )
-        fix = solve_position(scene, meas)
-        if not fix.converged:
-            failures += 1
-        fixes.append(fix)
-        chips.append(sync.start_chips)
-        errors[t] = math.dist(fix.position, truth)
+    errors = np.array([math.dist(fix.position, truth) for fix in fixes])
     return PointResult(
         x=truth[0],
         y=truth[1],
@@ -181,7 +185,7 @@ def run_point(
         rmse_m=float(np.sqrt(np.mean(errors**2))),
         mean_error_m=float(np.mean(errors)),
         theory_ep_m=float("nan"),
-        solver_failures=failures,
+        solver_failures=sum(not fix.converged for fix in fixes),
         fixes=fixes,
         errors_m=errors,
         start_chips=chips,
@@ -320,19 +324,17 @@ class CorrectionResult:
 def differential_correction(
     scene: Scene,
     estimates_per_anchor_pair: dict,
-    subsequent_measurements,
+    sessions,
     rng: np.random.Generator | None = None,
-    feasibility_tol_m=DEFAULT_FEASIBILITY_TOL_M,
 ) -> CorrectionResult:
     """Subtract calibrated inter-anchor timing biases before solving.
 
     ``estimates_per_anchor_pair`` maps pair labels "ba" and "cb" to lists of
     timing-bias estimates in seconds; one estimate per pair is selected
-    (randomly when an rng is given, else the first) and subtracted from every
-    measurement's time differences. Pairs without calibration are skipped
-    with a warning and left uncorrected. Corrected measurements are clamped
-    with ``feasibility_tol_m``, one value for all or one per measurement;
-    pass the tolerance the measurements were built with.
+    (randomly when an rng is given, else the first) and subtracted from the
+    times of every session's measurement. Pairs without calibration are
+    skipped with a warning and left uncorrected. Each session is measured and
+    solved on its own chip duration, before and after the correction.
     """
     selected: dict[str, float | None] = {}
     skipped = []
@@ -349,16 +351,14 @@ def differential_correction(
             selected[pair] = float(cal[int(rng.integers(len(cal)))])
         else:
             selected[pair] = float(cal[0])
-    measurements = list(subsequent_measurements)
-    tols = np.broadcast_to(np.asarray(feasibility_tol_m, dtype=float), (len(measurements),))
     corrected = []
     uncorrected = []
-    for meas, tol in zip(measurements, tols.tolist()):
-        uncorrected.append(solve_position(scene, meas))
+    for sess in sessions:
+        meas, fix = measure_and_solve(scene, sess.t_ba_s, sess.t_cb_s, sess.chip_s)
+        uncorrected.append(fix)
         t_ba = meas.t_ba_s - (selected["ba"] or 0.0)
         t_cb = meas.t_cb_s - (selected["cb"] or 0.0)
-        fixed = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene, feasibility_tol_m=tol)
-        corrected.append(solve_position(scene, fixed))
+        corrected.append(measure_and_solve(scene, t_ba, t_cb, sess.chip_s)[1])
     return CorrectionResult(
         corrected=corrected,
         uncorrected=uncorrected,
@@ -366,6 +366,22 @@ def differential_correction(
         applied_cb_s=selected["cb"],
         skipped_pairs=tuple(skipped),
     )
+
+
+def calibration_offsets(scene: Scene, sessions) -> dict[str, list[float]]:
+    """Timing-bias estimates per anchor pair from sessions with known truth.
+
+    Each estimate is a measured time difference minus the geometric one at
+    the session's truth; sessions without truth are passed over.
+    """
+    cal: dict[str, list[float]] = {"ba": [], "cb": []}
+    for sess in sessions:
+        if sess.truth is None:
+            continue
+        d = ranges(scene, sess.truth)
+        cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
+        cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
+    return cal
 
 
 @dataclass
@@ -396,44 +412,27 @@ def differential_campaign(
     for index, point in enumerate(spec.receiver_points()):
         scene = spec.scene.with_receiver(point)
         params = params_for_point(scene, spec.signal, spec.budget)
-        t_chip = params.chip_s
-        truth = np.asarray(scene.rx_true)
-        r1, r2, r3 = ranges(scene, truth)
-        true_ba = (r2 - r1) / scene.c
-        true_cb = (r3 - r2) / scene.c
+        session_offsets = None
         if constant_offsets:
-            session_rng = trial_rng(spec.seed, index, 0, tag=1)
-            session_offsets = spec.clock.sample(session_rng, 3)
-        measured = []
-        for t in range(spec.trials_per_point):
-            rng = trial_rng(spec.seed, index, t)
-            offsets = session_offsets if constant_offsets else spec.clock.sample(rng, 3)
-            eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0)
-            trace = render_frame(scene, params, spec.budget, offsets, eps, rng)
-            sync = synchronize_frame(trace, params)
-            t_a, t_b, t_c = arrival_times(sync, params)
-            measured.append((t_b - t_a, t_c - t_b))
-        cal = {
-            "ba": [measured[i][0] - true_ba for i in range(calibration_trials)],
-            "cb": [measured[i][1] - true_cb for i in range(calibration_trials)],
-        }
-        feas_tol = 2.0 * scene.c * t_chip
-        meas_objs = [
-            measurement_from_times(ba, cb, c=scene.c, scene=scene, feasibility_tol_m=feas_tol)
-            for ba, cb in measured[calibration_trials:]
+            session_offsets = spec.clock.sample(trial_rng(spec.seed, index, 0, tag=1), 3)
+        chips = detect(
+            scene, params, spec.budget, spec.clock, spec.trials_per_point, spec.seed,
+            index, session_offsets,
+        )
+        truth = scene.rx_true
+        sessions = [
+            SessionTdoa(f"t{t}", *time_differences(c, params.chip_s), params.chip_s, truth)
+            for t, c in enumerate(chips)
         ]
-        res = differential_correction(scene, cal, meas_objs, feasibility_tol_m=feas_tol)
+        cal = calibration_offsets(scene, sessions[:calibration_trials])
+        res = differential_correction(scene, cal, sessions[calibration_trials:])
         err = lambda fixes: float(
-            np.sqrt(
-                np.mean(
-                    [np.sum((np.asarray(f.position) - truth) ** 2) for f in fixes]
-                )
-            )
+            np.sqrt(np.mean([math.dist(f.position, truth) ** 2 for f in fixes]))
         )
         out.append(
             DifferentialPointResult(
-                x=float(truth[0]),
-                y=float(truth[1]),
+                x=truth[0],
+                y=truth[1],
                 uncorrected_rmse_m=err(res.uncorrected),
                 corrected_rmse_m=err(res.corrected),
             )

@@ -6,11 +6,9 @@ the maximum-correlation start chip in each anchor's slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChipTrace, SignalParams
+from .channel import SignalParams
 
 
 class SyncError(ValueError):
@@ -92,16 +90,14 @@ def generate_pilot(length_l: int, seed: int) -> np.ndarray:
     raise SyncError(f"no balanced window of length {length_l} found")  # pragma: no cover
 
 
-def correlate(trace, sequence, chips_per_symbol: int, window: range) -> np.ndarray:
+def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndarray:
     """Correlation score for every candidate start chip in ``window``.
 
     score[t] = sum_i u_i(t) * (2 s_i - 1) where u_i(t) is the chip-count sum
     of the i-th symbol position starting at chip t. Exact integer arithmetic.
-    ``trace`` may be a ChipTrace or a counts array; a leading batch axis is
-    scored row-wise.
+    A leading batch axis of ``counts`` is scored row-wise.
     """
-    counts = trace.counts if isinstance(trace, ChipTrace) else np.asarray(trace)
-    counts = counts.astype(np.int64, copy=False)
+    counts = np.asarray(counts).astype(np.int64, copy=False)
     seq = np.asarray(sequence, dtype=np.int64).reshape(-1)
     n = int(chips_per_symbol)
     if window.step != 1:
@@ -159,20 +155,6 @@ def estimate_start(scores) -> int:
     return np.argmax(arr, axis=-1)
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    """Slot-relative start-chip estimates and their correlation peaks."""
-
-    start_chip_a: int
-    start_chip_b: int
-    start_chip_c: int
-    peak_scores: tuple[float, float, float]
-
-    @property
-    def start_chips(self) -> tuple[int, int, int]:
-        return (self.start_chip_a, self.start_chip_b, self.start_chip_c)
-
-
 def slot_search_window(params: SignalParams, slot_index: int, guard_chips: int = 0) -> range:
     """Candidate start chips for one anchor: its slot minus the pilot length."""
     slot = params.slot_chips
@@ -185,15 +167,16 @@ def slot_search_window(params: SignalParams, slot_index: int, guard_chips: int =
     return range(lo, hi + 1)
 
 
-def synchronize_frame(trace: ChipTrace, params: SignalParams, guard_chips: int = 0) -> SyncResult:
-    """Correlation-peak start estimate for each of the three anchor slots.
+def synchronize_frame(
+    counts: np.ndarray, params: SignalParams, guard_chips: int = 0
+) -> tuple[int, int, int]:
+    """Slot-relative correlation-peak start chip of each of the three anchors.
 
-    The first three slots of the trace are scored as the rows of one batch,
-    each over slot 0's search window, which is every slot's window taken
-    relative to its slot start.
+    The first three slots of the chip counts are scored as the rows of one
+    batch, each over slot 0's search window, which is every slot's window
+    taken relative to its slot start.
     """
     slot = params.slot_chips
-    counts = trace.counts
     if len(counts) < 3 * slot:
         raise WindowOverrunError(
             f"trace of {len(counts)} chips is shorter than three slots of {slot} chips"
@@ -203,21 +186,4 @@ def synchronize_frame(trace: ChipTrace, params: SignalParams, guard_chips: int =
         counts[: 3 * slot].reshape(3, slot), params.sequence_array(),
         params.chips_per_symbol, window,
     )
-    rel = estimate_start(scores)
-    starts = [window.start + int(r) for r in rel]
-    peaks = tuple(float(scores[i, r]) for i, r in enumerate(rel))
-    return SyncResult(starts[0], starts[1], starts[2], peaks)
-
-
-def arrival_times(sync: SyncResult, params: SignalParams) -> tuple[float, float, float]:
-    """Arrival instants (seconds) relative to each anchor's transmit instant.
-
-    Differences of consecutive entries are flying-time differences: the
-    slot-relative start chip already removes the nominal slot offset.
-    """
-    t_chip = params.chip_s
-    return (
-        sync.start_chip_a * t_chip,
-        sync.start_chip_b * t_chip,
-        sync.start_chip_c * t_chip,
-    )
+    return tuple(window.start + int(r) for r in estimate_start(scores))

@@ -29,6 +29,31 @@ class TdoaMeasurement:
     clamped: bool = False
 
 
+@dataclass
+class SessionTdoa:
+    """Time differences of one A/B/C detection session.
+
+    ``chip_s`` is the chip duration the arrivals were quantised to; ``truth``
+    is the receiver position when it is known.
+    """
+
+    session: str
+    t_ba_s: float
+    t_cb_s: float
+    chip_s: float
+    truth: tuple[float, float] | None
+
+
+def time_differences(start_chips, chip_s: float) -> tuple[float, float]:
+    """Flying-time differences B-A and C-B from slot-relative start chips.
+
+    A slot-relative start chip already excludes its anchor's nominal slot
+    offset, so chip differences are arrival-time differences.
+    """
+    a, b, c = start_chips
+    return (b - a) * chip_s, (c - b) * chip_s
+
+
 def measurement_from_times(
     t_ba_s: float,
     t_cb_s: float,
@@ -266,3 +291,18 @@ def solve_position(
                 consider((gx, gy))
     x, y, res, it, step_ok, _ = best
     return PositionFix((x, y), res, it, step_ok and res < residual_tol)
+
+
+def measure_and_solve(
+    scene: Scene, t_ba_s: float, t_cb_s: float, chip_s: float
+) -> tuple[TdoaMeasurement, PositionFix]:
+    """Measurement and position fix from time differences taken on ``chip_s`` chips.
+
+    Range differences are clamped at the anchor separation plus two chips of
+    flight, since clock error and chip quantisation can legitimately push a
+    measurement past the geometric bound.
+    """
+    meas = measurement_from_times(
+        t_ba_s, t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * chip_s
+    )
+    return meas, solve_position(scene, meas)

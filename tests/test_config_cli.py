@@ -205,7 +205,13 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert time.perf_counter() - t0 < 10.0
 
-    def test_replay_of_detections_reproduces_trials(self, config_file, tmp_path):
+    # 100 chips per symbol gives the paper's 10 ns chip, where a time
+    # difference formed as b*t - a*t instead of (b - a)*t changes fixes.
+    @pytest.mark.parametrize("chips_per_symbol", [20, 100])
+    def test_replay_of_detections_reproduces_trials(self, config_file, tmp_path, chips_per_symbol):
+        config_file.write_text(
+            CONFIG_TEXT.replace("chips_per_symbol = 20", f"chips_per_symbol = {chips_per_symbol}")
+        )
         out = tmp_path / "sim"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
         replay_out = tmp_path / "replay"
@@ -608,7 +614,17 @@ class TestCliDiffcal:
         captured = capsys.readouterr()
         assert "sessions = 2" in captured.out
         assert "skipped" in captured.err  # the calibration session lost anchor A
-        assert read_meta(out / "diffcal_fixes.csv")["calibration_sessions"] == "0"
+        meta = read_meta(out / "diffcal_fixes.csv")
+        assert meta["calibration_sessions"] == "0"
+        counts = {
+            "calibration_skipped_lines": "1",
+            "calibration_incomplete_sessions": "1",
+            "skipped_lines": "1",
+            "incomplete_sessions": "1",
+        }
+        for key, value in counts.items():
+            assert meta[key] == value
+            assert f"{key} = {value}" in captured.out
 
 
 class TestSessionsFromRecords:

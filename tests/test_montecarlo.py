@@ -17,6 +17,7 @@ from uvtdoa import (
 from uvtdoa.errortheory import anchor_sigma2
 from uvtdoa.montecarlo import CampaignError, differential_campaign, trial_rng
 from uvtdoa.scene import SPEED_OF_LIGHT
+from uvtdoa.tdoa import SessionTdoa
 
 from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
 
@@ -104,18 +105,17 @@ class TestSyncMseEmpirical:
         assert mse == pytest.approx(t_c**2 / 12.0, rel=0.2)
 
 
+def session(t_ba_s, t_cb_s, chip_s=10e-9):
+    return SessionTdoa("s", t_ba_s, t_cb_s, chip_s, None)
+
+
 class TestDifferentialCorrection:
     def test_perfect_calibration_removes_clock_bias(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
         r1, r2, r3 = ranges(scene, scene.rx_true)
         bias_ba, bias_cb = 80e-9, -40e-9
-        meas = [
-            measurement_from_times(
-                (r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb,
-                c=scene.c, scene=scene,
-            )
-        ]
-        res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, meas)
+        sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb)]
+        res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, sessions)
         truth = np.asarray(scene.rx_true)
         corrected_err = np.linalg.norm(np.asarray(res.corrected[0].position) - truth)
         uncorrected_err = np.linalg.norm(np.asarray(res.uncorrected[0].position) - truth)
@@ -125,52 +125,47 @@ class TestDifferentialCorrection:
     def test_missing_pair_warns_and_skips(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
         r1, r2, r3 = ranges(scene, scene.rx_true)
-        meas = [measurement_from_times((r2 - r1) / scene.c, (r3 - r2) / scene.c,
-                                       c=scene.c, scene=scene)]
+        sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
         with pytest.warns(UserWarning, match="cb"):
-            res = differential_correction(scene, {"ba": [1e-9]}, meas)
+            res = differential_correction(scene, {"ba": [1e-9]}, sessions)
         assert res.skipped_pairs == ("cb",)
         assert res.applied_cb_s is None
 
     def test_random_selection_is_seeded(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
         r1, r2, r3 = ranges(scene, scene.rx_true)
-        meas = [measurement_from_times((r2 - r1) / scene.c, (r3 - r2) / scene.c,
-                                       c=scene.c, scene=scene)]
+        sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
         cal = {"ba": [1e-9, 2e-9, 3e-9], "cb": [0.0]}
-        a = differential_correction(scene, cal, meas, rng=np.random.default_rng(4))
-        b = differential_correction(scene, cal, meas, rng=np.random.default_rng(4))
+        a = differential_correction(scene, cal, sessions, rng=np.random.default_rng(4))
+        b = differential_correction(scene, cal, sessions, rng=np.random.default_rng(4))
         assert a.applied_ba_s == b.applied_ba_s
 
 
     def test_corrected_measurements_use_the_chip_tolerance(self):
-        # 50 ns chips give a 2-chip slack of 30 m. Corrected range differences
-        # 10 m past |AB| (beyond the 6 m slack of 10 ns chips) and 40 m past
-        # must be kept and clamped at 30 m, exactly as measurement_from_times
-        # treats them at that tolerance.
+        # 50 ns chips give a 2-chip slack of 30 m, 10 ns chips one of 6 m.
+        # Corrected range differences 10 m and 40 m past |AB| on 50 ns chips,
+        # and 10 m past on 10 ns chips, must be kept and clamped exactly as
+        # measurement_from_times treats them at each session's own slack.
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        tol = 2.0 * scene.c * 50e-9
         ab = float(np.linalg.norm(scene.anchors[1] - scene.anchors[0]))
         bias_ba = -20.0 / scene.c
-        meas = [
-            measurement_from_times(
-                (ab + past) / scene.c + bias_ba, -30.0 / scene.c,
-                c=scene.c, scene=scene, feasibility_tol_m=tol,
-            )
-            for past in (10.0, 40.0)
+        sessions = [
+            session((ab + past) / scene.c + bias_ba, -30.0 / scene.c, chip_s)
+            for past, chip_s in ((10.0, 50e-9), (40.0, 50e-9), (10.0, 10e-9))
         ]
-        cal = {"ba": [bias_ba], "cb": [0.0]}
-        res = differential_correction(scene, cal, meas, feasibility_tol_m=tol)
+        res = differential_correction(scene, {"ba": [bias_ba], "cb": [0.0]}, sessions)
         clamped = []
-        for m, fix in zip(meas, res.corrected):
+        for sess, fix in zip(sessions, res.corrected):
+            tol = 2.0 * scene.c * sess.chip_s
+            m = measurement_from_times(
+                sess.t_ba_s, sess.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol
+            )
             expected = measurement_from_times(
                 m.t_ba_s - bias_ba, m.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol
             )
             clamped.append(expected.clamped)
             assert fix == solve_position(scene, expected)
-        assert clamped == [False, True]
-        per_measurement = differential_correction(scene, cal, meas, feasibility_tol_m=[tol, tol])
-        assert per_measurement.corrected == res.corrected
+        assert clamped == [False, True, True]
 
 
 class TestDifferentialCampaign:

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from uvtdoa import Scene, estimate_start, generate_pilot, ranges, render_frame, synchronize_frame
-from uvtdoa.channel import ChipTrace, pilot_rate_profile, sample_chip_counts
+from uvtdoa.channel import pilot_rate_profile, sample_chip_counts
 from uvtdoa.scene import SPEED_OF_LIGHT
 from uvtdoa.sync import (
     SyncError,
-    SyncResult,
     WindowOverrunError,
-    arrival_times,
     correlate,
     slot_search_window,
 )
+from uvtdoa.tdoa import time_differences
 
 from conftest import make_budget, make_signal
 
@@ -160,20 +159,16 @@ class TestSynchronizeFrame:
             for j, bit in enumerate(params.sequence):
                 if bit:
                     counts[i * slot + t0 + 4 * j : i * slot + t0 + 4 * (j + 1)] += 9
-        trace = ChipTrace(counts, params.chip_s)
-        sync = synchronize_frame(trace, params, guard_chips=guard)
+        starts = synchronize_frame(counts, params, guard_chips=guard)
         for i in range(3):
             window = slot_search_window(params, i, guard)
-            scores = correlate(trace, params.sequence_array(), params.chips_per_symbol, window)
-            rel = estimate_start(scores)
-            assert sync.start_chips[i] == window.start + rel - i * slot
-            assert sync.peak_scores[i] == float(scores[rel])
+            scores = correlate(counts, params.sequence_array(), params.chips_per_symbol, window)
+            assert starts[i] == window.start + estimate_start(scores) - i * slot
 
     def test_trace_shorter_than_three_slots(self):
         params = make_signal(length=16, n=4, slot_s=100e-6)
-        trace = ChipTrace(np.zeros(3 * params.slot_chips - 1, dtype=np.int64), params.chip_s)
         with pytest.raises(WindowOverrunError):
-            synchronize_frame(trace, params)
+            synchronize_frame(np.zeros(3 * params.slot_chips - 1, dtype=np.int64), params)
 
 
 class TestEstimateStart:
@@ -210,13 +205,13 @@ class TestDetectionProbability:
 class TestArrivalTimes:
     def test_zero_chips(self):
         params = make_signal(length=16, n=4, slot_s=40e-6)
-        t_a, t_b, t_c = arrival_times(SyncResult(0, 0, 0, (1.0, 1.0, 1.0)), params)
-        assert (t_b - t_a, t_c - t_b) == (0.0, 0.0)
+        assert time_differences((0, 0, 0), params.chip_s) == (0.0, 0.0)
 
     def test_linear_scaling(self):
         params = make_signal(length=16, n=100, rate_hz=1e6, slot_s=300e-6)
-        t_a, t_b, t_c = arrival_times(SyncResult(0, 10, 0, (1.0, 1.0, 1.0)), params)
-        assert t_b - t_a == pytest.approx(100e-9, rel=1e-12)
+        t_ba, t_cb = time_differences((0, 10, 0), params.chip_s)
+        assert t_ba == pytest.approx(100e-9, rel=1e-12)
+        assert t_cb == pytest.approx(-100e-9, rel=1e-12)
 
     def test_end_to_end_flight_time_difference(self):
         # Full frame with strong signal and no clock error: each anchor's
@@ -229,14 +224,13 @@ class TestArrivalTimes:
         budget = make_budget(lambda_b=0.5)
         scene = Scene(tx_a=(0, 0), tx_b=(75.6, 0), tx_c=(32.2, 76.6), rx_true=(30.0, 22.0))
         trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, 77)
-        sync = synchronize_frame(trace, params)
-        arrivals = arrival_times(sync, params)
+        starts = synchronize_frame(trace.counts, params)
         flights = [r / SPEED_OF_LIGHT for r in ranges(scene, scene.rx_true)]
-        for est, truth in zip(arrivals, flights):
-            assert abs(est - truth) <= params.chip_s / 2
-        t_a, t_b, t_c = arrivals
-        assert abs((t_b - t_a) - (flights[1] - flights[0])) <= params.chip_s
-        assert abs((t_c - t_b) - (flights[2] - flights[1])) <= params.chip_s
+        for chip, truth in zip(starts, flights):
+            assert abs(chip * params.chip_s - truth) <= params.chip_s / 2
+        t_ba, t_cb = time_differences(starts, params.chip_s)
+        assert abs(t_ba - (flights[1] - flights[0])) <= params.chip_s
+        assert abs(t_cb - (flights[2] - flights[1])) <= params.chip_s
 
 
 class TestSlotWindow:
