@@ -20,7 +20,7 @@ from .channel import (
     los_photon_rate,
     pilot_rate_profile,
     render_frame,
-    sample_chip_counts,
+    sample_photons,
 )
 from .errortheory import (
     ClockModel,
@@ -29,7 +29,7 @@ from .errortheory import (
     positioning_mse,
 )
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
-from .sync import correlate, estimate_start, generate_pilot, synchronize_frame
+from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
 
@@ -286,6 +286,10 @@ def sync_mse_empirical(
     width matches the offset coverage of the truncated analytic bound
     (2 * m_max * n chips with m_max = 8).
     """
+    if trials < 1:
+        raise CampaignError(f"trials must be >= 1, got {trials}")
+    if batch < 1:
+        raise CampaignError(f"batch must be >= 1, got {batch}")
     n = int(chips_per_symbol)
     t_chip = 1.0 / (symbol_rate_hz * n)
     half = int(window_half_chips) if window_half_chips is not None else 2 * 8 * n
@@ -301,9 +305,13 @@ def sync_mse_empirical(
         b = min(batch, trials - done)
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
         starts = pilot_rate_profile(seq, n, t_true + eps / t_chip, total)
-        counts = sample_chip_counts(rng, starts, lambda_s, lambda_b, n, total)
-        scores = correlate(counts, seq, n, window)
-        start = estimate_start(scores)
+        photons = sample_photons(rng, starts, lambda_s, lambda_b, n, total)
+        # Bin and score one row block at a time: the batch's counts are
+        # never all in memory, and each block stays in cache.
+        start = np.empty(b, dtype=np.int64)
+        for lo in range(0, b, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, b)
+            start[lo:hi] = estimate_start(correlate(photons.chip_counts(lo, hi), seq, n, window))
         err = (start - t_true) * t_chip - eps
         sum_sq += float(np.sum(err**2))
         done += b

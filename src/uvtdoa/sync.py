@@ -58,8 +58,10 @@ def _m_sequence(order: int, state: int) -> np.ndarray:
 def _sharp_autocorrelation(sequence: np.ndarray) -> bool:
     """True when every cyclic +/-1 autocorrelation sidelobe is below the peak."""
     s = 2 * sequence - 1
-    main = int(s @ s)
-    return all(int(s @ np.roll(s, k)) < main for k in range(1, len(s)))
+    # Row k - 1 is the cyclic shift np.roll(s, -k), a strided view of s twice
+    # over; the shifts 1..L-1 cover every sidelobe in one product.
+    shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((s, s))[1:-1], len(s))
+    return bool(np.all(shifts @ s < s @ s))
 
 
 def generate_pilot(length_l: int, seed: int) -> np.ndarray:
@@ -90,12 +92,19 @@ def generate_pilot(length_l: int, seed: int) -> np.ndarray:
     raise SyncError(f"no balanced window of length {length_l} found")  # pragma: no cover
 
 
+# Rows that ``correlate`` scores together. A block's chip-major prefix sums
+# stay in L2, and numpy's prefix sum down axis 0 slows sharply past a few
+# columns; a sweep over 2, 4, 8 and 16 rows at L = 64 and 256 measured 4 best.
+ROW_BLOCK = 4
+
+
 def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndarray:
     """Correlation score for every candidate start chip in ``window``.
 
     score[t] = sum_i u_i(t) * (2 s_i - 1) where u_i(t) is the chip-count sum
     of the i-th symbol position starting at chip t. Exact integer arithmetic.
-    A leading batch axis of ``counts`` is scored row-wise.
+    Leading batch axes of ``counts`` are scored row-wise, ``ROW_BLOCK`` rows
+    at a time.
     """
     counts = np.asarray(counts).astype(np.int64, copy=False)
     seq = np.asarray(sequence, dtype=np.int64).reshape(-1)
@@ -120,29 +129,44 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
     w[0] = -sign[0]
     w[1:-1] = sign[:-1] - sign[1:]
     w[-1] = sign[-1]
-    segment = counts[..., start : start + width - 1 + len(seq) * n]
-    # The two accumulators below share at most L + 1 prefix sums, none larger
-    # in magnitude than a row's absolute total, so every intermediate,
-    # 2 * (pos - neg) included, stays within 2 * (L + 1) * total: int32 is
-    # exact while that is below 2**31.
-    total = int(np.abs(segment).sum(axis=-1).max(initial=0))
-    dtype = np.int32 if 2 * (len(seq) + 1) * total < 2**31 else np.int64
-    csum = np.empty(segment.shape[:-1] + (segment.shape[-1] + 1,), dtype=dtype)
-    csum[..., 0] = 0
-    np.cumsum(segment, axis=-1, dtype=dtype, out=csum[..., 1:])
-    # Interior weights are +/-2 and the end weights +/-1: sum the prefix sums
-    # of each sign in place, double the difference, then take one copy of
+    # Interior weights are +/-2 and the end weights +/-1: add or subtract the
+    # prefix sum at every sign change in place, double, then take one copy of
     # each end term back out.
-    pos = np.zeros(counts.shape[:-1] + (width,), dtype=dtype)
-    neg = np.zeros_like(pos)
-    for acc, terms in ((pos, w > 0), (neg, w < 0)):
-        for k in (n * np.nonzero(terms)[0]).tolist():
-            np.add(acc, csum[..., k : k + width], out=acc)
-    pos -= neg
-    pos *= 2
-    for j in (0, len(seq)):
-        pos -= int(w[j]) * csum[..., n * j : n * j + width]
-    return pos.astype(np.int64, copy=False)
+    terms = [(n * j, np.add if w[j] > 0 else np.subtract) for j in np.nonzero(w)[0].tolist()]
+    undo = [(k, np.subtract if op is np.add else np.add) for k, op in (terms[0], terms[-1])]
+    seg_len = width - 1 + len(seq) * n
+    rows = counts[..., start : start + seg_len].reshape(-1, seg_len)
+    out = np.empty((len(rows), width), dtype=np.int64)
+    for lo in range(0, len(rows), ROW_BLOCK):
+        block = rows[lo : lo + ROW_BLOCK]
+        # The accumulator sums at most L + 1 prefix sums, none larger in
+        # magnitude than a row's absolute total, so every intermediate stays
+        # within 2 * (L + 1) * total: int32 is exact while that is below
+        # 2**31. The block's total bounds every row's and is cheap to sum in
+        # either memory order, so rows are summed one by one only when it is
+        # too large; abs() runs only on negative counts, sparing a
+        # block-sized temporary.
+        magnitude = block if block.min() >= 0 else np.abs(block)
+        total = int(magnitude.sum())
+        if 2 * (len(seq) + 1) * total >= 2**31:
+            total = int(magnitude.sum(axis=-1).max())
+        dtype = np.int32 if 2 * (len(seq) + 1) * total < 2**31 else np.int64
+        # Chip-major (chips, rows): the prefix sum runs down axis 0 across
+        # the block's rows, and each term below is one contiguous slice.
+        # Copying the counts in first and summing in place spares numpy's
+        # whole-block cast buffer.
+        csum = np.empty((seg_len + 1, len(block)), dtype=dtype)
+        csum[0] = 0
+        csum[1:] = block.T
+        np.cumsum(csum[1:], axis=0, out=csum[1:])
+        acc = np.zeros((width, len(block)), dtype=dtype)
+        for k, op in terms:
+            op(acc, csum[k : k + width], out=acc)
+        acc *= 2
+        for k, op in undo:
+            op(acc, csum[k : k + width], out=acc)
+        out[lo : lo + len(block)] = acc.T
+    return out.reshape(counts.shape[:-1] + (width,))
 
 
 def estimate_start(scores) -> int:

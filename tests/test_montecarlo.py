@@ -14,9 +14,11 @@ from uvtdoa import (
     solve_position,
     sync_mse_empirical,
 )
+from uvtdoa.channel import pilot_rate_profile
 from uvtdoa.errortheory import anchor_sigma2
 from uvtdoa.montecarlo import CampaignError, differential_campaign, trial_rng
 from uvtdoa.scene import SPEED_OF_LIGHT
+from uvtdoa.sync import generate_pilot
 from uvtdoa.tdoa import SessionTdoa
 
 from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
@@ -98,11 +100,75 @@ class TestPowerSweep:
             power_sweep(small_spec(), [])
 
 
+def unblocked_sync_mse(lambda_s, lambda_b, length, n, symbol_rate_hz, trials, seed,
+                       window_half_chips=None, pilot_seed=7, batch=256):
+    """Reference: sample and score each batch of draws whole, in one array.
+
+    The same draws, in the same order, as ``sync_mse_empirical``, with the
+    photons binned into one (batch, window) array row-major and the whole
+    batch correlated by the plain row-wise prefix-sum form.
+    """
+    t_chip = 1.0 / (symbol_rate_hz * n)
+    half = int(window_half_chips) if window_half_chips is not None else 2 * 8 * n
+    seq = generate_pilot(length, pilot_seed)
+    total = 2 * half + length * n + 1
+    rng = np.random.default_rng([seed, length, n, int(lambda_s * 1e6), int(lambda_b * 1e6)])
+    sign = 2 * seq - 1
+    sum_sq = 0.0
+    done = 0
+    while done < trials:
+        b = min(batch, trials - done)
+        eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
+        starts = pilot_rate_profile(seq, n, half + eps / t_chip, total)
+        per_symbol = rng.poisson(lambda_s, size=starts.shape).ravel()
+        per_window = rng.poisson(lambda_b * total / n, size=b)
+        whole = np.floor(starts)
+        frac = (starts - whole).ravel()
+        first = (whole.astype(np.int64) + np.arange(b)[:, None] * total).ravel()
+        n_sig = int(per_symbol.sum())
+        pos = rng.random(n_sig) * n + np.repeat(frac, per_symbol)
+        sig = np.minimum(pos.astype(np.int64), n) + np.repeat(first, per_symbol)
+        bg = (rng.random(int(per_window.sum())) * total).astype(np.int64)
+        bg += np.repeat(np.arange(0, b * total, total), per_window)
+        counts = np.bincount(np.concatenate([sig, bg]), minlength=b * total).reshape(b, total)
+        csum = np.zeros((b, total + 1), dtype=np.int64)
+        np.cumsum(counts, axis=-1, out=csum[:, 1:])
+        scores = sum(
+            int(sign[i]) * (csum[:, n * (i + 1) : n * (i + 1) + 2 * half + 1]
+                            - csum[:, n * i : n * i + 2 * half + 1])
+            for i in range(length)
+        )
+        err = (np.argmax(scores, axis=-1) - half) * t_chip - eps
+        sum_sq += float(np.sum(err**2))
+        done += b
+    return sum_sq / trials
+
+
 class TestSyncMseEmpirical:
     def test_high_rate_approaches_quantization_variance(self):
         t_c = 1e-8
         mse = sync_mse_empirical(200.0, 0.0, 64, 100, 1e6, trials=4000, seed=2)
         assert mse == pytest.approx(t_c**2 / 12.0, rel=0.2)
+
+    # Trial counts below, at and past one row block and one 256-draw batch.
+    @pytest.mark.parametrize("trials", [1, 7, 100, 300])
+    @pytest.mark.parametrize("length", [64, 256])
+    @pytest.mark.parametrize("lambda_s", [2.0, 100.0])
+    def test_equals_unblocked_batches(self, trials, length, lambda_s):
+        args = (lambda_s, 1.0, length, 100, 1e6, trials, 424242)
+        assert sync_mse_empirical(*args) == unblocked_sync_mse(*args)
+
+    def test_equals_unblocked_batches_explicit_window(self):
+        args = (10.0, 0.5, 64, 20, 1e6, 37, 5)
+        got = sync_mse_empirical(*args, window_half_chips=13, batch=16)
+        assert got == unblocked_sync_mse(*args, window_half_chips=13, batch=16)
+
+    @pytest.mark.parametrize("name", ["trials", "batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_count_below_one(self, name, value):
+        kwargs = {"trials": 10, "batch": 256, name: value}
+        with pytest.raises(CampaignError, match=f"{name} must be >= 1"):
+            sync_mse_empirical(10.0, 1.0, 64, 100, 1e6, seed=1, **kwargs)
 
 
 def session(t_ba_s, t_cb_s, chip_s=10e-9):

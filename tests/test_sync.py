@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import uvtdoa.sync
 from uvtdoa import Scene, estimate_start, generate_pilot, ranges, render_frame, synchronize_frame
-from uvtdoa.channel import pilot_rate_profile, sample_chip_counts
+from uvtdoa.channel import pilot_rate_profile, sample_photons
 from uvtdoa.scene import SPEED_OF_LIGHT
 from uvtdoa.sync import (
+    ROW_BLOCK,
     SyncError,
     WindowOverrunError,
     correlate,
@@ -48,6 +50,20 @@ class TestGeneratePilot:
             for shift in range(1, 4):
                 side = int(np.dot(s, np.roll(s, shift)))
                 assert side < main
+
+    def test_matches_shift_by_shift_check(self, monkeypatch):
+        # Reference: the sidelobe check one np.roll at a time. Both checks
+        # must accept the same windows, so every pilot comes out the same.
+        def sharp_by_roll(sequence):
+            s = 2 * sequence - 1
+            main = int(s @ s)
+            return all(int(s @ np.roll(s, k)) < main for k in range(1, len(s)))
+
+        lengths = (2, 3, 5, 8, 16, 31, 64, 100, 128, 256, 300)
+        fast = {(n, seed): generate_pilot(n, seed) for n in lengths for seed in range(10)}
+        monkeypatch.setattr(uvtdoa.sync, "_sharp_autocorrelation", sharp_by_roll)
+        for (n, seed), pilot in fast.items():
+            assert np.array_equal(pilot, generate_pilot(n, seed)), (n, seed)
 
     def test_rejects_short_lengths(self):
         with pytest.raises(SyncError):
@@ -132,6 +148,59 @@ class TestCorrelate:
             for row, got in zip(counts.reshape(-1, n_chips), scores.reshape(-1, width)):
                 assert np.array_equal(got, brute_force_scores(row, seq, n, window))
 
+    @pytest.mark.parametrize("offset", [0, 2])
+    @pytest.mark.parametrize("chip_major", [False, True])
+    @pytest.mark.parametrize(
+        "rows",
+        [(), (1,), (ROW_BLOCK - 1,), (ROW_BLOCK,), (ROW_BLOCK + 1,), (2 * ROW_BLOCK + 1,),
+         (2, ROW_BLOCK + 1)],
+    )
+    def test_row_blocks_match_brute_force(self, rows, chip_major, offset):
+        # Row counts around the block size, 1-D and two batch axes, in
+        # row-major memory and as the chip-major view that
+        # Photons.chip_counts returns; an offset makes some counts negative.
+        rng = np.random.default_rng(17 + len(rows) + sum(rows))
+        seq = generate_pilot(11, 4)
+        n, window = 3, range(5, 28)
+        n_chips = 5 + len(window) - 1 + len(seq) * n + 4
+        counts = rng.poisson(3.0, size=rows + (n_chips,)) - offset
+        if chip_major:
+            counts = np.moveaxis(np.ascontiguousarray(np.moveaxis(counts, -1, 0)), 0, -1)
+        scores = correlate(counts, seq, n, window)
+        assert scores.dtype == np.int64 and scores.shape == rows + (len(window),)
+        for row, got in zip(counts.reshape(-1, n_chips), scores.reshape(-1, len(window))):
+            assert np.array_equal(got, brute_force_scores(row, seq, n, window))
+
+    def test_one_block_past_int32_others_not(self):
+        # Row ROW_BLOCK + 1 carries 2**29 photons per on-symbol chip, so its
+        # block needs 64-bit sums while the first and last blocks stay 32-bit;
+        # every row must still match the oracle.
+        rng = np.random.default_rng(8)
+        seq = generate_pilot(8, 1)
+        n, t0, window = 2, 5, range(0, 20)
+        counts = rng.poisson(2.0, size=(2 * ROW_BLOCK + 1, 40))
+        for i, bit in enumerate(seq):
+            if bit:
+                counts[ROW_BLOCK + 1, t0 + n * i : t0 + n * (i + 1)] = 2**29
+        scores = correlate(counts, seq, n, window)
+        assert scores[ROW_BLOCK + 1].max() > 2**31
+        assert estimate_start(scores)[ROW_BLOCK + 1] == t0
+        for row, got in zip(counts, scores):
+            assert np.array_equal(got, brute_force_scores(row, seq, n, window))
+
+    def test_signed_counts_bounded_by_magnitude(self):
+        # 19 chips of +2**29, then 19 of -2**29: the scored 39 chips sum to
+        # zero, but the scores reach 2**32, so the plain sum must not pick
+        # 32-bit sums.
+        seq = generate_pilot(8, 1)
+        n, window = 2, range(0, 24)
+        counts = np.zeros((2, 40), dtype=np.int64)
+        counts[1, :19] = 2**29
+        counts[1, 19:38] = -(2**29)
+        scores = correlate(counts, seq, n, window)
+        for row, got in zip(counts, scores):
+            assert np.array_equal(got, brute_force_scores(row, seq, n, window))
+
     def test_large_counts_stay_exact(self):
         # The peak score (on-symbol chips x 2**29 photons) is past 2**31, so
         # only a 64-bit accumulator gives the exact value.
@@ -196,7 +265,7 @@ class TestDetectionProbability:
         trials, batch = 1000, 100
         starts = pilot_rate_profile(seq, n, np.full(batch, float(half)), total)
         for _ in range(trials // batch):
-            counts = sample_chip_counts(rng, starts, lam_s, 0.0, n, total)
+            counts = sample_photons(rng, starts, lam_s, 0.0, n, total).chip_counts()
             scores = correlate(counts, seq, n, range(0, 2 * half + 1))
             hits += int(np.sum(estimate_start(scores) == half))
         assert hits / trials >= 0.99
