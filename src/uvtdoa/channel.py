@@ -136,8 +136,14 @@ class SignalParams:
         return 1.0 / self.symbol_rate_hz
 
     @property
+    def chip_ns(self) -> float:
+        return 1e9 / (self.symbol_rate_hz * self.chips_per_symbol)
+
+    @property
     def chip_s(self) -> float:
-        return 1.0 / (self.symbol_rate_hz * self.chips_per_symbol)
+        # Derived from chip_ns the way a detection log's reader derives it,
+        # so a logged chip_ns gives back exactly this chip duration.
+        return self.chip_ns / 1e9
 
     @property
     def pilot_chips(self) -> int:

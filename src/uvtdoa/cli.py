@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,19 +58,20 @@ _LOG_COLUMNS = ["timestamp_s", "session", "anchor", "arrival_chip", "chip_ns",
                 "truth_x_m", "truth_y_m"]
 
 
-def _meta_lines(tool: str, cfg_hash: str, seed, detector_efficiency: float) -> list[str]:
-    return [
-        f"# tool = uvtdoa {tool}",
-        f"# config_sha256 = {cfg_hash}",
-        f"# seed = {seed}",
-        f"# detector_efficiency = {detector_efficiency!r}",
-    ]
+def _meta(cfg: Config, tool: str) -> dict:
+    """Provenance every artifact carries: command, config hash, seed, efficiency."""
+    return {
+        "tool": f"uvtdoa {tool}",
+        "config_sha256": config_hash(cfg),
+        "seed": cfg.seed,
+        "detector_efficiency": cfg.budget.detector_efficiency,
+    }
 
 
-def _write_csv(path: Path, meta: list[str], header: list[str], rows) -> None:
+def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in meta:
-            fh.write(line + "\n")
+        for key, value in meta.items():
+            fh.write(f"# {key} = {value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -82,15 +83,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_table(out: Path, stem: str, fmt: str, meta: dict, header: list[str], rows,
+                 key: str, **summary) -> None:
+    """Write ``<stem>.csv``, or ``<stem>.json`` with the rows under ``key`` and the summary."""
+    if fmt == "json":
+        _write_json(out / f"{stem}.json",
+                    {"meta": meta, key: [dict(zip(header, r)) for r in rows], **summary})
+    else:
+        _write_csv(out / f"{stem}.csv", meta, header, rows)
+
+
 def _fmt(value) -> str:
     """Full-precision, round-trippable float formatting for CSV cells."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def write_detection_log(path: Path, meta: list[str], rows) -> None:
-    _write_csv(path, meta, _LOG_COLUMNS, rows)
 
 
 def _finite_float(text: str) -> float:
@@ -256,23 +263,15 @@ def _finite_or_none(value: float):
     return float(value) if np.isfinite(value) else None
 
 
-def _campaign_payload(cfg: Config, cfg_hash: str, seed: int, result) -> dict:
-    inside = [p for p in result.point_results if p.inside]
+def _campaign_payload(meta: dict, result) -> dict:
     return {
         "schema_version": 1,
-        "tool": "uvtdoa simulate",
-        "config_sha256": cfg_hash,
-        "seed": seed,
-        "detector_efficiency": cfg.budget.detector_efficiency,
+        **meta,
         "trials_per_point": result.trials_per_point,
-        "grid_average_rmse_m": result.grid_average_rmse_m,
-        "theory_average_m": _finite_or_none(result.theory_average_m),
-        "inside_average_rmse_m": (
-            result.average_rmse_m(inside_only=True) if inside else None
-        ),
-        "inside_theory_average_m": _finite_or_none(
-            result.average_theory_m(inside_only=True) if inside else float("nan")
-        ),
+        "grid_average_rmse_m": result.average_rmse_m(),
+        "theory_average_m": _finite_or_none(result.average_theory_m()),
+        "inside_average_rmse_m": _finite_or_none(result.average_rmse_m(inside_only=True)),
+        "inside_theory_average_m": _finite_or_none(result.average_theory_m(inside_only=True)),
         "points": [
             {
                 "x_m": p.x,
@@ -293,39 +292,32 @@ def cmd_theory(cfg: Config, args, out: Path) -> int:
     if all(p.singular for p in tmap.points):
         print("error: geometry matrix singular at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
-    chash = config_hash(cfg)
-    meta = _meta_lines("theory", chash, cfg.seed, cfg.budget.detector_efficiency)
     rows = [
         [_fmt(p.x), _fmt(p.y), _fmt(p.e_p), _fmt(p.condition_number),
          int(p.inside), int(p.singular)]
         for p in tmap.points
     ]
     header = ["x_m", "y_m", "e_p_m", "condition_number", "inside", "singular"]
-    if args.format == "json":
-        _write_json(out / "theory_map.json", {
-            "meta": {"tool": "uvtdoa theory", "config_sha256": chash, "seed": cfg.seed,
-                     "detector_efficiency": cfg.budget.detector_efficiency},
-            "points": [dict(zip(header, r)) for r in rows],
-            "grid_average_ep_m": tmap.average_ep(),
-            "inside_average_ep_m": tmap.average_ep(inside_only=True),
-        })
-    else:
-        _write_csv(out / "theory_map.csv", meta, header, rows)
-    print(f"grid_average_ep_m = {tmap.average_ep():.6f}")
-    print(f"inside_average_ep_m = {tmap.average_ep(inside_only=True):.6f}")
+    summary = {
+        "grid_average_ep_m": tmap.average_ep(),
+        "inside_average_ep_m": tmap.average_ep(inside_only=True),
+    }
+    _write_table(out, "theory_map", args.format, _meta(cfg, "theory"), header, rows,
+                 "points", **summary)
+    for key, value in summary.items():
+        print(f"{key} = {value:.6f}")
     return EXIT_OK
 
 
 def cmd_simulate(cfg: Config, args, out: Path) -> int:
     spec = cfg.campaign_spec()
     result = run_campaign(spec, workers=args.workers)
-    chash = config_hash(cfg)
-    meta = _meta_lines("simulate", chash, spec.seed, cfg.budget.detector_efficiency)
-    _write_json(out / "campaign.json", _campaign_payload(cfg, chash, spec.seed, result))
+    meta = _meta(cfg, "simulate")
+    _write_json(out / "campaign.json", _campaign_payload(meta, result))
 
     trial_rows = []
     detection_rows = []
-    chip_ns = cfg.signal.chip_s * 1e9
+    chip_ns = cfg.signal.chip_ns
     for pi, pres in enumerate(result.point_results):
         for ti, fix in enumerate(pres.fixes):
             trial_rows.append(
@@ -346,9 +338,9 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
          "error_m", "residual_m", "converged", "iterations"],
         trial_rows,
     )
-    write_detection_log(out / "detections.csv", meta, detection_rows)
-    print(f"grid_average_rmse_m = {result.grid_average_rmse_m:.6f}")
-    print(f"theory_average_m = {result.theory_average_m:.6f}")
+    _write_csv(out / "detections.csv", meta, _LOG_COLUMNS, detection_rows)
+    print(f"grid_average_rmse_m = {result.average_rmse_m():.6f}")
+    print(f"theory_average_m = {result.average_theory_m():.6f}")
     print(f"solver_failures = {sum(p.solver_failures for p in result.point_results)}")
     return EXIT_OK
 
@@ -356,8 +348,6 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
 def cmd_sweep(cfg: Config, args, out: Path) -> int:
     powers_w = [p * 1e-3 for p in args.powers_mw]
     entries = power_sweep(cfg.campaign_spec(), powers_w, workers=args.workers)
-    chash = config_hash(cfg)
-    meta = _meta_lines("sweep", chash, cfg.seed, cfg.budget.detector_efficiency)
     header = ["power_mw", "sim_average_m", "theory_average_m",
               "sim_average_inside_m", "theory_average_inside_m"]
     rows = [
@@ -365,14 +355,7 @@ def cmd_sweep(cfg: Config, args, out: Path) -> int:
          _fmt(e.sim_average_inside_m), _fmt(e.theory_average_inside_m)]
         for e in entries
     ]
-    if args.format == "json":
-        _write_json(out / "sweep.json", {
-            "meta": {"tool": "uvtdoa sweep", "config_sha256": chash, "seed": cfg.seed,
-                     "detector_efficiency": cfg.budget.detector_efficiency},
-            "entries": [dict(zip(header, r)) for r in rows],
-        })
-    else:
-        _write_csv(out / "sweep.csv", meta, header, rows)
+    _write_table(out, "sweep", args.format, _meta(cfg, "sweep"), header, rows, "entries")
     for e in entries:
         print(f"power_mw={e.power_w * 1e3:.1f} sim_average_m={e.sim_average_m:.6f} "
               f"theory_average_m={e.theory_average_m:.6f}")
@@ -386,10 +369,7 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
         print("error: no complete A/B/C sessions in log", file=sys.stderr)
         return EXIT_IO
     fixes = [measure_and_solve(cfg.scene, s.t_ba_s, s.t_cb_s, s.chip_s)[1] for s in sessions]
-    chash = config_hash(cfg)
-    meta = _meta_lines("replay", chash, cfg.seed, cfg.budget.detector_efficiency)
-    meta.append(f"# skipped_lines = {skipped}")
-    meta.append(f"# incomplete_sessions = {dropped}")
+    meta = _meta(cfg, "replay") | {"skipped_lines": skipped, "incomplete_sessions": dropped}
     rows = []
     groups: dict[tuple, list[int]] = {}
     for idx, (sess, fix) in enumerate(zip(sessions, fixes)):
@@ -443,23 +423,22 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         print("error: no complete A/B/C sessions in measurement log", file=sys.stderr)
         return EXIT_IO
     cal = calibration_offsets(cfg.scene, cal_sessions)
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = differential_correction(cfg.scene, cal, sessions, rng=rng)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    chash = config_hash(cfg)
-    meta = _meta_lines("diffcal", chash, cfg.seed, cfg.budget.detector_efficiency)
-    meta.append(f"# calibration_sessions = {len(cal['ba'])}")
-    meta.append(f"# skipped_pairs = {','.join(res.skipped_pairs) or 'none'}")
     counts = {
         "calibration_skipped_lines": cal_skipped,
         "calibration_incomplete_sessions": cal_dropped,
         "skipped_lines": skipped,
         "incomplete_sessions": dropped,
     }
-    meta.extend(f"# {key} = {value}" for key, value in counts.items())
+    meta = _meta(cfg, "diffcal") | {
+        "calibration_sessions": len(cal["ba"]),
+        "skipped_pairs": ",".join(res.skipped_pairs) or "none",
+    } | counts
     rows = []
     unc_errs, cor_errs = [], []
     for sess, unc, cor in zip(sessions, res.uncorrected, res.corrected):
@@ -500,13 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="configuration file path")
+    def common(p):
+        p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1, help="worker processes")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="primary artifact format")
 
     p_theory = sub.add_parser("theory", help="theoretical error map over the grid")
     common(p_theory)
@@ -514,6 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sweep = sub.add_parser("sweep", help="error vs transmit power")
     common(p_sweep)
+    for p in (p_theory, p_sweep):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="artifact format")
     p_sweep.add_argument(
         "--powers-mw", required=True,
         type=lambda s: [float(v) for v in s.split(",") if v],
@@ -534,11 +514,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = Config(
-                scene=cfg.scene, grid=cfg.grid, budget=cfg.budget, signal=cfg.signal,
-                clock=cfg.clock, trials_per_point=cfg.trials_per_point,
-                seed=args.seed, pilot_seed=cfg.pilot_seed,
-            )
+            cfg = replace(cfg, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -116,17 +116,14 @@ class SyncBoundParams:
         return self.symbol_s / self.chips_per_symbol
 
     @classmethod
-    def from_signal(cls, params: SignalParams, lambda_s: float, lambda_b: float,
-                    m_max: int = DEFAULT_M_MAX,
-                    eps_quadrature_points: int = 33) -> "SyncBoundParams":
+    def from_signal(cls, params: SignalParams, lambda_s: float,
+                    lambda_b: float) -> "SyncBoundParams":
         return cls(
             lambda_s=lambda_s,
             lambda_b=lambda_b,
             length=params.length,
             chips_per_symbol=params.chips_per_symbol,
             symbol_s=params.symbol_s,
-            m_max=m_max,
-            eps_quadrature_points=eps_quadrature_points,
         )
 
 
@@ -461,8 +458,6 @@ def anchor_sigma2(
     budget: LinkBudget,
     params: SignalParams,
     clock: ClockModel,
-    m_max: int = DEFAULT_M_MAX,
-    eps_quadrature_points: int = 33,
 ) -> tuple[float, float, float]:
     """Total per-anchor arrival-time variance at a receiver point.
 
@@ -474,13 +469,30 @@ def anchor_sigma2(
     out = []
     for d in dists:
         lam_s = los_photon_rate(budget, d, params.symbol_s)
-        bound = _cached_bound(
-            SyncBoundParams.from_signal(
-                params, lam_s, budget.lambda_b, m_max, eps_quadrature_points
-            )
-        )
+        bound = _cached_bound(SyncBoundParams.from_signal(params, lam_s, budget.lambda_b))
         out.append(clock.variance_s2 + bound)
     return out[0], out[1], out[2]
+
+
+def theory_point(
+    scene: Scene,
+    point,
+    budget: LinkBudget,
+    params: SignalParams,
+    clock: ClockModel,
+) -> TheoryPoint:
+    """Theoretical scalar positioning error at one receiver point.
+
+    A singular geometry matrix is flagged with a NaN ``e_p`` and the
+    matrix's condition number rather than raised.
+    """
+    x, y = float(point[0]), float(point[1])
+    inside = inside_triangle(scene, point)
+    try:
+        out = positioning_mse(scene, *anchor_sigma2(scene, point, budget, params, clock), at=point)
+    except SingularGeometryError as exc:
+        return TheoryPoint(x, y, float("nan"), exc.condition_number, singular=True, inside=inside)
+    return TheoryPoint(x, y, out.e_p, out.condition_number, singular=False, inside=inside)
 
 
 def theory_grid(
@@ -490,35 +502,7 @@ def theory_grid(
     params: SignalParams,
     clock: ClockModel,
 ) -> TheoryMap:
-    """Theoretical scalar positioning error for every grid point.
-
-    Points where the geometry matrix is singular are flagged rather than
-    aborting the map.
-    """
-    entries = []
-    for p in grid.points():
-        try:
-            s2a, s2b, s2c = anchor_sigma2(scene, p, budget, params, clock)
-            budget_out = positioning_mse(scene, s2a, s2b, s2c, at=p)
-            entries.append(
-                TheoryPoint(
-                    x=float(p[0]),
-                    y=float(p[1]),
-                    e_p=budget_out.e_p,
-                    condition_number=budget_out.condition_number,
-                    singular=False,
-                    inside=inside_triangle(scene, p),
-                )
-            )
-        except SingularGeometryError as exc:
-            entries.append(
-                TheoryPoint(
-                    x=float(p[0]),
-                    y=float(p[1]),
-                    e_p=float("nan"),
-                    condition_number=exc.condition_number,
-                    singular=True,
-                    inside=inside_triangle(scene, p),
-                )
-            )
-    return TheoryMap(tuple(entries))
+    """Theoretical scalar positioning error for every grid point (see ``theory_point``)."""
+    return TheoryMap(
+        tuple(theory_point(scene, p, budget, params, clock) for p in grid.points())
+    )

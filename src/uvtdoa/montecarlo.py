@@ -22,12 +22,7 @@ from .channel import (
     render_frame,
     sample_photons,
 )
-from .errortheory import (
-    ClockModel,
-    SingularGeometryError,
-    anchor_sigma2,
-    positioning_mse,
-)
+from .errortheory import ClockModel, theory_point
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
@@ -96,18 +91,9 @@ class CampaignResult:
     trials_per_point: int
     point_results: list[PointResult]
 
-    @property
-    def grid_average_rmse_m(self) -> float:
-        return float(np.mean([p.rmse_m for p in self.point_results]))
-
-    @property
-    def theory_average_m(self) -> float:
-        vals = [p.theory_ep_m for p in self.point_results if np.isfinite(p.theory_ep_m)]
-        return float(np.mean(vals)) if vals else float("nan")
-
     def average_rmse_m(self, inside_only: bool = False) -> float:
         vals = [p.rmse_m for p in self.point_results if p.inside or not inside_only]
-        return float(np.mean(vals))
+        return float(np.mean(vals)) if vals else float("nan")
 
     def average_theory_m(self, inside_only: bool = False) -> float:
         vals = [
@@ -204,11 +190,7 @@ def _point_task(args) -> PointResult:
         spec.seed,
         point_index=index,
     )
-    try:
-        s2 = anchor_sigma2(scene, point, spec.budget, spec.signal, spec.clock)
-        result.theory_ep_m = positioning_mse(scene, *s2, at=point).e_p
-    except SingularGeometryError:
-        result.theory_ep_m = float("nan")
+    result.theory_ep_m = theory_point(scene, point, spec.budget, spec.signal, spec.clock).e_p
     return result
 
 
@@ -257,8 +239,8 @@ def power_sweep(spec: CampaignSpec, powers_w, workers: int = 1) -> list[SweepEnt
         out.append(
             SweepEntry(
                 power_w=p_w,
-                sim_average_m=result.grid_average_rmse_m,
-                theory_average_m=result.theory_average_m,
+                sim_average_m=result.average_rmse_m(),
+                theory_average_m=result.average_theory_m(),
                 sim_average_inside_m=result.average_rmse_m(inside_only=True),
                 theory_average_inside_m=result.average_theory_m(inside_only=True),
             )

@@ -174,6 +174,13 @@ class TestCliSimulate:
         assert payload["trials_per_point"] == 4
         assert len(payload["points"]) == 9
         assert payload["grid_average_rmse_m"] > 0
+        # the campaign's theory column is theory_grid's, bit for bit
+        from uvtdoa import load_config, theory_grid
+        cfg = load_config(config_file)
+        tmap = theory_grid(cfg.scene, cfg.grid, cfg.budget, cfg.signal, cfg.clock)
+        for point, theory in zip(payload["points"], tmap.points):
+            assert (point["x_m"], point["y_m"]) == (theory.x, theory.y)
+            assert point["theory_ep_m"] == theory.e_p
 
     def test_worker_count_does_not_change_bytes(self, config_file, tmp_path):
         out1 = tmp_path / "w1"
@@ -207,7 +214,8 @@ class TestCliSimulate:
 
     # 100 chips per symbol gives the paper's 10 ns chip, where a time
     # difference formed as b*t - a*t instead of (b - a)*t changes fixes.
-    @pytest.mark.parametrize("chips_per_symbol", [20, 100])
+    # At 56, repr(chip_s * 1e9) / 1e9 is one ulp off chip_s.
+    @pytest.mark.parametrize("chips_per_symbol", [20, 56, 100])
     def test_replay_of_detections_reproduces_trials(self, config_file, tmp_path, chips_per_symbol):
         config_file.write_text(
             CONFIG_TEXT.replace("chips_per_symbol = 20", f"chips_per_symbol = {chips_per_symbol}")
@@ -251,6 +259,28 @@ class TestCliSweep:
         assert float(power) == 150.0
         assert float(sim_avg) == payload["grid_average_rmse_m"]
         assert float(theory_avg) == payload["theory_average_m"]
+
+    def test_grid_without_inside_point_reads_nan_without_warnings(self, config_file, tmp_path):
+        import warnings
+        config_file.write_text(CONFIG_TEXT.replace(
+            "x_min_m = 25\nx_max_m = 50\ny_min_m = 20\ny_max_m = 45\nsteps_x = 3\nsteps_y = 3",
+            "x_min_m = 60\nx_max_m = 70\ny_min_m = 50\ny_max_m = 60\nsteps_x = 2\nsteps_y = 2",
+        ).replace("trials_per_point = 4", "trials_per_point = 2"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "sw"),
+                         "--powers-mw", "150"]) == 0
+            assert main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / "sim")]) == 0
+        assert not [w for w in caught if "Mean of empty slice" in str(w.message)]
+        assert not [w for w in caught if "invalid value" in str(w.message)]
+        rows = [l for l in (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+                if not l.startswith("#") and not l.startswith("power_mw")]
+        assert rows[0].split(",")[3:] == ["nan", "nan"]
+        payload = json.loads((tmp_path / "sim" / "campaign.json").read_text())
+        assert not any(p["inside"] for p in payload["points"])
+        assert payload["inside_average_rmse_m"] is None
+        assert payload["inside_theory_average_m"] is None
 
     def test_json_meta_carries_detector_efficiency(self, config_file, tmp_path):
         out = tmp_path / "sweepj"
@@ -643,3 +673,62 @@ class TestSessionsFromRecords:
         assert len(sessions) == 1
         assert dropped == 1
         assert sessions[0].t_ba_s == pytest.approx(20 * 50e-9 / 1.0)
+
+
+class TestCliProvenance:
+    """Every artifact states the same tool, config hash, seed and efficiency."""
+
+    @pytest.mark.parametrize("seed_args, seed", [([], 7), (["--seed", "11"], 11)])
+    def test_csv_and_json_headers_agree(self, config_file, tmp_path, seed_args, seed):
+        from dataclasses import replace
+        from uvtdoa import load_config
+        # the hash is of the config as run, so it covers a --seed override
+        want = {
+            "config_sha256": config_hash(replace(load_config(config_file), seed=seed)),
+            "seed": seed,
+            "detector_efficiency": 0.15,
+        }
+
+        def run(command, *extra):
+            out = tmp_path / f"{command}{len(extra)}"
+            assert main([command, "--config", str(config_file), "--out", str(out),
+                         *seed_args, *extra]) == 0
+            return out
+
+        sim = run("simulate")
+        log = str(sim / "detections.csv")
+        artifacts = {
+            "theory": [run("theory") / "theory_map.csv",
+                       run("theory", "--format", "json") / "theory_map.json"],
+            "sweep": [run("sweep", "--powers-mw", "150") / "sweep.csv",
+                      run("sweep", "--powers-mw", "150", "--format", "json") / "sweep.json"],
+            "simulate": [sim / "campaign.json", sim / "trials.csv", sim / "detections.csv"],
+            "replay": [run("replay", "--log", log) / name
+                       for name in ("replay_fixes.csv", "replay_clusters.csv")],
+            "diffcal": [run("diffcal", "--calibration", log, "--log", log)
+                        / "diffcal_fixes.csv"],
+        }
+        for command, paths in artifacts.items():
+            for path in paths:
+                if path.suffix == ".json":
+                    payload = json.loads(path.read_text())
+                    meta = payload.get("meta", payload)
+                else:
+                    text = read_meta(path)
+                    meta = dict(text, seed=int(text["seed"]),
+                                detector_efficiency=float(text["detector_efficiency"]))
+                assert meta["tool"] == f"uvtdoa {command}", path
+                assert {key: meta[key] for key in want} == want, path
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("replay", ["--log", "log.csv"]),
+        ("diffcal", ["--calibration", "cal.csv", "--log", "log.csv"]),
+    ])
+    def test_format_only_on_table_commands(self, config_file, tmp_path, capsys,
+                                           command, extra):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config_file), "--out", str(tmp_path),
+                  "--format", "json", *extra])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err

@@ -92,8 +92,8 @@ class TestPowerSweep:
         entries = power_sweep(spec, [spec.budget.power_w])
         direct = run_campaign(spec)
         assert len(entries) == 1
-        assert entries[0].sim_average_m == direct.grid_average_rmse_m
-        assert entries[0].theory_average_m == direct.theory_average_m
+        assert entries[0].sim_average_m == direct.average_rmse_m()
+        assert entries[0].theory_average_m == direct.average_theory_m()
 
     def test_empty_powers_rejected(self):
         with pytest.raises(CampaignError):
