@@ -114,6 +114,9 @@ class SignalParams:
         if len(seq) < 2 or any(v not in (0, 1) for v in seq):
             raise ChannelError("sequence must be a binary vector of length >= 2")
         object.__setattr__(self, "sequence", seq)
+        pilot = np.array(seq, dtype=np.int64)
+        pilot.flags.writeable = False
+        object.__setattr__(self, "_pilot", pilot)
         if not self.symbol_rate_hz > 0:
             raise ChannelError(f"symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.chips_per_symbol < 1:
@@ -154,7 +157,8 @@ class SignalParams:
         return int(round(self.slot_interval_s / self.chip_s))
 
     def sequence_array(self) -> np.ndarray:
-        return np.asarray(self.sequence, dtype=np.int64)
+        """The pilot as a read-only int64 array, built once per instance."""
+        return self._pilot
 
     def with_rates(self, lambda_s_a: float, lambda_s_b: float, lambda_s_c: float) -> "SignalParams":
         return replace(
@@ -174,7 +178,7 @@ class ChipTrace:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 1:
             raise ChannelError("counts must be a 1-D vector")
-        if np.any(self.counts < 0):
+        if self.counts.size and self.counts.min() < 0:
             raise ChannelError("chip counts must be non-negative")
 
     def __len__(self) -> int:
@@ -221,9 +225,11 @@ class Photons:
         """
         hi = len(self.sig_ends) - 1 if hi is None else hi
         rows = hi - lo
+        if rows == len(self.sig_ends) - 1 == 1:  # a one-row batch (a rendered frame)
+            return np.bincount(self.chips, minlength=self.n_chips)[None, :]
         sig, bg = self.sig_ends, self.bg_ends + self.sig_ends[-1]
         idx = np.concatenate((self.chips[sig[lo] : sig[hi]], self.chips[bg[lo] : bg[hi]]))
-        if rows > 1:  # a single row (a rendered frame) needs no row term
+        if rows > 1:
             idx *= rows
             per_row = np.concatenate((np.diff(sig[lo : hi + 1]), np.diff(bg[lo : hi + 1])))
             idx += np.repeat(np.tile(np.arange(rows), 2), per_row)

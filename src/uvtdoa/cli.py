@@ -303,7 +303,7 @@ def cmd_theory(cfg: Config, args, out: Path) -> int:
         "inside_average_ep_m": tmap.average_ep(inside_only=True),
     }
     _write_table(out, "theory_map", args.format, _meta(cfg, "theory"), header, rows,
-                 "points", **summary)
+                 "points", **{key: _finite_or_none(value) for key, value in summary.items()})
     for key, value in summary.items():
         print(f"{key} = {value:.6f}")
     return EXIT_OK

@@ -437,14 +437,13 @@ class TheoryMap:
     points: tuple[TheoryPoint, ...]
 
     def average_ep(self, inside_only: bool = False) -> float:
+        """Mean ``e_p`` over the non-singular points; NaN when there are none."""
         vals = [
             p.e_p
             for p in self.points
             if not p.singular and (p.inside or not inside_only)
         ]
-        if not vals:
-            raise SingularGeometryError("no non-singular grid points", float("inf"))
-        return float(np.mean(vals))
+        return float(np.mean(vals)) if vals else float("nan")
 
 
 @lru_cache(maxsize=4096)

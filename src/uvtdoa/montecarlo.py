@@ -138,8 +138,12 @@ def detect(
         rng = trial_rng(seed, point_index, t)
         offsets = clock.sample(rng, 3) if session_offsets is None else session_offsets
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0)
-        trace = render_frame(scene, params, budget, offsets, eps, rng)
-        chips.append(synchronize_frame(trace.counts, params))
+        # Free the frame before the next render: a frame kept alive across
+        # it leaves a heap hole that glibc trims and page-faults back in on
+        # every trial.
+        frame = render_frame(scene, params, budget, offsets, eps, rng)
+        chips.append(synchronize_frame(frame.counts, params))
+        del frame
     return chips
 
 

@@ -6,6 +6,7 @@ conversions happen only at I/O boundaries (see the config module).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,16 @@ class SceneError(ValueError):
 
 
 def _as_point(p, name: str) -> tuple[float, float]:
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.shape != (2,):
-        raise SceneError(f"{name} must be a 2-D point, got {p!r}")
-    if not np.all(np.isfinite(arr)):
+    if isinstance(p, np.ndarray):
+        p = p.reshape(-1)
+    try:
+        x, y = p
+        x, y = float(x), float(y)
+    except (TypeError, ValueError):
+        raise SceneError(f"{name} must be a 2-D point, got {p!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise SceneError(f"{name} has non-finite coordinates: {p!r}")
-    return float(arr[0]), float(arr[1])
+    return x, y
 
 
 def triangle_area(a, b, c) -> float:
@@ -77,10 +82,18 @@ class Scene:
 
 
 def ranges(scene: Scene, p) -> tuple[float, float, float]:
-    """Euclidean distances from ``p`` to anchors A, B, C."""
-    q = np.asarray(_as_point(p, "p"), dtype=float)
-    d = np.linalg.norm(scene.anchors - q, axis=1)
-    return float(d[0]), float(d[1]), float(d[2])
+    """Euclidean distances from ``p`` to anchors A, B, C.
+
+    Plain floats, one square root per anchor: the same bits as
+    ``np.linalg.norm(scene.anchors - p, axis=1)`` at a fraction of its cost.
+    """
+    px, py = _as_point(p, "p")
+    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
+    return (
+        math.sqrt((ax - px) * (ax - px) + (ay - py) * (ay - py)),
+        math.sqrt((bx - px) * (bx - px) + (by - py) * (by - py)),
+        math.sqrt((cx - px) * (cx - px) + (cy - py) * (cy - py)),
+    )
 
 
 # Barycentric slack: points this far outside an edge still count as inside,

@@ -6,6 +6,9 @@ the maximum-correlation start chip in each anchor's slot.
 
 from __future__ import annotations
 
+import threading
+from functools import lru_cache
+
 import numpy as np
 
 from .channel import SignalParams
@@ -98,6 +101,51 @@ def generate_pilot(length_l: int, seed: int) -> np.ndarray:
 ROW_BLOCK = 4
 
 
+@lru_cache(maxsize=16)
+def _pilot_terms(pilot: bytes, chips_per_symbol: int):
+    """Sign-change terms of an int64 pilot's telescoped correlation.
+
+    score[t] = sum_j w_j * csum[t + n*j], where w collects the sign changes
+    of the +/-1 pilot. Most consecutive signs are equal, so only
+    O(transitions) terms survive. The weights sum to zero, so the cumulative
+    sum may start at the window instead of the trace origin. Interior
+    weights are +/-2 and the end weights +/-1: ``terms`` adds or subtracts
+    the prefix sum at every sign change, the caller doubles, and ``undo``
+    takes one copy of each end term back out.
+    """
+    sign = 2 * np.frombuffer(pilot, dtype=np.int64) - 1
+    w = np.zeros(len(sign) + 1, dtype=np.int64)
+    w[0] = -sign[0]
+    w[1:-1] = sign[:-1] - sign[1:]
+    w[-1] = sign[-1]
+    n = chips_per_symbol
+    terms = tuple((n * j, np.add if w[j] > 0 else np.subtract) for j in np.nonzero(w)[0].tolist())
+    undo = tuple((k, np.subtract if op is np.add else np.add) for k, op in (terms[0], terms[-1]))
+    return terms, undo
+
+
+class _Scratch(threading.local):
+    """Per-thread prefix-sum and accumulator buffers that ``correlate`` reuses.
+
+    Allocating them on every call makes glibc trim and page-fault them back
+    in each trial. A buffer grows to the largest request and is never
+    returned to a caller, so no score aliases it.
+    """
+
+    def __init__(self):
+        self.flat: dict = {}
+
+    def take(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self.flat.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self.flat[name, dtype] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+_scratch = _Scratch()
+
+
 def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndarray:
     """Correlation score for every candidate start chip in ``window``.
 
@@ -120,25 +168,13 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
             f"window [{start}, {start + width}) plus pilot of {len(seq) * n} chips "
             f"overruns trace of {n_chips} chips"
         )
-    # Telescoped form: score[t] = sum_j w_j * csum[t + n*j], where w collects
-    # the sign changes of the +/-1 pilot. Most consecutive signs are equal,
-    # so only O(transitions) terms survive. The weights sum to zero, so the
-    # cumulative sum may start at the window instead of the trace origin.
-    sign = 2 * seq - 1
-    w = np.zeros(len(seq) + 1, dtype=np.int64)
-    w[0] = -sign[0]
-    w[1:-1] = sign[:-1] - sign[1:]
-    w[-1] = sign[-1]
-    # Interior weights are +/-2 and the end weights +/-1: add or subtract the
-    # prefix sum at every sign change in place, double, then take one copy of
-    # each end term back out.
-    terms = [(n * j, np.add if w[j] > 0 else np.subtract) for j in np.nonzero(w)[0].tolist()]
-    undo = [(k, np.subtract if op is np.add else np.add) for k, op in (terms[0], terms[-1])]
+    terms, undo = _pilot_terms(seq.tobytes(), n)
     seg_len = width - 1 + len(seq) * n
     rows = counts[..., start : start + seg_len].reshape(-1, seg_len)
     out = np.empty((len(rows), width), dtype=np.int64)
     for lo in range(0, len(rows), ROW_BLOCK):
         block = rows[lo : lo + ROW_BLOCK]
+        b = len(block)
         # The accumulator sums at most L + 1 prefix sums, none larger in
         # magnitude than a row's absolute total, so every intermediate stays
         # within 2 * (L + 1) * total: int32 is exact while that is below
@@ -154,18 +190,25 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
         # Chip-major (chips, rows): the prefix sum runs down axis 0 across
         # the block's rows, and each term below is one contiguous slice.
         # Copying the counts in first and summing in place spares numpy's
-        # whole-block cast buffer.
-        csum = np.empty((seg_len + 1, len(block)), dtype=dtype)
+        # whole-block cast buffer. The copy reads its input contiguously:
+        # row by row from row-major counts (a rendered frame), as one
+        # transposed block from chip-major ones (``Photons.chip_counts``).
+        csum = _scratch.take("csum", (seg_len + 1, b), dtype)
         csum[0] = 0
-        csum[1:] = block.T
+        if block.strides[-1] == block.itemsize:
+            for r in range(b):
+                csum[1:, r] = block[r]
+        else:
+            csum[1:] = block.T
         np.cumsum(csum[1:], axis=0, out=csum[1:])
-        acc = np.zeros((width, len(block)), dtype=dtype)
+        acc = _scratch.take("acc", (width, b), dtype)
+        acc.fill(0)
         for k, op in terms:
             op(acc, csum[k : k + width], out=acc)
         acc *= 2
         for k, op in undo:
             op(acc, csum[k : k + width], out=acc)
-        out[lo : lo + len(block)] = acc.T
+        out[lo : lo + b] = acc.T
     return out.reshape(counts.shape[:-1] + (width,))
 
 

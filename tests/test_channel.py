@@ -247,3 +247,18 @@ class TestChipTrace:
     def test_negative_counts_rejected(self):
         with pytest.raises(ChannelError):
             ChipTrace(np.array([1, -1]), 1e-8)
+
+    def test_empty_counts_accepted(self):
+        assert len(ChipTrace(np.array([], dtype=np.int64), 1e-8)) == 0
+
+
+class TestSignalParams:
+    def test_sequence_array_is_one_read_only_copy(self):
+        signal = make_signal(length=64)
+        pilot = signal.sequence_array()
+        assert pilot is signal.sequence_array()
+        assert pilot.dtype == np.int64 and tuple(pilot) == signal.sequence
+        with pytest.raises(ValueError):
+            pilot[0] = 1 - pilot[0]
+        # with_rates builds its own copy of the same pilot
+        assert np.array_equal(signal.with_rates(1.0, 2.0, 3.0).sequence_array(), pilot)

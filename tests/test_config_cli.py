@@ -140,6 +140,28 @@ class TestCliTheory:
         assert len(payload["points"]) == 9
         assert payload["grid_average_ep_m"] > 0
 
+    def test_grid_without_inside_point_reads_nan(self, config_file, tmp_path, capsys):
+        # Geometry II, every point of the x 60-70 m, y 50-60 m grid outside
+        # the anchor triangle: the inside average is empty, not an error.
+        config_file.write_text(CONFIG_TEXT.replace(
+            "x_min_m = 25\nx_max_m = 50\ny_min_m = 20\ny_max_m = 45",
+            "x_min_m = 60\nx_max_m = 70\ny_min_m = 50\ny_max_m = 60",
+        ))
+        assert main(["theory", "--config", str(config_file), "--out", str(tmp_path / "c")]) == 0
+        body = [l for l in (tmp_path / "c" / "theory_map.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(body) == 1 + 9
+        assert all(l.split(",")[4:] == ["0", "0"] for l in body[1:])
+        lines = capsys.readouterr().out.splitlines()
+        assert "inside_average_ep_m = nan" in lines
+        grid_average = float(lines[0].split(" = ")[1])
+        assert math.isfinite(grid_average) and grid_average > 0
+        assert main(["theory", "--config", str(config_file), "--out", str(tmp_path / "j"),
+                     "--format", "json"]) == 0
+        payload = json.loads((tmp_path / "j" / "theory_map.json").read_text())
+        assert payload["inside_average_ep_m"] is None
+        assert payload["grid_average_ep_m"] == pytest.approx(grid_average, rel=1e-6)
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[scene]\ntx_a_m = 0, 0\n")

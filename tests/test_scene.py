@@ -5,7 +5,7 @@ import pytest
 
 from uvtdoa import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
 
-from conftest import GEOMETRY_I, GEOMETRY_II, make_scene
+from conftest import GEOMETRY_I, GEOMETRY_II, GEOMETRY_III, make_scene
 
 
 def dist_oracle(p, q):
@@ -32,6 +32,17 @@ class TestRanges:
         expected = tuple(dist_oracle(p, q) for q in GEOMETRY_I)
         assert r == pytest.approx(expected, abs=1e-12)
         assert all(v >= 0 for v in r)
+
+    def test_same_bits_as_numpy_norm(self):
+        # Seeded points near and far, on all three geometries: the plain-float
+        # distances equal numpy's row norms exactly.
+        rng = np.random.default_rng(11)
+        for geometry in (GEOMETRY_I, GEOMETRY_II, GEOMETRY_III):
+            scene = make_scene(geometry)
+            for scale in (1.0, 100.0, 1e4):
+                for p in rng.uniform(-scale, scale, size=(200, 2)):
+                    expected = np.linalg.norm(scene.anchors - p, axis=1)
+                    assert ranges(scene, p) == tuple(float(d) for d in expected)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(7)
@@ -97,6 +108,15 @@ class TestSceneValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(SceneError):
             Scene(tx_a=(0, np.nan), tx_b=(1, 0), tx_c=(0, 1), rx_true=(0, 0))
+
+    @pytest.mark.parametrize("p", [(1.0,), (1, 2, 3), 5.0, None, np.zeros(3), (1.0, "x")])
+    def test_malformed_point_rejected(self, p):
+        with pytest.raises(SceneError, match="2-D point"):
+            ranges(make_scene(), p)
+
+    def test_array_point_accepted_in_any_shape(self):
+        scene = make_scene()
+        assert ranges(scene, np.array([[36.0], [25.0]])) == ranges(scene, (36.0, 25.0))
 
     def test_with_receiver(self):
         scene = make_scene()

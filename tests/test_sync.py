@@ -201,6 +201,37 @@ class TestCorrelate:
         for row, got in zip(counts, scores):
             assert np.array_equal(got, brute_force_scores(row, seq, n, window))
 
+    def test_reused_scratch_never_leaks_between_calls(self):
+        # correlate keeps its prefix-sum and accumulator buffers across calls.
+        # Consecutive calls change the block shape, the accumulator dtype
+        # (int32-exact counts, then counts that need int64) and the memory
+        # layout (row-major, then a chip-major view); every call must match
+        # the oracle, and no earlier result may change under a later call.
+        rng = np.random.default_rng(31)
+        seq = generate_pilot(8, 1)
+        n = 2
+        calls, wide = [], set()
+        for rows, n_chips, width, scale, chip_major in [
+            (3, 60, 30, 1, False),
+            (ROW_BLOCK + 2, 44, 12, 2**27, False),
+            (2, 70, 41, 1, True),
+            (1, 40, 5, 2**27, True),
+            (ROW_BLOCK, 60, 30, 1, False),
+        ]:
+            counts = rng.poisson(3.0, size=(rows, n_chips)) * scale
+            if chip_major:
+                counts = np.ascontiguousarray(counts.T).T
+            window = range(n_chips - width - len(seq) * n + 1, n_chips - len(seq) * n + 1)
+            scores = correlate(counts, seq, n, window)
+            expected = np.array([brute_force_scores(r, seq, n, window) for r in counts])
+            assert np.array_equal(scores, expected)
+            calls.append((scores, scores.copy()))
+            # correlate's own test for a block that needs 64-bit sums
+            wide.add(2 * (len(seq) + 1) * int(counts.sum(axis=-1).max()) >= 2**31)
+        assert wide == {False, True}
+        for scores, snapshot in calls:
+            assert np.array_equal(scores, snapshot)
+
     def test_large_counts_stay_exact(self):
         # The peak score (on-symbol chips x 2**29 photons) is past 2**31, so
         # only a 64-bit accumulator gives the exact value.
