@@ -168,21 +168,9 @@ class SignalParams:
 
 @dataclass
 class ChipTrace:
-    """Per-chip photoelectron counts observed at the receiver."""
+    """Per-chip photoelectron counts of one rendered frame."""
 
     counts: np.ndarray
-    chip_duration_s: float
-    origin_time_s: float = 0.0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1:
-            raise ChannelError("counts must be a 1-D vector")
-        if self.counts.size and self.counts.min() < 0:
-            raise ChannelError("chip counts must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 def pilot_rate_profile(sequence, chips_per_symbol: int, start_chip, n_chips: int) -> np.ndarray:
@@ -329,4 +317,4 @@ def render_frame(
         rng, starts.reshape(1, -1), np.repeat(lambdas, starts.shape[1]),
         budget.lambda_b, params.chips_per_symbol, n_chips,
     )
-    return ChipTrace(photons.chip_counts()[0], t_chip, 0.0)
+    return ChipTrace(photons.chip_counts()[0])

@@ -23,6 +23,7 @@ from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
 from .errortheory import TheoryError, theory_grid
 from .montecarlo import (
+    SEED_BOUND,
     CampaignError,
     calibration_offsets,
     differential_correction,
@@ -471,6 +472,13 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < SEED_BOUND:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uvtdoa",
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="configuration file path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1, help="worker processes")
 

@@ -12,15 +12,15 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
-from .montecarlo import CampaignSpec
+from .montecarlo import SEED_BOUND, CampaignSpec
 from .scene import GridSpec, Scene, SceneError, default_grid, ranges
-from .sync import generate_pilot
+from .sync import SyncError, generate_pilot
 
 
 class ConfigError(ValueError):
@@ -185,40 +185,23 @@ def parse_config(text: str) -> Config:
         return values.get((section, key))
 
     try:
-        scene_kwargs = {}
-        if get("scene", "rx_true_m") is not None:
-            scene_kwargs["rx_true"] = get("scene", "rx_true_m")
-        else:
-            a, b, c = get("scene", "tx_a_m"), get("scene", "tx_b_m"), get("scene", "tx_c_m")
-            scene_kwargs["rx_true"] = (
-                (a[0] + b[0] + c[0]) / 3.0,
-                (a[1] + b[1] + c[1]) / 3.0,
-            )
         scene = Scene(
             tx_a=get("scene", "tx_a_m"),
             tx_b=get("scene", "tx_b_m"),
             tx_c=get("scene", "tx_c_m"),
-            **scene_kwargs,
+            rx_true=get("scene", "rx_true_m"),
         )
         grid_keys = ("x_min_m", "x_max_m", "y_min_m", "y_max_m")
         explicit = [get("grid", k) for k in grid_keys]
+        steps = {"steps_x": int(get("grid", "steps_x")), "steps_y": int(get("grid", "steps_y"))}
         if all(v is not None for v in explicit):
-            grid = GridSpec(
-                *[float(v) for v in explicit],
-                steps_x=int(get("grid", "steps_x")),
-                steps_y=int(get("grid", "steps_y")),
-            )
+            grid = GridSpec(*[float(v) for v in explicit], **steps)
         elif any(v is not None for v in explicit):
             raise ConfigError(
                 "[grid] must define all of x_min_m/x_max_m/y_min_m/y_max_m or none"
             )
         else:
-            base = default_grid(scene)
-            grid = GridSpec(
-                base.x_min, base.x_max, base.y_min, base.y_max,
-                steps_x=int(get("grid", "steps_x")),
-                steps_y=int(get("grid", "steps_y")),
-            )
+            grid = replace(default_grid(scene), **steps)
         budget = LinkBudget(
             power_w=get("budget", "power_w"),
             rx_area_m2=get("budget", "rx_area_m2"),
@@ -259,6 +242,9 @@ def parse_config(text: str) -> Config:
         trials = int(get("campaign", "trials_per_point"))
         if trials < 1:
             raise ConfigError(f"[campaign] trials_per_point must be >= 1, got {trials}")
+        seed = int(get("campaign", "seed"))
+        if not 0 <= seed < SEED_BOUND:
+            raise ConfigError(f"[campaign] seed must be in [0, 2**64), got {seed}")
         return Config(
             scene=scene,
             grid=grid,
@@ -266,10 +252,10 @@ def parse_config(text: str) -> Config:
             signal=signal,
             clock=clock,
             trials_per_point=trials,
-            seed=int(get("campaign", "seed")),
+            seed=seed,
             pilot_seed=pilot_seed,
         )
-    except (SceneError, ChannelError, TheoryError) as exc:
+    except (SceneError, ChannelError, SyncError, TheoryError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

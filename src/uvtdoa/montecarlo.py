@@ -22,7 +22,7 @@ from .channel import (
     render_frame,
     sample_photons,
 )
-from .errortheory import ClockModel, theory_point
+from .errortheory import DEFAULT_M_MAX, ClockModel, theory_point
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
@@ -30,6 +30,11 @@ from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
 class CampaignError(ValueError):
     """Invalid campaign specification."""
+
+
+# Seeds are unsigned 64-bit integers: trial_rng keys Philox with one, and
+# np.random.default_rng takes no negative seed.
+SEED_BOUND = 2**64
 
 
 def trial_rng(seed: int, point_index: int, trial_index: int, tag: int = 0) -> np.random.Generator:
@@ -55,6 +60,8 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials_per_point < 1:
             raise CampaignError("trials_per_point must be >= 1")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise CampaignError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.points is not None:
             pts = tuple((float(x), float(y)) for x, y in self.points)
             object.__setattr__(self, "points", pts)
@@ -252,6 +259,12 @@ def power_sweep(spec: CampaignSpec, powers_w, workers: int = 1) -> list[SweepEnt
     return out
 
 
+# The pilot seed and the draws per batch of sync_mse_empirical; both fix its
+# random stream.
+EMPIRICAL_PILOT_SEED = 7
+EMPIRICAL_BATCH = 256
+
+
 def sync_mse_empirical(
     lambda_s: float,
     lambda_b: float,
@@ -261,8 +274,6 @@ def sync_mse_empirical(
     trials: int,
     seed: int,
     window_half_chips: int | None = None,
-    pilot_seed: int = 7,
-    batch: int = 256,
 ) -> float:
     """Monte-Carlo synchronization MSE (seconds^2) for a single pilot link.
 
@@ -270,16 +281,16 @@ def sync_mse_empirical(
     and a uniform fractional offset per trial, then measures the squared
     error of the correlation-peak start estimate. The default search half
     width matches the offset coverage of the truncated analytic bound
-    (2 * m_max * n chips with m_max = 8).
+    (2 * m_max * n chips with m_max = ``DEFAULT_M_MAX``). The pilot comes
+    from ``EMPIRICAL_PILOT_SEED`` and trials are drawn ``EMPIRICAL_BATCH`` at
+    a time; both fix the random stream.
     """
     if trials < 1:
         raise CampaignError(f"trials must be >= 1, got {trials}")
-    if batch < 1:
-        raise CampaignError(f"batch must be >= 1, got {batch}")
     n = int(chips_per_symbol)
     t_chip = 1.0 / (symbol_rate_hz * n)
-    half = int(window_half_chips) if window_half_chips is not None else 2 * 8 * n
-    seq = generate_pilot(length, pilot_seed)
+    half = int(window_half_chips) if window_half_chips is not None else 2 * DEFAULT_M_MAX * n
+    seq = generate_pilot(length, EMPIRICAL_PILOT_SEED)
     pilot_chips = length * n
     total = 2 * half + pilot_chips + 1
     t_true = half
@@ -288,7 +299,7 @@ def sync_mse_empirical(
     sum_sq = 0.0
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(EMPIRICAL_BATCH, trials - done)
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
         starts = pilot_rate_profile(seq, n, t_true + eps / t_chip, total)
         photons = sample_photons(rng, starts, lambda_s, lambda_b, n, total)

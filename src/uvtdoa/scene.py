@@ -45,19 +45,23 @@ def triangle_area(a, b, c) -> float:
 
 @dataclass(frozen=True)
 class Scene:
-    """Three transmitter anchors and the true receiver position, in meters."""
+    """Three transmitter anchors and the true receiver position, in meters.
+
+    The receiver defaults to the anchor centroid.
+    """
 
     tx_a: tuple[float, float]
     tx_b: tuple[float, float]
     tx_c: tuple[float, float]
-    rx_true: tuple[float, float]
+    rx_true: tuple[float, float] | None = None
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "tx_a", _as_point(self.tx_a, "tx_a"))
         object.__setattr__(self, "tx_b", _as_point(self.tx_b, "tx_b"))
         object.__setattr__(self, "tx_c", _as_point(self.tx_c, "tx_c"))
-        object.__setattr__(self, "rx_true", _as_point(self.rx_true, "rx_true"))
+        rx = self.centroid() if self.rx_true is None else self.rx_true
+        object.__setattr__(self, "rx_true", _as_point(rx, "rx_true"))
         if not (np.isfinite(self.c) and self.c > 0):
             raise SceneError(f"propagation speed must be positive, got {self.c}")
         area = triangle_area(self.tx_a, self.tx_b, self.tx_c)
@@ -81,19 +85,23 @@ class Scene:
         return Scene(self.tx_a, self.tx_b, self.tx_c, p, self.c)
 
 
-def ranges(scene: Scene, p) -> tuple[float, float, float]:
-    """Euclidean distances from ``p`` to anchors A, B, C.
+def anchor_distances(anchors, x: float, y: float) -> tuple[float, float, float]:
+    """Euclidean distances from (x, y) to anchors ((ax, ay), (bx, by), (cx, cy)).
 
     Plain floats, one square root per anchor: the same bits as
     ``np.linalg.norm(scene.anchors - p, axis=1)`` at a fraction of its cost.
     """
-    px, py = _as_point(p, "p")
-    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
+    (ax, ay), (bx, by), (cx, cy) = anchors
     return (
-        math.sqrt((ax - px) * (ax - px) + (ay - py) * (ay - py)),
-        math.sqrt((bx - px) * (bx - px) + (by - py) * (by - py)),
-        math.sqrt((cx - px) * (cx - px) + (cy - py) * (cy - py)),
+        math.sqrt((ax - x) * (ax - x) + (ay - y) * (ay - y)),
+        math.sqrt((bx - x) * (bx - x) + (by - y) * (by - y)),
+        math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y)),
     )
+
+
+def ranges(scene: Scene, p) -> tuple[float, float, float]:
+    """Euclidean distances from ``p`` to anchors A, B, C."""
+    return anchor_distances((scene.tx_a, scene.tx_b, scene.tx_c), *_as_point(p, "p"))
 
 
 # Barycentric slack: points this far outside an edge still count as inside,
@@ -149,8 +157,8 @@ class GridSpec:
 DEFAULT_GRID_INSET = 0.20
 
 
-def default_grid(scene: Scene, steps: int = 9, inset: float = DEFAULT_GRID_INSET) -> GridSpec:
-    """Default evaluation grid: anchor bounding box inset on each side.
+def default_grid(scene: Scene) -> GridSpec:
+    """Default evaluation grid: anchor bounding box inset on each side, 9 x 9 points.
 
     The inset keeps the grid away from the anchors themselves, where the
     hyperbolic geometry degenerates and the linearized error model blows up.
@@ -160,10 +168,8 @@ def default_grid(scene: Scene, steps: int = 9, inset: float = DEFAULT_GRID_INSET
     x1, y1 = a.max(axis=0)
     dx, dy = x1 - x0, y1 - y0
     return GridSpec(
-        x_min=x0 + inset * dx,
-        x_max=x1 - inset * dx,
-        y_min=y0 + inset * dy,
-        y_max=y1 - inset * dy,
-        steps_x=steps,
-        steps_y=steps,
+        x_min=x0 + DEFAULT_GRID_INSET * dx,
+        x_max=x1 - DEFAULT_GRID_INSET * dx,
+        y_min=y0 + DEFAULT_GRID_INSET * dy,
+        y_max=y1 - DEFAULT_GRID_INSET * dy,
     )

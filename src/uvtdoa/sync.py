@@ -78,6 +78,9 @@ def generate_pilot(length_l: int, seed: int) -> np.ndarray:
     """
     if length_l < 2:
         raise SyncError(f"pilot length must be >= 2, got {length_l}")
+    longest = (1 << max(_LFSR_TAPS)) - 1
+    if length_l > longest:
+        raise SyncError(f"pilot length must be <= {longest}, got {length_l}")
     order = max(2, int(np.ceil(np.log2(length_l + 1))))
     while (1 << order) - 1 < length_l:
         order += 1
@@ -212,45 +215,35 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
     return out.reshape(counts.shape[:-1] + (width,))
 
 
-def estimate_start(scores) -> int:
-    """Index of the maximum score; ties broken toward the smallest index."""
+def estimate_start(scores):
+    """Index of the maximum score along the last axis, ties toward the smallest.
+
+    A 1-D score vector gives a numpy integer, a batch an integer array.
+    """
     arr = np.asarray(scores)
     if arr.size == 0:
         raise SyncError("scores must be non-empty")
-    if arr.ndim == 1:
-        return int(np.argmax(arr))
     return np.argmax(arr, axis=-1)
 
 
-def slot_search_window(params: SignalParams, slot_index: int, guard_chips: int = 0) -> range:
-    """Candidate start chips for one anchor: its slot minus the pilot length."""
-    slot = params.slot_chips
-    lo = slot_index * slot + guard_chips
-    hi = (slot_index + 1) * slot - params.pilot_chips - guard_chips
-    if hi < lo:
-        raise SyncError(
-            f"guard of {guard_chips} chips leaves no search window in slot {slot_index}"
-        )
-    return range(lo, hi + 1)
+def slot_search_window(params: SignalParams) -> range:
+    """Slot-relative candidate start chips: every start whose pilot ends in the slot."""
+    return range(0, params.slot_chips - params.pilot_chips + 1)
 
 
-def synchronize_frame(
-    counts: np.ndarray, params: SignalParams, guard_chips: int = 0
-) -> tuple[int, int, int]:
+def synchronize_frame(counts: np.ndarray, params: SignalParams) -> tuple[int, int, int]:
     """Slot-relative correlation-peak start chip of each of the three anchors.
 
     The first three slots of the chip counts are scored as the rows of one
-    batch, each over slot 0's search window, which is every slot's window
-    taken relative to its slot start.
+    batch over the slot-relative search window.
     """
     slot = params.slot_chips
     if len(counts) < 3 * slot:
         raise WindowOverrunError(
             f"trace of {len(counts)} chips is shorter than three slots of {slot} chips"
         )
-    window = slot_search_window(params, 0, guard_chips)
     scores = correlate(
         counts[: 3 * slot].reshape(3, slot), params.sequence_array(),
-        params.chips_per_symbol, window,
+        params.chips_per_symbol, slot_search_window(params),
     )
-    return tuple(window.start + int(r) for r in estimate_start(scores))
+    return tuple(int(r) for r in estimate_start(scores))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scene import SPEED_OF_LIGHT, Scene
+from .scene import SPEED_OF_LIGHT, Scene, anchor_distances
 
 # Default slack added to the geometric feasibility bound |r21| < |AB|:
 # two chips of flight at the 10 ns reference chip, since clock error can
@@ -97,16 +97,7 @@ class PositionFix:
 _Anchors = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
 
-def _distances(anchors: _Anchors, x: float, y: float) -> tuple[float, float, float]:
-    (ax, ay), (bx, by), (cx, cy) = anchors
-    return (
-        math.sqrt((ax - x) * (ax - x) + (ay - y) * (ay - y)),
-        math.sqrt((bx - x) * (bx - x) + (by - y) * (by - y)),
-        math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y)),
-    )
-
-
-def _iterate_region(anchors: _Anchors) -> tuple[tuple[float, float], float]:
+def _iterate_region(scene: Scene) -> tuple[tuple[float, float], float]:
     """Generous bound on solver iterates, centered on the anchors.
 
     An infeasible range difference (|r21| beyond the anchor separation) has
@@ -114,12 +105,11 @@ def _iterate_region(anchors: _Anchors) -> tuple[tuple[float, float], float]:
     ray, so undamped iterates would run off to infinity. Any physically
     meaningful fix lies far inside this region.
     """
-    (ax, ay), (bx, by), (cx, cy) = anchors
-    center = ((ax + bx + cx) / 3.0, (ay + by + cy) / 3.0)
+    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
     diagonal = math.hypot(
         max(ax, bx, cx) - min(ax, bx, cx), max(ay, by, cy) - min(ay, by, cy)
     )
-    return center, 100.0 * (diagonal + 1.0)
+    return scene.centroid(), 100.0 * (diagonal + 1.0)
 
 
 def _damped_gauss_newton(
@@ -138,7 +128,7 @@ def _damped_gauss_newton(
     (ax, ay), (bx, by), (cx, cy) = anchors
     (ox, oy), radius = region
     x, y = start
-    d0, d1, d2 = _distances(anchors, x, y)
+    d0, d1, d2 = anchor_distances(anchors, x, y)
     f0, f1 = d1 - d0 - r21, d2 - d1 - r32
     cost = f0 * f0 + f1 * f1
     mu = 0.0
@@ -177,7 +167,7 @@ def _damped_gauss_newton(
                 # harder so the iterate stays bounded
                 mu = max(mu * 10.0, 1e-12)
                 continue
-            e0, e1, e2 = _distances(anchors, x_new, y_new)
+            e0, e1, e2 = anchor_distances(anchors, x_new, y_new)
             h0, h1 = e1 - e0 - r21, e2 - e1 - r32
             cost_new = h0 * h0 + h1 * h1
             if cost_new <= cost:
@@ -267,7 +257,7 @@ def solve_position(
     anchors = (scene.tx_a, scene.tx_b, scene.tx_c)
     x0, y0 = scene.centroid() if init is None else map(float, init)
     r21, r32 = meas.r21_m, meas.r32_m
-    region = _iterate_region(anchors)
+    region = _iterate_region(scene)
     best = None  # (x, y, residual, iterations, step converged, distance to init)
 
     def consider(start):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from uvtdoa import ChannelError, ChipTrace, Scene, SignalParams, SlotOverrunError, los_photon_rate, render_frame
+from uvtdoa import ChannelError, Scene, SignalParams, SlotOverrunError, los_photon_rate, render_frame
 from uvtdoa.channel import PLANCK_CONSTANT, pilot_rate_profile, sample_photons
 from uvtdoa.scene import SPEED_OF_LIGHT
 
@@ -62,7 +62,7 @@ class TestRenderFrame:
         scene = chip_aligned_scene(params)
         trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, 1)
         assert np.all(trace.counts == 0)
-        assert len(trace) == 3 * params.slot_chips
+        assert len(trace.counts) == 3 * params.slot_chips
 
     def test_pilot_sum_matches_poisson_moment(self):
         # All-ones sequence, no background: counts over the pilot sum to a
@@ -241,15 +241,6 @@ class TestSampleChipCounts:
         for lo in range(rows):
             for hi in range(lo + 1, rows + 1):
                 assert np.array_equal(photons.chip_counts(lo, hi), whole[lo:hi])
-
-
-class TestChipTrace:
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ChannelError):
-            ChipTrace(np.array([1, -1]), 1e-8)
-
-    def test_empty_counts_accepted(self):
-        assert len(ChipTrace(np.array([], dtype=np.int64), 1e-8)) == 0
 
 
 class TestSignalParams:

@@ -99,6 +99,39 @@ class TestConfigParsing:
         assert cfg.grid.steps_x == 9
         assert cfg.grid.x_min == pytest.approx(0.2 * 75.6)
 
+    def test_omitted_receiver_is_the_anchor_centroid(self, tmp_path):
+        # The same receiver written out as the repr of the hand-computed
+        # centroid gives the same bits, the same hash and the same run.
+        centroid = ((0.0 + 75.6 + 32.2) / 3.0, (0.0 + 0.0 + 76.6) / 3.0)
+        texts = {
+            "omitted": CONFIG_TEXT.replace("rx_true_m = 36, 25\n", ""),
+            "written": CONFIG_TEXT.replace(
+                "rx_true_m = 36, 25", f"rx_true_m = {centroid[0]!r}, {centroid[1]!r}"),
+        }
+        cfgs = {name: parse_config(text) for name, text in texts.items()}
+        for cfg in cfgs.values():
+            assert [v.hex() for v in cfg.scene.rx_true] == [v.hex() for v in centroid]
+        assert config_hash(cfgs["omitted"]) == config_hash(cfgs["written"])
+        outputs = {}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            outputs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(outputs["omitted"]) == 3
+        assert outputs["omitted"] == outputs["written"]
+
+
+# Extra arguments each command needs besides --config, --out and --seed.
+COMMAND_ARGS = {
+    "theory": [],
+    "simulate": [],
+    "sweep": ["--powers-mw", "150"],
+    "replay": ["--log", "log.csv"],
+    "diffcal": ["--calibration", "log.csv", "--log", "log.csv"],
+}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -365,6 +398,46 @@ class TestCliExitCodes:
         for command in ("theory", "simulate"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
         assert "sequence_length" in capsys.readouterr().err
+
+    def test_pilot_longer_than_the_largest_register_is_exit_2(self, tmp_path, capsys):
+        # The pilot generator's longest register has a period of 65535; a
+        # longer pilot used to end config load in a KeyError traceback.
+        text = CONFIG_TEXT.replace("sequence_length = 64", "sequence_length = 70000")
+        text = text.replace("slot_interval_s = 100e-6", "slot_interval_s = 0.1")
+        with pytest.raises(ConfigError, match="65535"):
+            parse_config(text)
+        path = tmp_path / "long_pilot.cfg"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "65535" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 1])
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_seed_outside_64_bits_is_exit_2(self, config_file, tmp_path, capsys, command, seed):
+        # -1 used to end in a numpy traceback; 2**64 + 1 used to run seed
+        # 1's stream under another recorded seed.
+        args = [command, "--out", str(tmp_path / "o"), *COMMAND_ARGS[command]]
+        path = tmp_path / "bad_seed.cfg"
+        path.write_text(CONFIG_TEXT.replace("seed = 7", f"seed = {seed}"))
+        assert main([*args, "--config", str(path)]) == 2
+        assert "[campaign] seed must be in [0, 2**64)" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--config", str(config_file), "--seed", str(seed)])
+        assert exc.value.code == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_boundary_seeds_run(self, config_file, tmp_path, seed):
+        assert parse_config(CONFIG_TEXT.replace("seed = 7", f"seed = {seed}")).seed == seed
+        sim = tmp_path / "simulate"
+        log = str(sim / "detections.csv")
+        # simulate runs before replay and diffcal, which read its detections
+        for command, extra in COMMAND_ARGS.items():
+            extra = [log if arg.endswith(".csv") else arg for arg in extra]
+            assert main([command, "--config", str(config_file), "--seed", str(seed),
+                         "--out", str(tmp_path / command), *extra]) == 0
+        assert json.loads((sim / "campaign.json").read_text())["seed"] == seed
 
     def test_early_check_uses_nearest_grid_point(self):
         # The grid point (50, 20) is 106.8 ns from anchor B; with 50 ns chips

@@ -82,6 +82,13 @@ class TestDeterminism:
         assert not np.allclose(r1, r2)
         assert not np.allclose(r1, r3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # trial_rng would key Philox with the seed's low 64 bits, so 2**64
+        # would replay seed 0's stream
+        with pytest.raises(CampaignError, match=r"seed must be in \[0, 2\*\*64\)"):
+            small_spec(seed=seed)
+
     def test_workers_do_not_change_results(self):
         spec = small_spec()
         serial = run_campaign(spec, workers=1)
@@ -187,15 +194,14 @@ class TestSyncMseEmpirical:
 
     def test_equals_unblocked_batches_explicit_window(self):
         args = (10.0, 0.5, 64, 20, 1e6, 37, 5)
-        got = sync_mse_empirical(*args, window_half_chips=13, batch=16)
-        assert got == unblocked_sync_mse(*args, window_half_chips=13, batch=16)
+        got = sync_mse_empirical(*args, window_half_chips=13)
+        assert got == unblocked_sync_mse(*args, window_half_chips=13)
 
-    @pytest.mark.parametrize("name", ["trials", "batch"])
+    @pytest.mark.parametrize("name", ["trials"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_count_below_one(self, name, value):
-        kwargs = {"trials": 10, "batch": 256, name: value}
         with pytest.raises(CampaignError, match=f"{name} must be >= 1"):
-            sync_mse_empirical(10.0, 1.0, 64, 100, 1e6, seed=1, **kwargs)
+            sync_mse_empirical(10.0, 1.0, 64, 100, 1e6, seed=1, **{name: value})
 
 
 def session(t_ba_s, t_cb_s, chip_s=10e-9):

@@ -69,6 +69,11 @@ class TestGeneratePilot:
         with pytest.raises(SyncError):
             generate_pilot(1, 0)
 
+    def test_rejects_lengths_past_the_largest_register(self):
+        # the 16-stage register's period, 65535, is the longest pilot
+        with pytest.raises(SyncError, match="<= 65535"):
+            generate_pilot(65536, 0)
+
 
 class TestCorrelate:
     def test_all_zero_counts(self):
@@ -249,19 +254,20 @@ class TestCorrelate:
 
 
 class TestSynchronizeFrame:
-    @pytest.mark.parametrize("guard, extra_chips", [(0, 0), (7, 0), (0, 113), (5, 40)])
-    def test_matches_per_slot_correlation(self, guard, extra_chips):
+    @pytest.mark.parametrize("extra_chips", [0, 113])
+    def test_matches_per_slot_correlation(self, extra_chips):
         params = make_signal(length=16, n=4, slot_s=100e-6)
         slot = params.slot_chips
-        rng = np.random.default_rng(guard + extra_chips)
+        rng = np.random.default_rng(extra_chips)
         counts = rng.poisson(0.5, size=3 * slot + extra_chips)
         for i, t0 in enumerate((31, 120, 250)):
             for j, bit in enumerate(params.sequence):
                 if bit:
                     counts[i * slot + t0 + 4 * j : i * slot + t0 + 4 * (j + 1)] += 9
-        starts = synchronize_frame(counts, params, guard_chips=guard)
+        starts = synchronize_frame(counts, params)
         for i in range(3):
-            window = slot_search_window(params, i, guard)
+            # every start in slot i whose pilot ends inside the slot
+            window = range(i * slot, (i + 1) * slot - params.pilot_chips + 1)
             scores = correlate(counts, params.sequence_array(), params.chips_per_symbol, window)
             assert starts[i] == window.start + estimate_start(scores) - i * slot
 
@@ -336,11 +342,4 @@ class TestArrivalTimes:
 class TestSlotWindow:
     def test_window_bounds(self):
         params = make_signal(length=16, n=4, slot_s=40e-6)
-        w = slot_search_window(params, 1)
-        assert w.start == params.slot_chips
-        assert w.stop - 1 == 2 * params.slot_chips - params.pilot_chips
-
-    def test_guard_too_large(self):
-        params = make_signal(length=16, n=4, slot_s=17e-6)
-        with pytest.raises(SyncError):
-            slot_search_window(params, 0, guard_chips=10_000)
+        assert slot_search_window(params) == range(0, params.slot_chips - params.pilot_chips + 1)
