@@ -233,7 +233,16 @@ CLUSTER_SEPARATION_FACTOR = 3.0
 
 
 def cluster_stats(fix_points: np.ndarray, truth=None) -> dict:
-    """Mean, spread, and a 1-vs-2 cluster call for a cloud of position fixes."""
+    """Mean, spread, and a 1-vs-2 cluster call for a cloud of position fixes.
+
+    An empty cloud has NaN mean and spread and no cluster.
+    """
+    if not len(fix_points):
+        stats = {"n_fixes": 0, "mean_x_m": math.nan, "mean_y_m": math.nan,
+                 "spread_m": math.nan, "n_clusters": 0}
+        if truth is not None:
+            stats["mean_to_truth_m"] = math.nan
+        return stats
     center = fix_points.mean(axis=0)
     spread = float(np.mean(np.linalg.norm(fix_points - center, axis=1)))
     n_clusters = 1
@@ -260,6 +269,10 @@ def cluster_stats(fix_points: np.ndarray, truth=None) -> dict:
     return stats
 
 
+def _mean_or_nan(values) -> float:
+    return float(np.mean(values)) if len(values) else math.nan
+
+
 def _finite_or_none(value: float):
     return float(value) if np.isfinite(value) else None
 
@@ -269,7 +282,7 @@ def _campaign_payload(meta: dict, result) -> dict:
         "schema_version": 1,
         **meta,
         "trials_per_point": result.trials_per_point,
-        "grid_average_rmse_m": result.average_rmse_m(),
+        "grid_average_rmse_m": _finite_or_none(result.average_rmse_m()),
         "theory_average_m": _finite_or_none(result.average_theory_m()),
         "inside_average_rmse_m": _finite_or_none(result.average_rmse_m(inside_only=True)),
         "inside_theory_average_m": _finite_or_none(result.average_theory_m(inside_only=True)),
@@ -278,8 +291,8 @@ def _campaign_payload(meta: dict, result) -> dict:
                 "x_m": p.x,
                 "y_m": p.y,
                 "inside": p.inside,
-                "rmse_m": p.rmse_m,
-                "mean_error_m": p.mean_error_m,
+                "rmse_m": _finite_or_none(p.rmse_m),
+                "mean_error_m": _finite_or_none(p.mean_error_m),
                 "theory_ep_m": _finite_or_none(p.theory_ep_m),
                 "solver_failures": p.solver_failures,
             }
@@ -323,8 +336,7 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
         for ti, fix in enumerate(pres.fixes):
             trial_rows.append(
                 [pi, ti, _fmt(pres.x), _fmt(pres.y), _fmt(fix.position[0]),
-                 _fmt(fix.position[1]), _fmt(float(pres.errors_m[ti])),
-                 _fmt(fix.residual_norm), int(fix.converged), fix.iterations]
+                 _fmt(fix.position[1]), _fmt(float(pres.errors_m[ti])), int(fix.converged)]
             )
             session = f"p{pi:03d}t{ti:05d}"
             for anchor, chip in zip("ABC", pres.start_chips[ti]):
@@ -336,7 +348,7 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
         out / "trials.csv",
         meta,
         ["point_index", "trial", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m",
-         "error_m", "residual_m", "converged", "iterations"],
+         "error_m", "converged"],
         trial_rows,
     )
     _write_csv(out / "detections.csv", meta, _LOG_COLUMNS, detection_rows)
@@ -381,32 +393,31 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
             [sess.session,
              _fmt(sess.truth[0]) if sess.truth else "",
              _fmt(sess.truth[1]) if sess.truth else "",
-             _fmt(fix.position[0]), _fmt(fix.position[1]), err,
-             _fmt(fix.residual_norm), int(fix.converged)]
+             _fmt(fix.position[0]), _fmt(fix.position[1]), err, int(fix.converged)]
         )
         key = sess.truth if sess.truth is not None else ("all",)
         groups.setdefault(key, []).append(idx)
     _write_csv(
         out / "replay_fixes.csv", meta,
-        ["session", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "error_m",
-         "residual_m", "converged"],
+        ["session", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "error_m", "converged"],
         rows,
     )
     cluster_rows = []
     for key, idxs in groups.items():
-        pts = np.array([fixes[i].position for i in idxs])
+        pts = np.array([fixes[i].position for i in idxs if fixes[i].converged]).reshape(-1, 2)
         truth = None if key == ("all",) else key
         stats = cluster_stats(pts, truth)
         cluster_rows.append(
             [_fmt(truth[0]) if truth else "", _fmt(truth[1]) if truth else "",
-             stats["n_fixes"], _fmt(stats["mean_x_m"]), _fmt(stats["mean_y_m"]),
+             stats["n_fixes"], len(idxs) - stats["n_fixes"],
+             _fmt(stats["mean_x_m"]), _fmt(stats["mean_y_m"]),
              _fmt(stats["spread_m"]),
              _fmt(stats.get("mean_to_truth_m", "")) if truth else "",
              stats["n_clusters"]]
         )
     _write_csv(
         out / "replay_clusters.csv", meta,
-        ["truth_x_m", "truth_y_m", "n_fixes", "mean_x_m", "mean_y_m", "spread_m",
+        ["truth_x_m", "truth_y_m", "n_fixes", "outages", "mean_x_m", "mean_y_m", "spread_m",
          "mean_to_truth_m", "n_clusters"],
         cluster_rows,
     )
@@ -447,8 +458,10 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         if sess.truth is not None:
             unc_err_v = math.dist(unc.position, sess.truth)
             cor_err_v = math.dist(cor.position, sess.truth)
-            unc_errs.append(unc_err_v)
-            cor_errs.append(cor_err_v)
+            if unc.converged:
+                unc_errs.append(unc_err_v)
+            if cor.converged:
+                cor_errs.append(cor_err_v)
             unc_err, cor_err = _fmt(unc_err_v), _fmt(cor_err_v)
         rows.append(
             [sess.session,
@@ -463,9 +476,10 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
          "uncorrected_error_m", "corrected_x_m", "corrected_y_m", "corrected_error_m"],
         rows,
     )
-    if unc_errs:
-        print(f"uncorrected_average_error_m = {np.mean(unc_errs):.6f}")
-        print(f"corrected_average_error_m = {np.mean(cor_errs):.6f}")
+    if any(sess.truth is not None for sess in sessions):
+        # averages over the sessions with truth that have a fix
+        print(f"uncorrected_average_error_m = {_mean_or_nan(unc_errs):.6f}")
+        print(f"corrected_average_error_m = {_mean_or_nan(cor_errs):.6f}")
     print(f"sessions = {len(sessions)}")
     for key, value in counts.items():
         print(f"{key} = {value}")

@@ -37,9 +37,16 @@ class CampaignError(ValueError):
 SEED_BOUND = 2**64
 
 
+def check_seed(seed: int) -> None:
+    """Raise CampaignError unless ``seed`` lies in [0, 2**64)."""
+    if not 0 <= seed < SEED_BOUND:
+        raise CampaignError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def trial_rng(seed: int, point_index: int, trial_index: int, tag: int = 0) -> np.random.Generator:
     """Counter-based substream for one (point, trial) cell of a campaign."""
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    check_seed(seed)
+    key = np.uint64(seed)
     counter = np.array([0, tag, trial_index, point_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -60,8 +67,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials_per_point < 1:
             raise CampaignError("trials_per_point must be >= 1")
-        if not 0 <= self.seed < SEED_BOUND:
-            raise CampaignError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         if self.points is not None:
             pts = tuple((float(x), float(y)) for x, y in self.points)
             object.__setattr__(self, "points", pts)
@@ -99,7 +105,12 @@ class CampaignResult:
     point_results: list[PointResult]
 
     def average_rmse_m(self, inside_only: bool = False) -> float:
-        vals = [p.rmse_m for p in self.point_results if p.inside or not inside_only]
+        """Mean RMSE over the points that have a fix."""
+        vals = [
+            p.rmse_m
+            for p in self.point_results
+            if not math.isnan(p.rmse_m) and (p.inside or not inside_only)
+        ]
         return float(np.mean(vals)) if vals else float("nan")
 
     def average_theory_m(self, inside_only: bool = False) -> float:
@@ -154,6 +165,11 @@ def detect(
     return chips
 
 
+def _rms(errors: np.ndarray) -> float:
+    """Root mean square of ``errors``; NaN when there is none."""
+    return float(np.sqrt(np.mean(errors**2))) if errors.size else math.nan
+
+
 def run_point(
     scene: Scene,
     signal: SignalParams,
@@ -166,8 +182,9 @@ def run_point(
     """Monte-Carlo positioning trials for the receiver at scene.rx_true.
 
     Each trial detects the three pilots of one frame (see ``detect``) and
-    solves. Non-converged solves are counted but their best iterate still
-    enters the RMSE.
+    solves. A trial without a fix (outage) counts as a solver failure, and
+    its error is NaN; ``rmse_m`` and ``mean_error_m`` are taken over the
+    fixes, and are NaN when there is none.
     """
     params = params_for_point(scene, signal, budget)
     chips = detect(scene, params, budget, clock, trials, seed, point_index)
@@ -175,12 +192,13 @@ def run_point(
     fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s)[1] for c in chips]
     truth = scene.rx_true
     errors = np.array([math.dist(fix.position, truth) for fix in fixes])
+    fixed = errors[~np.isnan(errors)]
     return PointResult(
         x=truth[0],
         y=truth[1],
         inside=inside_triangle(scene, truth),
-        rmse_m=float(np.sqrt(np.mean(errors**2))),
-        mean_error_m=float(np.mean(errors)),
+        rmse_m=_rms(fixed),
+        mean_error_m=float(np.mean(fixed)) if fixed.size else math.nan,
         theory_ep_m=float("nan"),
         solver_failures=sum(not fix.converged for fix in fixes),
         fixes=fixes,
@@ -287,6 +305,7 @@ def sync_mse_empirical(
     """
     if trials < 1:
         raise CampaignError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     n = int(chips_per_symbol)
     t_chip = 1.0 / (symbol_rate_hz * n)
     half = int(window_half_chips) if window_half_chips is not None else 2 * DEFAULT_M_MAX * n
@@ -391,10 +410,14 @@ def calibration_offsets(scene: Scene, sessions) -> dict[str, list[float]]:
 
 @dataclass
 class DifferentialPointResult:
+    """Per-side RMSE over the fixes (NaN without one) and per-side fix counts."""
+
     x: float
     y: float
     uncorrected_rmse_m: float
     corrected_rmse_m: float
+    uncorrected_fixes: int
+    corrected_fixes: int
 
 
 def differential_campaign(
@@ -407,7 +430,8 @@ def differential_campaign(
     For each receiver point a session of frames shares one clock-offset draw
     (the short-interval regime); the first ``calibration_trials`` frames
     estimate the inter-anchor timing biases against the known truth, and the
-    remaining frames are solved with and without that correction.
+    remaining frames are solved with and without that correction. Each
+    side's RMSE is taken over its fixes, and its fix count is reported.
     """
     if calibration_trials < 1:
         raise CampaignError("calibration_trials must be >= 1")
@@ -431,15 +455,16 @@ def differential_campaign(
         ]
         cal = calibration_offsets(scene, sessions[:calibration_trials])
         res = differential_correction(scene, cal, sessions[calibration_trials:])
-        err = lambda fixes: float(
-            np.sqrt(np.mean([math.dist(f.position, truth) ** 2 for f in fixes]))
-        )
+        unc = np.array([math.dist(f.position, truth) for f in res.uncorrected if f.converged])
+        cor = np.array([math.dist(f.position, truth) for f in res.corrected if f.converged])
         out.append(
             DifferentialPointResult(
                 x=truth[0],
                 y=truth[1],
-                uncorrected_rmse_m=err(res.uncorrected),
-                corrected_rmse_m=err(res.corrected),
+                uncorrected_rmse_m=_rms(unc),
+                corrected_rmse_m=_rms(cor),
+                uncorrected_fixes=len(unc),
+                corrected_fixes=len(cor),
             )
         )
     return out

@@ -85,23 +85,19 @@ class Scene:
         return Scene(self.tx_a, self.tx_b, self.tx_c, p, self.c)
 
 
-def anchor_distances(anchors, x: float, y: float) -> tuple[float, float, float]:
-    """Euclidean distances from (x, y) to anchors ((ax, ay), (bx, by), (cx, cy)).
+def ranges(scene: Scene, p) -> tuple[float, float, float]:
+    """Euclidean distances from ``p`` to anchors A, B, C.
 
     Plain floats, one square root per anchor: the same bits as
     ``np.linalg.norm(scene.anchors - p, axis=1)`` at a fraction of its cost.
     """
-    (ax, ay), (bx, by), (cx, cy) = anchors
+    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
+    x, y = _as_point(p, "p")
     return (
         math.sqrt((ax - x) * (ax - x) + (ay - y) * (ay - y)),
         math.sqrt((bx - x) * (bx - x) + (by - y) * (by - y)),
         math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y)),
     )
-
-
-def ranges(scene: Scene, p) -> tuple[float, float, float]:
-    """Euclidean distances from ``p`` to anchors A, B, C."""
-    return anchor_distances((scene.tx_a, scene.tx_b, scene.tx_c), *_as_point(p, "p"))
 
 
 # Barycentric slack: points this far outside an edge still count as inside,

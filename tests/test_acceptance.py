@@ -264,13 +264,19 @@ def test_criterion_8_differential_correction():
         seed=8002,
     )
     results = differential_campaign(spec, calibration_trials=1, constant_offsets=True)
-    uncorrected = float(np.mean([r.uncorrected_rmse_m for r in results]))
-    corrected = float(np.mean([r.corrected_rmse_m for r in results]))
+    # Both sides are averaged over the points where both have a fix: a point
+    # whose every uncorrected frame is an outage has no uncorrected RMSE.
+    both = [r for r in results if r.uncorrected_fixes and r.corrected_fixes]
+    uncorrected = float(np.mean([r.uncorrected_rmse_m for r in both]))
+    corrected = float(np.mean([r.corrected_rmse_m for r in both]))
+    unc_fixes = sum(r.uncorrected_fixes for r in results)
+    cor_fixes = sum(r.corrected_fixes for r in results)
     elapsed = time.perf_counter() - t0
-    ok = corrected <= 0.5 * uncorrected and elapsed < 600.0
+    ok = (len(both) > 0 and corrected <= 0.5 * uncorrected and cor_fixes >= unc_fixes
+          and elapsed < 600.0)
     report(8, "differential correction direction", ok,
            f"uncorrected {uncorrected:.3f} m vs corrected {corrected:.3f} m "
-           f"over 9 points, {elapsed:.0f} s")
+           f"over {len(both)} of 9 points, fixes {unc_fixes} vs {cor_fixes}, {elapsed:.0f} s")
 
 
 def test_criterion_9_property_suite():

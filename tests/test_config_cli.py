@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -140,6 +141,12 @@ def config_file(tmp_path):
     return path
 
 
+def read_rows(path):
+    """Data rows of an output CSV, keyed by its header."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
 def read_meta(path):
     meta = {}
     for line in path.read_text().splitlines():
@@ -236,6 +243,28 @@ class TestCliSimulate:
         for point, theory in zip(payload["points"], tmap.points):
             assert (point["x_m"], point["y_m"]) == (theory.x, theory.y)
             assert point["theory_ep_m"] == theory.e_p
+
+    def test_no_fix_point_writes_null(self, config_file, tmp_path):
+        # 0-30 us clock offsets put every range difference kilometres past
+        # the anchor separation: every trial is an outage
+        config_file.write_text(CONFIG_TEXT.replace("hi_ns = 100", "hi_ns = 30000"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"campaign.json holds {name}")
+
+        payload = json.loads((out / "campaign.json").read_text(), parse_constant=no_constant)
+        assert payload["grid_average_rmse_m"] is None
+        assert payload["inside_average_rmse_m"] is None
+        for point in payload["points"]:
+            assert point["rmse_m"] is None and point["mean_error_m"] is None
+            assert point["solver_failures"] == 4
+        trials = read_rows(out / "trials.csv")
+        assert list(trials[0]) == ["point_index", "trial", "truth_x_m", "truth_y_m",
+                                   "est_x_m", "est_y_m", "error_m", "converged"]
+        assert {(r["est_x_m"], r["error_m"], r["converged"]) for r in trials} == {
+            ("nan", "nan", "0")}
 
     def test_worker_count_does_not_change_bytes(self, config_file, tmp_path):
         out1 = tmp_path / "w1"
@@ -529,7 +558,7 @@ class TestCliReplay:
         scene = make_scene()
         # same truth, two well-separated measurement clusters
         rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 5)
-        rows += synthetic_log_rows(scene, [(36.0, 25.0)] * 5, offset_chips=(6, 6))
+        rows += synthetic_log_rows(scene, [(36.0, 25.0)] * 5, offset_chips=(1, 1))
         # renumber sessions so they are unique
         fixed = []
         for i, row in enumerate(rows):
@@ -546,6 +575,45 @@ class TestCliReplay:
                  if not l.startswith("#") and not l.startswith("truth_x_m")]
         assert len(lines) == 1
         assert lines[0].split(",")[-1] == "2"
+
+    def test_misdetected_session_is_an_outage(self, config_file, tmp_path):
+        from conftest import make_scene
+        scene = make_scene()
+        truth = (36.0, 25.0)
+        # four clean sessions a chip or so apart, and one whose anchor-B pilot
+        # was found a symbol (20 chips) late: no branch crossing
+        offsets = [(0, 0), (1, 0), (0, 1), (1, 1), (20, -20)]
+        rows = []
+        for k, off in enumerate(offsets):
+            for row in synthetic_log_rows(scene, [truth], offset_chips=off):
+                parts = row.split(",")
+                parts[0], parts[1] = f"{k}.0", f"s{k:04d}"
+                rows.append(",".join(parts))
+        logs = {"all": rows, "clean": rows[:-3]}
+        for name, log_rows in logs.items():
+            write_log(tmp_path / f"{name}.csv", log_rows)
+            assert main(["replay", "--config", str(config_file), "--log",
+                         str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+        fixes = read_rows(tmp_path / "all" / "replay_fixes.csv")
+        assert [r["converged"] for r in fixes] == ["1", "1", "1", "1", "0"]
+        assert fixes[-1]["est_x_m"] == fixes[-1]["est_y_m"] == fixes[-1]["error_m"] == "nan"
+        (cluster,) = read_rows(tmp_path / "all" / "replay_clusters.csv")
+        (clean,) = read_rows(tmp_path / "clean" / "replay_clusters.csv")
+        assert (cluster["n_fixes"], cluster["outages"]) == ("4", "1")
+        assert (clean["n_fixes"], clean["outages"]) == ("4", "0")
+        # the outage leaves the statistics of the fixes as they are
+        for key in ("mean_x_m", "mean_y_m", "spread_m", "mean_to_truth_m", "n_clusters"):
+            assert cluster[key] == clean[key]
+
+    def test_all_outage_group(self, config_file, tmp_path):
+        from conftest import make_scene
+        log = tmp_path / "log.csv"
+        write_log(log, synthetic_log_rows(make_scene(), [(36.0, 25.0)], offset_chips=(20, -20)))
+        assert main(["replay", "--config", str(config_file), "--log", str(log),
+                     "--out", str(tmp_path / "o")]) == 0
+        (cluster,) = read_rows(tmp_path / "o" / "replay_clusters.csv")
+        assert (cluster["n_fixes"], cluster["outages"], cluster["n_clusters"]) == ("0", "1", "0")
+        assert cluster["mean_x_m"] == cluster["spread_m"] == "nan"
 
     def test_nonmonotone_timestamp_skipped(self, tmp_path):
         rows = [
@@ -681,9 +749,9 @@ class TestCliDiffcal:
         from conftest import make_scene
         scene = make_scene()
         truth = (36.0, 25.0)
-        # measurement sessions share a constant 4-chip A-B bias and 2-chip B-C bias
-        meas_rows = synthetic_log_rows(scene, [truth] * 6, offset_chips=(4, 2))
-        cal_rows = synthetic_log_rows(scene, [truth], offset_chips=(4, 2))
+        # measurement sessions share a constant 2-chip A-B bias and 1-chip B-C bias
+        meas_rows = synthetic_log_rows(scene, [truth] * 6, offset_chips=(2, 1))
+        cal_rows = synthetic_log_rows(scene, [truth], offset_chips=(2, 1))
         cal_rows = [r.replace("s0000", "cal0") for r in cal_rows]
         meas = tmp_path / "meas.csv"
         cal = tmp_path / "cal.csv"
@@ -700,12 +768,32 @@ class TestCliDiffcal:
             assert float(parts[8]) < 1e-6  # corrected error
             assert float(parts[5]) > 1.0  # uncorrected error
 
+    def test_averages_over_fixes(self, config_file, tmp_path, capsys):
+        from conftest import make_scene
+        scene = make_scene()
+        truth = (36.0, 25.0)
+        # a 4-chip A-B and 2-chip B-C bias: each range difference is within
+        # the anchor separation, but the branches do not cross, so no
+        # uncorrected session has a fix
+        meas_rows = synthetic_log_rows(scene, [truth] * 3, offset_chips=(4, 2))
+        cal_rows = [r.replace("s0000", "cal0")
+                    for r in synthetic_log_rows(scene, [truth], offset_chips=(4, 2))]
+        write_log(tmp_path / "meas.csv", meas_rows)
+        write_log(tmp_path / "cal.csv", cal_rows)
+        assert main(["diffcal", "--config", str(config_file), "--calibration",
+                     str(tmp_path / "cal.csv"), "--log", str(tmp_path / "meas.csv"),
+                     "--out", str(tmp_path / "dc")]) == 0
+        out = capsys.readouterr().out
+        assert "uncorrected_average_error_m = nan" in out
+        corrected = float(out.split("corrected_average_error_m = ")[-1].split()[0])
+        assert corrected < 1e-6
+
     def test_calibration_without_truth_warns_and_leaves_output_unchanged(
         self, config_file, tmp_path, capsys
     ):
         from conftest import make_scene
         scene = make_scene()
-        meas_rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 3, offset_chips=(4, 2))
+        meas_rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 3, offset_chips=(2, 1))
         cal_rows = [r.rsplit(",", 2)[0] + ",," for r in synthetic_log_rows(scene, [(30.0, 30.0)])]
         meas = tmp_path / "meas.csv"
         cal = tmp_path / "cal.csv"
@@ -725,9 +813,9 @@ class TestCliDiffcal:
     def test_non_finite_lines_skipped_in_both_logs(self, config_file, tmp_path, capsys):
         from conftest import make_scene
         scene = make_scene()
-        meas_rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 3, offset_chips=(4, 2))
+        meas_rows = synthetic_log_rows(scene, [(36.0, 25.0)] * 3, offset_chips=(2, 1))
         meas_rows[4] = meas_rows[4].replace(",50.0,", ",nan,")
-        cal_rows = synthetic_log_rows(scene, [(36.0, 25.0)], offset_chips=(4, 2))
+        cal_rows = synthetic_log_rows(scene, [(36.0, 25.0)], offset_chips=(2, 1))
         cal_rows[0] = cal_rows[0].rsplit(",", 2)[0] + ",inf,25.0"
         meas = tmp_path / "meas.csv"
         cal = tmp_path / "cal.csv"

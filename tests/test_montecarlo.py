@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,26 @@ class TestDeterminism:
         with pytest.raises(CampaignError, match=r"seed must be in \[0, 2\*\*64\)"):
             small_spec(seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_library_seed_outside_64_bits_rejected(self, seed):
+        # a masked seed would alias -1 to 2**64 - 1
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        signal = make_signal(length=64, n=20, slot_s=100e-6)
+        message = r"seed must be in \[0, 2\*\*64\)"
+        with pytest.raises(CampaignError, match=message):
+            run_point(scene, signal, make_budget(), ClockModel.ideal(), trials=1, seed=seed)
+        with pytest.raises(CampaignError, match=message):
+            trial_rng(seed, 0, 0)
+        with pytest.raises(CampaignError, match=message):
+            sync_mse_empirical(10.0, 1.0, 64, 20, 1e6, trials=1, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        signal = make_signal(length=64, n=20, slot_s=100e-6)
+        res = run_point(scene, signal, make_budget(), ClockModel.ideal(), trials=1, seed=2**64 - 1)
+        assert len(res.fixes) == 1
+        assert sync_mse_empirical(10.0, 1.0, 64, 20, 1e6, trials=1, seed=2**64 - 1) >= 0.0
+
     def test_workers_do_not_change_results(self):
         spec = small_spec()
         serial = run_campaign(spec, workers=1)
@@ -108,6 +130,30 @@ class TestRunPoint:
         t_chip = signal.chip_s
         assert res.rmse_m <= SPEED_OF_LIGHT * t_chip
         assert res.solver_failures == 0
+
+    def test_all_outage_point_has_nan_rmse(self):
+        # 0-30 us clock offsets put every range difference kilometres past
+        # the anchor separation, so no trial has a branch crossing
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        signal = make_signal(length=64, n=20, slot_s=100e-6)
+        clock = ClockModel.uniform(0, 30e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_point(scene, signal, make_budget(power_w=0.15), clock, trials=4, seed=3)
+        assert res.solver_failures == 4
+        assert not any(fix.converged for fix in res.fixes)
+        assert np.isnan(res.errors_m).all()
+        assert np.isnan(res.rmse_m) and np.isnan(res.mean_error_m)
+
+    def test_rmse_over_fixes_only(self):
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        signal = make_signal(length=64, n=20, slot_s=100e-6)
+        res = run_point(scene, signal, make_budget(power_w=0.15), ClockModel.uniform(0, 300e-9),
+                        trials=30, seed=4)
+        fixed = res.errors_m[[fix.converged for fix in res.fixes]]
+        assert 0 < res.solver_failures == len(res.fixes) - len(fixed)
+        assert res.rmse_m == float(np.sqrt(np.mean(fixed**2)))
+        assert res.mean_error_m == float(np.mean(fixed))
 
     def test_ideal_clock_rmse_near_theory(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
@@ -283,6 +329,17 @@ class TestDifferentialCampaign:
         avg_unc = np.mean([r.uncorrected_rmse_m for r in results])
         avg_cor = np.mean([r.corrected_rmse_m for r in results])
         assert avg_cor > 0.5 * avg_unc
+
+    def test_fix_counts_per_side(self):
+        # 0-1 us offsets leave some frames of each side without a crossing
+        spec = small_spec(trials=9, seed=5, clock=ClockModel.uniform(0, 1e-6))
+        results = differential_campaign(spec, calibration_trials=1, constant_offsets=False)
+        counts = [(r.uncorrected_fixes, r.corrected_fixes) for r in results]
+        assert all(0 <= n <= 8 for pair in counts for n in pair)
+        assert any(n < 8 for pair in counts for n in pair)
+        for r in results:
+            assert np.isnan(r.uncorrected_rmse_m) == (r.uncorrected_fixes == 0)
+            assert np.isnan(r.corrected_rmse_m) == (r.corrected_fixes == 0)
 
     def test_requires_enough_trials(self):
         with pytest.raises(CampaignError):

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from uvtdoa import (
     solve_position,
 )
 from uvtdoa.scene import SPEED_OF_LIGHT, Scene
-from uvtdoa.tdoa import PositionFix
+from uvtdoa.tdoa import NO_FIX, PositionFix
 
 from conftest import ALL_GEOMETRIES, GEOMETRY_I, GEOMETRY_II, make_scene
 
@@ -118,22 +119,25 @@ class TestSolvePosition:
             expected = rot @ np.asarray(fix.position) + shift
             assert np.linalg.norm(np.asarray(fix_moved.position) - expected) <= 1e-9
 
-    def test_residual_never_above_init_residual(self):
+    def test_noisy_measurement_gives_crossing_or_outage(self):
         rng = np.random.default_rng(31)
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        fixes = outages = 0
         for _ in range(50):
             # noisy, possibly infeasible measurements
             t_ba = rng.normal(0, 2e-7)
             t_cb = rng.normal(0, 2e-7)
             m = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene)
-            init = np.asarray(scene.centroid())
-            fix = solve_position(scene, m, init=init)
-            a = scene.anchors
-            d = np.linalg.norm(a - init, axis=1)
-            init_res = np.linalg.norm(
-                [d[1] - d[0] - m.r21_m, d[2] - d[1] - m.r32_m]
-            )
-            assert fix.residual_norm <= init_res + 1e-12
+            fix = solve_position(scene, m)
+            if fix.converged:
+                fixes += 1
+                # a fix lies on both branches
+                assert np.linalg.norm(_residual(scene, m, np.asarray(fix.position))) <= 1e-6
+            else:
+                outages += 1
+                assert fix.position == NO_FIX
+            assert fix.iterations == 0
+        assert fixes > 0 and outages > 0
 
     def test_nonconverged_flag_on_infeasible(self):
         scene = make_scene(GEOMETRY_II)
@@ -141,22 +145,19 @@ class TestSolvePosition:
         m = measurement_from_times(ab * 2 / scene.c, 0.0, c=scene.c, scene=scene)
         fix = solve_position(scene, m)
         assert m.clamped
-        # clamped bound still lies outside the feasible set, so the residual
-        # cannot vanish; the solver must say so rather than pretend
+        # the clamped bound still lies outside the feasible set, so the
+        # branches do not cross: an outage, not a pretend fix
         assert not fix.converged
-        assert fix.residual_norm > 1e-3
+        assert all(math.isnan(v) for v in fix.position)
 
-    def test_infeasible_iterates_stay_bounded(self):
+    def test_far_infeasible_measurement_is_outage(self):
         # the residual of an infeasible measurement keeps shrinking along an
-        # asymptote ray; the solver must return a bounded best iterate, not
-        # wander off toward infinity
+        # asymptote ray, so no point would be a fix; the solver says outage
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
         m = measurement_from_times((ab + 5000.0) / scene.c, -1e-6, c=scene.c, scene=scene)
         fix = solve_position(scene, m)
-        dist = np.linalg.norm(np.asarray(fix.position) - np.asarray(scene.centroid()))
-        assert dist < 2e4
-        assert not fix.converged
+        assert fix == PositionFix(NO_FIX, False)
 
 
 class TestDefaultInit:
@@ -196,10 +197,11 @@ class TestFeasibilityBound:
             assert (m.r21_m, m.r32_m, m.t_cb_s) == (0.0, sign * 10.5, sign * 10.5)
 
 
-# --- Oracle: the numpy solver that the plain-float solver replaced, verbatim
-# except that ``solve_position`` is renamed ``oracle_solve_position``. The
-# new arithmetic rounds differently from BLAS/LAPACK, so results are compared
-# with tolerances, not bit for bit.
+# --- Oracle: the iterative numpy solver (branch-crossing starts, damped
+# Gauss-Newton, 5x5 multistart) that the closed form replaced, verbatim
+# except that ``solve_position`` is renamed ``oracle_solve_position`` and
+# returns an ``OracleFix``. Its polish rounds differently from the bare
+# crossing, so positions are compared with a tolerance, not bit for bit.
 
 def _residual(scene: Scene, meas: TdoaMeasurement, p: np.ndarray) -> np.ndarray:
     a = scene.anchors
@@ -306,6 +308,13 @@ def _branch_intersections(scene: Scene, meas: TdoaMeasurement) -> list[np.ndarra
     return out
 
 
+class OracleFix(NamedTuple):
+    position: tuple[float, float]
+    residual_norm: float
+    iterations: int
+    converged: bool
+
+
 def oracle_solve_position(
     scene: Scene,
     meas: TdoaMeasurement,
@@ -340,7 +349,7 @@ def oracle_solve_position(
                 consider(np.array([x, y]))
     best_p, best_res, best_it, best_step = best
     converged = bool(best_step and best_res < residual_tol)
-    return PositionFix(
+    return OracleFix(
         (float(best_p[0]), float(best_p[1])), best_res, best_it, converged
     )
 
@@ -350,14 +359,13 @@ ORACLE_SYMBOL_S = 100 * ORACLE_CHIP_S  # paper signal: 100 chips per symbol
 
 
 def oracle_cases():
-    """Seeded (scene, measurement, init, inside) rows for the oracle test.
+    """Seeded (scene, measurement, inside) rows for the oracle test.
 
     Per geometry: a 4x4 grid over the anchor box widened by 30 % on each
     side (points inside and outside the triangle), each with its exact and
     its chip-quantised time differences; on two of those points, one inside
     and one outside, every +-1 and +-2 symbol misdetection on each anchor
-    (all clamped at this symbol length). Every other row passes an ``init``
-    near the truth.
+    (all clamped at this symbol length).
     """
     rng = np.random.default_rng(515)
     rows = []
@@ -385,8 +393,7 @@ def oracle_cases():
                 meas = measurement_from_times(
                     *t, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * ORACLE_CHIP_S
                 )
-                init = (p[0] + 3.0, p[1] - 2.0) if len(rows) % 2 else None
-                rows.append((scene, meas, init, p in inside))
+                rows.append((scene, meas, p in inside))
     return rows
 
 
@@ -395,41 +402,39 @@ class TestOracle:
         rows = oracle_cases()
         assert sum(inside for *_, inside in rows) >= 3 * 2
         assert sum(not inside for *_, inside in rows) >= 3 * 10
-        assert sum(m.clamped for _, m, _, _ in rows) >= 60
-        assert sum(init is None for _, _, init, _ in rows) == len(rows) // 2
+        assert sum(m.clamped for _, m, _ in rows) >= 60
+        assert sum(len(_branch_intersections(scene, m)) == 2 for scene, m, _ in rows) >= 10
 
     def test_matches_numpy_solver(self):
+        # The oracle polishes a branch crossing with Gauss-Newton, so each of
+        # its converged fixes is the crossing the closed form returns, the
+        # same one of two; where it does not converge the branches miss.
         converged = nonconverged = 0
-        for scene, meas, init, _ in oracle_cases():
-            new = solve_position(scene, meas, init=init)
-            old = oracle_solve_position(scene, meas, init=init)
+        for scene, meas, _ in oracle_cases():
+            new = solve_position(scene, meas)
+            old = oracle_solve_position(scene, meas)
             assert isinstance(new.iterations, int) and isinstance(new.converged, bool)
-            assert new.converged == old.converged, (meas, init, new, old)
+            assert new.converged == old.converged, (meas, new, old)
             if old.converged:
                 converged += 1
-                assert math.dist(new.position, old.position) <= 1e-9, (meas, init, new, old)
-                assert new.iterations == old.iterations, (meas, init, new, old)
+                assert math.dist(new.position, old.position) <= 1e-9, (meas, new, old)
             else:
                 nonconverged += 1
-                assert abs(new.residual_norm - old.residual_norm) <= 1e-9, (meas, init, new, old)
+                assert new.position == NO_FIX, (meas, new, old)
         assert converged > 0 and nonconverged > 0
 
 
 class TestGuards:
-    def test_start_on_an_anchor(self):
-        # an infeasible measurement has no branch crossing, so the init point
-        # is the only start before the multistart: the Jacobian there divides
-        # by a zero anchor distance unless the 1e-12 floor applies
-        scene = make_scene(GEOMETRY_II)
-        m = measurement_from_times(1e-6, -1e-6, c=scene.c, scene=scene)
-        assert m.clamped
-        for anchor in (scene.tx_a, scene.tx_b, scene.tx_c):
-            fix = solve_position(scene, m, init=anchor, max_iter=3)
-            old = oracle_solve_position(scene, m, init=anchor, max_iter=3)
-            assert all(math.isfinite(v) for v in fix.position)
-            assert math.isfinite(fix.residual_norm)
-            assert fix.converged == old.converged
-            assert abs(fix.residual_norm - old.residual_norm) <= 1e-9
+    def test_receiver_on_an_anchor(self):
+        # a receiver on an anchor makes the branches touch: the discriminant
+        # rounds to either sign and one implied distance to about -1e-14,
+        # and the tangency must still count as a fix
+        for name, geometry in ALL_GEOMETRIES.items():
+            scene = make_scene(geometry)
+            for anchor in (scene.tx_a, scene.tx_b, scene.tx_c):
+                fix = solve_position(scene, exact_measurement(scene, anchor))
+                assert fix.converged, (name, anchor)
+                assert math.dist(fix.position, anchor) <= 1e-9, (name, anchor)
 
     def test_nan_range_difference_returns_unconverged_fix(self):
         scene = make_scene(GEOMETRY_II)
@@ -437,19 +442,14 @@ class TestGuards:
         fix = solve_position(scene, m)
         old = oracle_solve_position(scene, m)
         assert not fix.converged and not old.converged
-        assert math.isnan(fix.residual_norm)
-        assert fix.position == old.position == scene.centroid()
-        assert fix.iterations == old.iterations == 1
+        assert fix.position == NO_FIX
 
-    def test_init_far_outside_iterate_region(self):
+    def test_feasible_fix_and_clamped_outage(self):
         scene = make_scene(GEOMETRY_II)
-        far = (1e7, -1e7)
-        for t in ((5e-8, 3e-8), (1e-6, -1e-6)):  # feasible, then clamped
-            m = measurement_from_times(*t, c=scene.c, scene=scene)
-            fix = solve_position(scene, m, init=far)
-            old = oracle_solve_position(scene, m, init=far)
-            assert fix.converged == old.converged
-            assert abs(fix.residual_norm - old.residual_norm) <= 1e-9
-            # a start outside the region cannot take a step, so the fix
-            # comes from a branch crossing or the multistart box
-            assert math.dist(fix.position, scene.centroid()) < 2e4
+        feasible = measurement_from_times(5e-8, 3e-8, c=scene.c, scene=scene)
+        clamped = measurement_from_times(1e-6, -1e-6, c=scene.c, scene=scene)
+        assert not feasible.clamped and clamped.clamped
+        fix = solve_position(scene, feasible)
+        assert fix.converged
+        assert np.linalg.norm(_residual(scene, feasible, np.asarray(fix.position))) <= 1e-9
+        assert solve_position(scene, clamped) == PositionFix(NO_FIX, False)
