@@ -23,9 +23,9 @@ from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
 from .errortheory import TheoryError, theory_grid
 from .montecarlo import (
-    SEED_BOUND,
     CampaignError,
     calibration_offsets,
+    check_seed,
     differential_correction,
     power_sweep,
     run_campaign,
@@ -122,7 +122,7 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReplayError(f"cannot read log {path}: {exc}") from exc
     for line in lines:
         line = line.strip()
@@ -381,7 +381,7 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
     if not sessions:
         print("error: no complete A/B/C sessions in log", file=sys.stderr)
         return EXIT_IO
-    fixes = [measure_and_solve(cfg.scene, s.t_ba_s, s.t_cb_s, s.chip_s)[1] for s in sessions]
+    fixes = [measure_and_solve(cfg.scene, s.t_ba_s, s.t_cb_s, s.chip_s) for s in sessions]
     meta = _meta(cfg, "replay") | {"skipped_lines": skipped, "incomplete_sessions": dropped}
     rows = []
     groups: dict[tuple, list[int]] = {}
@@ -488,8 +488,10 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
 
 def _seed(text: str) -> int:
     seed = int(text)
-    if not 0 <= seed < SEED_BOUND:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    try:
+        check_seed(seed)
+    except CampaignError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return seed
 
 

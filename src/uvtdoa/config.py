@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
-from .montecarlo import SEED_BOUND, CampaignSpec
+from .montecarlo import CampaignError, CampaignSpec, check_seed
 from .scene import GridSpec, Scene, SceneError, default_grid, ranges
 from .sync import SyncError, generate_pilot
 
@@ -243,8 +243,10 @@ def parse_config(text: str) -> Config:
         if trials < 1:
             raise ConfigError(f"[campaign] trials_per_point must be >= 1, got {trials}")
         seed = int(get("campaign", "seed"))
-        if not 0 <= seed < SEED_BOUND:
-            raise ConfigError(f"[campaign] seed must be in [0, 2**64), got {seed}")
+        try:
+            check_seed(seed)
+        except CampaignError as exc:
+            raise ConfigError(f"[campaign] {exc}") from exc
         return Config(
             scene=scene,
             grid=grid,
@@ -263,7 +265,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

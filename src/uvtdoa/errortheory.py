@@ -341,11 +341,8 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Per-anchor timing variances and the resulting positioning MSE."""
+    """Positioning MSE matrix, its scalar error and the geometry's conditioning."""
 
-    sigma2_a: float
-    sigma2_b: float
-    sigma2_c: float
     mse_matrix: tuple[tuple[float, float], tuple[float, float]]
     e_p: float
     condition_number: float
@@ -409,9 +406,6 @@ def positioning_mse(
     mse = 0.5 * (mse + mse.T)  # symmetrize away last-bit asymmetry
     e_p = float(np.sqrt(max(np.trace(mse), 0.0)))
     return ErrorBudget(
-        sigma2_a=float(sigma2_a),
-        sigma2_b=float(sigma2_b),
-        sigma2_c=float(sigma2_c),
         mse_matrix=((float(mse[0, 0]), float(mse[0, 1])), (float(mse[1, 0]), float(mse[1, 1]))),
         e_p=e_p,
         condition_number=cond,

@@ -189,7 +189,7 @@ def run_point(
     params = params_for_point(scene, signal, budget)
     chips = detect(scene, params, budget, clock, trials, seed, point_index)
     chip_s = params.chip_s
-    fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s)[1] for c in chips]
+    fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s) for c in chips]
     truth = scene.rx_true
     errors = np.array([math.dist(fix.position, truth) for fix in fixes])
     fixed = errors[~np.isnan(errors)]
@@ -355,10 +355,11 @@ def differential_correction(
 
     ``estimates_per_anchor_pair`` maps pair labels "ba" and "cb" to lists of
     timing-bias estimates in seconds; one estimate per pair is selected
-    (randomly when an rng is given, else the first) and subtracted from the
-    times of every session's measurement. Pairs without calibration are
-    skipped with a warning and left uncorrected. Each session is measured and
-    solved on its own chip duration, before and after the correction.
+    (randomly when an rng is given, else the first) and subtracted from every
+    session's raw time differences. Pairs without calibration are skipped
+    with a warning and left uncorrected. Each session is measured (clamped)
+    and solved on its own chip duration, before and after the correction, so
+    a bias past the clamp's two-chip slack is still removed.
     """
     selected: dict[str, float | None] = {}
     skipped = []
@@ -377,12 +378,12 @@ def differential_correction(
             selected[pair] = float(cal[0])
     corrected = []
     uncorrected = []
+    bias_ba, bias_cb = selected["ba"] or 0.0, selected["cb"] or 0.0
     for sess in sessions:
-        meas, fix = measure_and_solve(scene, sess.t_ba_s, sess.t_cb_s, sess.chip_s)
-        uncorrected.append(fix)
-        t_ba = meas.t_ba_s - (selected["ba"] or 0.0)
-        t_cb = meas.t_cb_s - (selected["cb"] or 0.0)
-        corrected.append(measure_and_solve(scene, t_ba, t_cb, sess.chip_s)[1])
+        uncorrected.append(measure_and_solve(scene, sess.t_ba_s, sess.t_cb_s, sess.chip_s))
+        corrected.append(
+            measure_and_solve(scene, sess.t_ba_s - bias_ba, sess.t_cb_s - bias_cb, sess.chip_s)
+        )
     return CorrectionResult(
         corrected=corrected,
         uncorrected=uncorrected,
@@ -420,30 +421,24 @@ class DifferentialPointResult:
     corrected_fixes: int
 
 
-def differential_campaign(
-    spec: CampaignSpec,
-    calibration_trials: int = 1,
-    constant_offsets: bool = True,
-) -> list[DifferentialPointResult]:
+def differential_campaign(spec: CampaignSpec) -> list[DifferentialPointResult]:
     """Per-point differential-correction experiment.
 
-    For each receiver point a session of frames shares one clock-offset draw
-    (the short-interval regime); the first ``calibration_trials`` frames
-    estimate the inter-anchor timing biases against the known truth, and the
-    remaining frames are solved with and without that correction. Each
-    side's RMSE is taken over its fixes, and its fix count is reported.
+    For each receiver point all frames of a session share one clock-offset
+    draw (the short-interval regime). The first frame is the calibration
+    frame: it estimates the inter-anchor timing biases against the known
+    truth, and the remaining ``trials_per_point - 1`` frames are solved with
+    and without that correction. Each side's RMSE is taken over its fixes,
+    and its fix count is reported.
     """
-    if calibration_trials < 1:
-        raise CampaignError("calibration_trials must be >= 1")
-    if spec.trials_per_point <= calibration_trials:
-        raise CampaignError("trials_per_point must exceed calibration_trials")
+    if spec.trials_per_point < 2:
+        # one calibration frame and at least one frame to correct
+        raise CampaignError("trials_per_point must be >= 2")
     out = []
     for index, point in enumerate(spec.receiver_points()):
         scene = spec.scene.with_receiver(point)
         params = params_for_point(scene, spec.signal, spec.budget)
-        session_offsets = None
-        if constant_offsets:
-            session_offsets = spec.clock.sample(trial_rng(spec.seed, index, 0, tag=1), 3)
+        session_offsets = spec.clock.sample(trial_rng(spec.seed, index, 0, tag=1), 3)
         chips = detect(
             scene, params, spec.budget, spec.clock, spec.trials_per_point, spec.seed,
             index, session_offsets,
@@ -453,8 +448,7 @@ def differential_campaign(
             SessionTdoa(f"t{t}", *time_differences(c, params.chip_s), params.chip_s, truth)
             for t, c in enumerate(chips)
         ]
-        cal = calibration_offsets(scene, sessions[:calibration_trials])
-        res = differential_correction(scene, cal, sessions[calibration_trials:])
+        res = differential_correction(scene, calibration_offsets(scene, sessions[:1]), sessions[1:])
         unc = np.array([math.dist(f.position, truth) for f in res.uncorrected if f.converged])
         cor = np.array([math.dist(f.position, truth) for f in res.corrected if f.converged])
         out.append(

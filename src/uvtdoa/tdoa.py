@@ -10,23 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scene import SPEED_OF_LIGHT, Scene
-
-# Default slack added to the geometric feasibility bound |r21| < |AB|:
-# two chips of flight at the 10 ns reference chip, since clock error can
-# legitimately push a measurement past the bound.
-DEFAULT_FEASIBILITY_TOL_M = 2.0 * SPEED_OF_LIGHT * 10e-9
+from .scene import Scene
 
 
 @dataclass(frozen=True)
 class TdoaMeasurement:
-    """Flying-time and range differences between anchor pairs B-A and C-B."""
+    """Range differences between anchor pairs B-A and C-B, and whether either
+    was clamped into the feasible interval."""
 
-    t_ba_s: float
-    t_cb_s: float
     r21_m: float
     r32_m: float
-    clamped: bool = False
+    clamped: bool
 
 
 @dataclass
@@ -55,32 +49,29 @@ def time_differences(start_chips, chip_s: float) -> tuple[float, float]:
 
 
 def measurement_from_times(
-    t_ba_s: float,
-    t_cb_s: float,
-    c: float = SPEED_OF_LIGHT,
-    scene: Scene | None = None,
-    feasibility_tol_m: float = DEFAULT_FEASIBILITY_TOL_M,
+    scene: Scene, t_ba_s: float, t_cb_s: float, chip_s: float
 ) -> TdoaMeasurement:
-    """Convert arrival-time differences into range differences.
+    """Range differences from time differences taken on ``chip_s`` chips.
 
-    When a scene is given, each range difference is clamped into the feasible
-    hyperbola interval (anchor separation plus tolerance) and the measurement
-    is flagged; without a scene no feasibility check is possible.
+    Each range difference is clamped at the anchor separation plus two chips
+    of flight, since clock error and chip quantisation can legitimately push
+    a measurement past the geometric bound; a clamp flags the measurement.
     """
+    c = scene.c
+    tol = 2.0 * c * chip_s
     r21 = c * float(t_ba_s)
     r32 = c * float(t_cb_s)
     clamped = False
-    if scene is not None:
-        (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
-        bound_ba = math.hypot(bx - ax, by - ay) + feasibility_tol_m
-        bound_cb = math.hypot(cx - bx, cy - by) + feasibility_tol_m
-        if abs(r21) > bound_ba:
-            r21 = math.copysign(bound_ba, r21)
-            clamped = True
-        if abs(r32) > bound_cb:
-            r32 = math.copysign(bound_cb, r32)
-            clamped = True
-    return TdoaMeasurement(r21 / c, r32 / c, r21, r32, clamped)
+    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
+    bound_ba = math.hypot(bx - ax, by - ay) + tol
+    bound_cb = math.hypot(cx - bx, cy - by) + tol
+    if abs(r21) > bound_ba:
+        r21 = math.copysign(bound_ba, r21)
+        clamped = True
+    if abs(r32) > bound_cb:
+        r32 = math.copysign(bound_cb, r32)
+        clamped = True
+    return TdoaMeasurement(r21, r32, clamped)
 
 
 # Position of a no-fix (outage) result: the two branches do not cross.
@@ -171,16 +162,7 @@ def solve_position(scene: Scene, meas: TdoaMeasurement) -> PositionFix:
     return PositionFix(min(crossings, key=lambda p: math.hypot(p[0] - x0, p[1] - y0)), True)
 
 
-def measure_and_solve(
-    scene: Scene, t_ba_s: float, t_cb_s: float, chip_s: float
-) -> tuple[TdoaMeasurement, PositionFix]:
-    """Measurement and position fix from time differences taken on ``chip_s`` chips.
-
-    Range differences are clamped at the anchor separation plus two chips of
-    flight, since clock error and chip quantisation can legitimately push a
-    measurement past the geometric bound.
-    """
-    meas = measurement_from_times(
-        t_ba_s, t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * chip_s
-    )
-    return meas, solve_position(scene, meas)
+def measure_and_solve(scene: Scene, t_ba_s: float, t_cb_s: float, chip_s: float) -> PositionFix:
+    """Position fix from time differences taken on ``chip_s`` chips: the one
+    measurement (``measurement_from_times``) and solve every command uses."""
+    return solve_position(scene, measurement_from_times(scene, t_ba_s, t_cb_s, chip_s))

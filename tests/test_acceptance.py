@@ -56,13 +56,14 @@ def random_inside_points(scene, count, rng):
 def test_criterion_1_zero_noise_solver_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240901)
+    chip_s = make_signal().chip_s  # the paper's 10 ns chip
     worst = 0.0
     for name, geometry in ALL_GEOMETRIES.items():
         scene = make_scene(geometry, rx=tuple(make_scene(geometry).centroid()))
         for p in random_inside_points(scene, 1000, rng):
             r1, r2, r3 = ranges(scene, p)
-            meas = measurement_from_times((r2 - r1) / scene.c, (r3 - r2) / scene.c,
-                                          c=scene.c)
+            meas = measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c,
+                                          chip_s)
             fix = solve_position(scene, meas)
             err = float(np.linalg.norm(np.asarray(fix.position) - p))
             worst = max(worst, err)
@@ -263,7 +264,7 @@ def test_criterion_8_differential_correction():
         trials_per_point=11,  # one calibration frame plus ten estimates
         seed=8002,
     )
-    results = differential_campaign(spec, calibration_trials=1, constant_offsets=True)
+    results = differential_campaign(spec)
     # Both sides are averaged over the points where both have a fix: a point
     # whose every uncorrected frame is an outage has no uncorrected RMSE.
     both = [r for r in results if r.uncorrected_fixes and r.corrected_fixes]

@@ -476,6 +476,28 @@ class TestCliExitCodes:
         with pytest.raises(ConfigError, match="lo_ns"):
             parse_config(CONFIG_TEXT.replace("lo_ns = 0", "lo_ns = -135"))
 
+    def test_non_utf8_config_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(CONFIG_TEXT.encode() + b"# \xff\n")
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("replay", "--log"), ("diffcal", "--calibration"),
+                                               ("diffcal", "--log")])
+    def test_non_utf8_log_is_exit_4(self, config_file, tmp_path, capsys, command, flag):
+        from conftest import make_scene
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_log(good, synthetic_log_rows(make_scene(), [(36.0, 25.0)]))
+        bad.write_bytes(good.read_bytes() + b"\xff\n")
+        logs = []
+        for f in COMMAND_ARGS[command][::2]:
+            logs += [f, str(bad if f == flag else good)]
+        assert main([command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                     *logs]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: cannot read log") and "Traceback" not in err
+
     def test_library_error_is_exit_3(self, config_file, tmp_path, capsys):
         # An empty power list loads and reaches power_sweep's CampaignError.
         assert main(["sweep", "--config", str(config_file), "--powers-mw", ",",
@@ -787,6 +809,29 @@ class TestCliDiffcal:
         assert "uncorrected_average_error_m = nan" in out
         corrected = float(out.split("corrected_average_error_m = ")[-1].split()[0])
         assert corrected < 1e-6
+
+    def test_bias_past_the_clamp_is_corrected(self, config_file, tmp_path, capsys):
+        from conftest import make_scene
+        scene = make_scene()
+        truth = (36.0, 25.0)
+        # a 20-chip A-B and -20-chip B-C bias on 50 ns chips: 300 m on each
+        # range difference, ten times the two-chip clamp slack, so every
+        # uncorrected session is clamped into an outage
+        meas_rows = synthetic_log_rows(scene, [truth] * 3, offset_chips=(20, -20))
+        cal_rows = [r.replace("s0000", "cal0")
+                    for r in synthetic_log_rows(scene, [truth], offset_chips=(20, -20))]
+        write_log(tmp_path / "meas.csv", meas_rows)
+        write_log(tmp_path / "cal.csv", cal_rows)
+        out = tmp_path / "dc"
+        assert main(["diffcal", "--config", str(config_file), "--calibration",
+                     str(tmp_path / "cal.csv"), "--log", str(tmp_path / "meas.csv"),
+                     "--out", str(out)]) == 0
+        assert "uncorrected_average_error_m = nan" in capsys.readouterr().out
+        rows = read_rows(out / "diffcal_fixes.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert row["uncorrected_x_m"] == "nan"
+            assert float(row["corrected_error_m"]) < 1e-6
 
     def test_calibration_without_truth_warns_and_leaves_output_unchanged(
         self, config_file, tmp_path, capsys

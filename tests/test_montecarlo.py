@@ -288,9 +288,10 @@ class TestDifferentialCorrection:
 
     def test_corrected_measurements_use_the_chip_tolerance(self):
         # 50 ns chips give a 2-chip slack of 30 m, 10 ns chips one of 6 m.
-        # Corrected range differences 10 m and 40 m past |AB| on 50 ns chips,
-        # and 10 m past on 10 ns chips, must be kept and clamped exactly as
-        # measurement_from_times treats them at each session's own slack.
+        # The bias comes off the raw time differences, and only then is the
+        # result clamped, once, at the session's own slack: corrected range
+        # differences 10 m and 40 m past |AB| on 50 ns chips, and 10 m past on
+        # 10 ns chips, are kept, clamped and clamped.
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
         ab = float(np.linalg.norm(scene.anchors[1] - scene.anchors[0]))
         bias_ba = -20.0 / scene.c
@@ -301,39 +302,43 @@ class TestDifferentialCorrection:
         res = differential_correction(scene, {"ba": [bias_ba], "cb": [0.0]}, sessions)
         clamped = []
         for sess, fix in zip(sessions, res.corrected):
-            tol = 2.0 * scene.c * sess.chip_s
-            m = measurement_from_times(
-                sess.t_ba_s, sess.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol
-            )
             expected = measurement_from_times(
-                m.t_ba_s - bias_ba, m.t_cb_s, c=scene.c, scene=scene, feasibility_tol_m=tol
+                scene, sess.t_ba_s - bias_ba, sess.t_cb_s, sess.chip_s
             )
             clamped.append(expected.clamped)
             assert fix == solve_position(scene, expected)
         assert clamped == [False, True, True]
 
+    def test_bias_past_the_clamp_is_corrected(self):
+        # A 20-chip bias on 50 ns chips (300 m) on each pair pushes both raw
+        # range differences past the two-chip clamp, so only a bias taken off
+        # the raw times, before the clamp, recovers the truth.
+        scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
+        r1, r2, r3 = ranges(scene, scene.rx_true)
+        chip_s = 50e-9
+        bias_ba, bias_cb = 20 * chip_s, -20 * chip_s
+        sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb, chip_s)]
+        raw = measurement_from_times(scene, sessions[0].t_ba_s, sessions[0].t_cb_s, chip_s)
+        assert raw.clamped
+        res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, sessions)
+        assert not res.uncorrected[0].converged
+        assert res.corrected[0].converged
+        assert np.linalg.norm(np.asarray(res.corrected[0].position) - scene.rx_true) < 1e-6
+
 
 class TestDifferentialCampaign:
     def test_constant_offsets_correction_helps(self):
         spec = small_spec(trials=7, points=((30.0, 25.0), (40.0, 30.0), (36.0, 40.0)))
-        results = differential_campaign(spec, calibration_trials=1, constant_offsets=True)
+        results = differential_campaign(spec)
         avg_unc = np.mean([r.uncorrected_rmse_m for r in results])
         avg_cor = np.mean([r.corrected_rmse_m for r in results])
         assert avg_cor < avg_unc
 
-    def test_fresh_offsets_correction_useless(self):
-        # offsets redrawn per frame: a calibration frame says nothing about
-        # the others, so the correction cannot help much
-        spec = small_spec(trials=24, seed=31, points=((30.0, 25.0), (40.0, 30.0)))
-        results = differential_campaign(spec, calibration_trials=1, constant_offsets=False)
-        avg_unc = np.mean([r.uncorrected_rmse_m for r in results])
-        avg_cor = np.mean([r.corrected_rmse_m for r in results])
-        assert avg_cor > 0.5 * avg_unc
-
     def test_fix_counts_per_side(self):
-        # 0-1 us offsets leave some frames of each side without a crossing
+        # a 0-1 us offset shared by the session leaves frames without a crossing
+        # (here every uncorrected frame), so a side may have no fix at all
         spec = small_spec(trials=9, seed=5, clock=ClockModel.uniform(0, 1e-6))
-        results = differential_campaign(spec, calibration_trials=1, constant_offsets=False)
+        results = differential_campaign(spec)
         counts = [(r.uncorrected_fixes, r.corrected_fixes) for r in results]
         assert all(0 <= n <= 8 for pair in counts for n in pair)
         assert any(n < 8 for pair in counts for n in pair)
@@ -342,5 +347,6 @@ class TestDifferentialCampaign:
             assert np.isnan(r.corrected_rmse_m) == (r.corrected_fixes == 0)
 
     def test_requires_enough_trials(self):
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError, match="trials_per_point must be >= 2"):
             differential_campaign(small_spec(trials=1))
+        assert len(differential_campaign(small_spec(trials=2))) == 2

@@ -17,10 +17,14 @@ from uvtdoa.tdoa import NO_FIX, PositionFix
 
 from conftest import ALL_GEOMETRIES, GEOMETRY_I, GEOMETRY_II, make_scene
 
+# The 10 ns reference chip: range differences are clamped 6 m past the
+# anchor separation.
+CHIP_S = 10e-9
+
 
 def exact_measurement(scene, p):
     r1, r2, r3 = ranges(scene, p)
-    return measurement_from_times((r2 - r1) / scene.c, (r3 - r2) / scene.c, c=scene.c)
+    return measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c, CHIP_S)
 
 
 def random_inside_points(scene, count, rng):
@@ -36,12 +40,12 @@ def random_inside_points(scene, count, rng):
 
 class TestMeasurementFromTimes:
     def test_zero_times(self):
-        m = measurement_from_times(0.0, 0.0)
+        m = measurement_from_times(make_scene(GEOMETRY_II), 0.0, 0.0, CHIP_S)
         assert (m.r21_m, m.r32_m) == (0.0, 0.0)
         assert not m.clamped
 
     def test_hundred_nanoseconds(self):
-        m = measurement_from_times(100e-9, 0.0)
+        m = measurement_from_times(make_scene(GEOMETRY_II), 100e-9, 0.0, CHIP_S)
         assert m.r21_m == pytest.approx(SPEED_OF_LIGHT * 1e-7, rel=1e-12)
         assert m.r21_m == pytest.approx(29.9792458, rel=1e-9)
 
@@ -51,7 +55,7 @@ class TestMeasurementFromTimes:
         t_chip = 1e-8
         tol = 2.0 * scene.c * t_chip
         t_ba = (ab + 3.0 * scene.c * t_chip) / scene.c  # three chips past the bound
-        m = measurement_from_times(t_ba, 0.0, c=scene.c, scene=scene, feasibility_tol_m=tol)
+        m = measurement_from_times(scene, t_ba, 0.0, t_chip)
         assert m.clamped
         assert m.r21_m == pytest.approx(ab + tol, rel=1e-12)
 
@@ -70,8 +74,8 @@ class TestSolvePosition:
 
     def test_perpendicular_bisector_symmetry(self):
         scene = Scene(tx_a=(-5, 0), tx_b=(5, 0), tx_c=(0, 8), rx_true=(0, 3))
-        m = measurement_from_times(0.0, (ranges(scene, (0, 3))[2] - ranges(scene, (0, 3))[1]) / scene.c,
-                                   c=scene.c)
+        r1, r2, r3 = ranges(scene, (0, 3))
+        m = measurement_from_times(scene, 0.0, (r3 - r2) / scene.c, CHIP_S)
         fix = solve_position(scene, m)
         r1, r2, _ = ranges(scene, fix.position)
         assert abs(r1 - r2) <= 1e-6
@@ -84,7 +88,7 @@ class TestSolvePosition:
         sigma = 100e-9 / np.sqrt(12.0)
         r1, r2, r3 = ranges(scene, centroid)
         m = measurement_from_times(
-            (r2 - r1) / scene.c + sigma, (r3 - r2) / scene.c + sigma, c=scene.c
+            scene, (r2 - r1) / scene.c + sigma, (r3 - r2) / scene.c + sigma, CHIP_S
         )
         fix = solve_position(scene, m)
         err = np.linalg.norm(np.asarray(fix.position) - np.asarray(centroid))
@@ -127,7 +131,7 @@ class TestSolvePosition:
             # noisy, possibly infeasible measurements
             t_ba = rng.normal(0, 2e-7)
             t_cb = rng.normal(0, 2e-7)
-            m = measurement_from_times(t_ba, t_cb, c=scene.c, scene=scene)
+            m = measurement_from_times(scene, t_ba, t_cb, CHIP_S)
             fix = solve_position(scene, m)
             if fix.converged:
                 fixes += 1
@@ -142,7 +146,7 @@ class TestSolvePosition:
     def test_nonconverged_flag_on_infeasible(self):
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
-        m = measurement_from_times(ab * 2 / scene.c, 0.0, c=scene.c, scene=scene)
+        m = measurement_from_times(scene, ab * 2 / scene.c, 0.0, CHIP_S)
         fix = solve_position(scene, m)
         assert m.clamped
         # the clamped bound still lies outside the feasible set, so the
@@ -155,7 +159,7 @@ class TestSolvePosition:
         # asymptote ray, so no point would be a fix; the solver says outage
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
-        m = measurement_from_times((ab + 5000.0) / scene.c, -1e-6, c=scene.c, scene=scene)
+        m = measurement_from_times(scene, (ab + 5000.0) / scene.c, -1e-6, CHIP_S)
         fix = solve_position(scene, m)
         assert fix == PositionFix(NO_FIX, False)
 
@@ -172,14 +176,15 @@ class TestDefaultInit:
 
 
 class TestFeasibilityBound:
-    # |AB| = 5 and |BC| = 10 exactly, and c = 1 makes the range difference
-    # the time argument itself, so the bound is hit to the last bit
-    scene = Scene(tx_a=(0.0, 0.0), tx_b=(3.0, 4.0), tx_c=(9.0, -4.0), rx_true=(4.0, 0.0))
+    # |AB| = 5 and |BC| = 10 exactly, c = 1 makes the range difference the
+    # time argument itself, and 0.25 s chips give a slack of exactly 0.5, so
+    # the bound is hit to the last bit
+    scene = Scene(tx_a=(0.0, 0.0), tx_b=(3.0, 4.0), tx_c=(9.0, -4.0), rx_true=(4.0, 0.0), c=1.0)
+    chip_s = 0.25
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_exactly_at_bound_is_kept(self, sign):
-        m = measurement_from_times(sign * 5.5, sign * 10.5, c=1.0, scene=self.scene,
-                                   feasibility_tol_m=0.5)
+        m = measurement_from_times(self.scene, sign * 5.5, sign * 10.5, self.chip_s)
         assert (m.r21_m, m.r32_m, m.clamped) == (sign * 5.5, sign * 10.5, False)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -188,13 +193,12 @@ class TestFeasibilityBound:
         past_ba = math.nextafter(sign * 5.5, sign * math.inf)
         past_cb = math.nextafter(sign * 10.5, sign * math.inf)
         t_ba, t_cb = (past_ba, 0.0) if pair == "ba" else (0.0, past_cb)
-        m = measurement_from_times(t_ba, t_cb, c=1.0, scene=self.scene,
-                                   feasibility_tol_m=0.5)
+        m = measurement_from_times(self.scene, t_ba, t_cb, self.chip_s)
         assert m.clamped
         if pair == "ba":
-            assert (m.r21_m, m.r32_m, m.t_ba_s) == (sign * 5.5, 0.0, sign * 5.5)
+            assert (m.r21_m, m.r32_m) == (sign * 5.5, 0.0)
         else:
-            assert (m.r21_m, m.r32_m, m.t_cb_s) == (0.0, sign * 10.5, sign * 10.5)
+            assert (m.r21_m, m.r32_m) == (0.0, sign * 10.5)
 
 
 # --- Oracle: the iterative numpy solver (branch-crossing starts, damped
@@ -390,9 +394,7 @@ def oracle_cases():
                     times += [(t_ba - shift, t_cb), (t_ba + shift, t_cb - shift),
                               (t_ba, t_cb + shift)]
             for t in times:
-                meas = measurement_from_times(
-                    *t, c=scene.c, scene=scene, feasibility_tol_m=2.0 * scene.c * ORACLE_CHIP_S
-                )
+                meas = measurement_from_times(scene, *t, ORACLE_CHIP_S)
                 rows.append((scene, meas, p in inside))
     return rows
 
@@ -438,7 +440,7 @@ class TestGuards:
 
     def test_nan_range_difference_returns_unconverged_fix(self):
         scene = make_scene(GEOMETRY_II)
-        m = measurement_from_times(math.nan, 0.0, c=scene.c, scene=scene)
+        m = measurement_from_times(scene, math.nan, 0.0, CHIP_S)
         fix = solve_position(scene, m)
         old = oracle_solve_position(scene, m)
         assert not fix.converged and not old.converged
@@ -446,8 +448,8 @@ class TestGuards:
 
     def test_feasible_fix_and_clamped_outage(self):
         scene = make_scene(GEOMETRY_II)
-        feasible = measurement_from_times(5e-8, 3e-8, c=scene.c, scene=scene)
-        clamped = measurement_from_times(1e-6, -1e-6, c=scene.c, scene=scene)
+        feasible = measurement_from_times(scene, 5e-8, 3e-8, CHIP_S)
+        clamped = measurement_from_times(scene, 1e-6, -1e-6, CHIP_S)
         assert not feasible.clamped and clamped.clamped
         fix = solve_position(scene, feasible)
         assert fix.converged
