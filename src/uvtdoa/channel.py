@@ -188,42 +188,6 @@ def pilot_rate_profile(sequence, chips_per_symbol: int, start_chip, n_chips: int
     return a
 
 
-@dataclass(frozen=True)
-class Photons:
-    """Chip positions of the photons drawn for a batch of chip windows.
-
-    ``chips`` holds each photon's chip within its window: the signal photons
-    of every row in row order, then the background photons in row order.
-    Row r's signal photons are ``chips[sig_ends[r]:sig_ends[r + 1]]``; its
-    background photons are the same span of ``bg_ends``, counted from
-    ``sig_ends[-1]``.
-    """
-
-    chips: np.ndarray
-    sig_ends: np.ndarray
-    bg_ends: np.ndarray
-    n_chips: int
-
-    def chip_counts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """(hi - lo, n_chips) int64 counts of rows lo..hi-1.
-
-        The rows are binned chip-major, so the result is a view of
-        (n_chips, rows) memory: ``sync.correlate`` then runs its prefix sum
-        over contiguous chips.
-        """
-        hi = len(self.sig_ends) - 1 if hi is None else hi
-        rows = hi - lo
-        if rows == len(self.sig_ends) - 1 == 1:  # a one-row batch (a rendered frame)
-            return np.bincount(self.chips, minlength=self.n_chips)[None, :]
-        sig, bg = self.sig_ends, self.bg_ends + self.sig_ends[-1]
-        idx = np.concatenate((self.chips[sig[lo] : sig[hi]], self.chips[bg[lo] : bg[hi]]))
-        if rows > 1:
-            idx *= rows
-            per_row = np.concatenate((np.diff(sig[lo : hi + 1]), np.diff(bg[lo : hi + 1])))
-            idx += np.repeat(np.tile(np.arange(rows), 2), per_row)
-        return np.bincount(idx, minlength=rows * self.n_chips).reshape(self.n_chips, rows).T
-
-
 def sample_photons(
     rng: np.random.Generator,
     symbol_starts: np.ndarray,
@@ -231,30 +195,29 @@ def sample_photons(
     lambda_b: float,
     chips_per_symbol: int,
     n_chips: int,
-) -> Photons:
-    """Poisson photons of a batch of windows, placed on the chip axis.
+) -> np.ndarray:
+    """(batch, n_chips) int64 Poisson chip counts of a batch of windows.
 
     Each on-symbol, at fractional chip a in a (batch, n_on) row of
     ``symbol_starts``, emits Poisson(lambda_s) photons uniform over
     [a, a + n); each window adds Poisson(lambda_b * n_chips / n) uniform
-    background photons. Binned into chips (``Photons.chip_counts``) these
-    are independent Poisson counts whose means are lambda_b/n plus
-    lambda_s/n times each symbol's overlap with the chip.
+    background photons. Binned into chips these are independent Poisson
+    counts whose means are lambda_b/n plus lambda_s/n times each symbol's
+    overlap with the chip. The draws come in a fixed order: the per-symbol
+    counts, the per-window counts, the signal positions, then the
+    background positions.
     """
     n = int(chips_per_symbol)
     batch = symbol_starts.shape[0]
-    per_symbol = rng.poisson(lambda_s, size=symbol_starts.shape)
+    per_symbol = rng.poisson(lambda_s, size=symbol_starts.shape).ravel()
     per_window = rng.poisson(lambda_b * n_chips / n, size=batch)
     whole = np.floor(symbol_starts)
     frac = (symbol_starts - whole).ravel()
-    first = whole.astype(np.int64).ravel()
-    sig_ends = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(per_symbol.sum(axis=-1), out=sig_ends[1:])
-    bg_ends = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(per_window, out=bg_ends[1:])
-    per_symbol = per_symbol.ravel()
-    n_sig = int(sig_ends[-1])
-    chips = np.empty(n_sig + int(bg_ends[-1]), dtype=np.int64)
+    # Row r bins into chips r * n_chips .. (r + 1) * n_chips - 1.
+    row_chip = np.arange(0, batch * n_chips, n_chips)
+    first = (whole.astype(np.int64) + row_chip[:, None]).ravel()
+    n_sig = int(per_symbol.sum())
+    chips = np.empty(n_sig + int(per_window.sum()), dtype=np.int64)
     # A photon lands floor(frac + n*u) chips past its symbol's first chip
     # (the cast truncates). Clamping to n keeps float round-up in the
     # symbol's last straddle chip, which pilot_rate_profile keeps in the window.
@@ -266,8 +229,10 @@ def sample_photons(
     del pos
     np.minimum(sig, n, out=sig)
     sig += np.repeat(first, per_symbol)
-    chips[n_sig:] = rng.random(len(chips) - n_sig) * n_chips
-    return Photons(chips, sig_ends, bg_ends, n_chips)
+    bg = chips[n_sig:]
+    bg[:] = rng.random(len(bg)) * n_chips
+    bg += np.repeat(row_chip, per_window)
+    return np.bincount(chips, minlength=batch * n_chips).reshape(batch, n_chips)
 
 
 def render_frame(
@@ -313,8 +278,8 @@ def render_frame(
         params.sequence_array(), params.chips_per_symbol, arrivals_s / t_chip, n_chips
     )
     lambdas = np.array([params.lambda_s_a, params.lambda_s_b, params.lambda_s_c])
-    photons = sample_photons(
+    counts = sample_photons(
         rng, starts.reshape(1, -1), np.repeat(lambdas, starts.shape[1]),
         budget.lambda_b, params.chips_per_symbol, n_chips,
     )
-    return ChipTrace(photons.chip_counts()[0])
+    return ChipTrace(counts[0])

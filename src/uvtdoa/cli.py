@@ -495,6 +495,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uvtdoa",
@@ -507,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
+        p.add_argument("--workers", type=_workers, default=1,
+                       help="worker processes, at most one per grid point")
 
     p_theory = sub.add_parser("theory", help="theoretical error map over the grid")
     common(p_theory)

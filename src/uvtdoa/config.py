@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
-from .montecarlo import CampaignError, CampaignSpec, check_seed
+from .montecarlo import CampaignError, CampaignSpec
 from .scene import GridSpec, Scene, SceneError, default_grid, ranges
 from .sync import SyncError, generate_pilot
 
@@ -70,17 +70,12 @@ _SCHEMA = {
     },
 }
 
+# Defaults of the optional keys that configure no dataclass field directly;
+# every other optional key left out takes its field's default.
 _DEFAULTS = {
-    ("budget", "detector_efficiency"): 0.15,
-    ("budget", "lambda_b_per_symbol"): 1.0,
-    ("budget", "lambda_clip_per_symbol"): 100.0,
     ("signal", "pilot_seed"): 1,
     ("clock", "lo_ns"): 0.0,
     ("clock", "hi_ns"): 0.0,
-    ("campaign", "trials_per_point"): 100,
-    ("campaign", "seed"): 0,
-    ("grid", "steps_x"): 9,
-    ("grid", "steps_y"): 9,
 }
 
 
@@ -184,6 +179,10 @@ def parse_config(text: str) -> Config:
     def get(section, key):
         return values.get((section, key))
 
+    def given(section, **keys):
+        """Keyword arguments, by field name, for the keys the text sets."""
+        return {f: values[section, k] for f, k in keys.items() if (section, k) in values}
+
     try:
         scene = Scene(
             tx_a=get("scene", "tx_a_m"),
@@ -193,7 +192,7 @@ def parse_config(text: str) -> Config:
         )
         grid_keys = ("x_min_m", "x_max_m", "y_min_m", "y_max_m")
         explicit = [get("grid", k) for k in grid_keys]
-        steps = {"steps_x": int(get("grid", "steps_x")), "steps_y": int(get("grid", "steps_y"))}
+        steps = given("grid", steps_x="steps_x", steps_y="steps_y")
         if all(v is not None for v in explicit):
             grid = GridSpec(*[float(v) for v in explicit], **steps)
         elif any(v is not None for v in explicit):
@@ -207,9 +206,12 @@ def parse_config(text: str) -> Config:
             rx_area_m2=get("budget", "rx_area_m2"),
             divergence_full_angle_rad=math.radians(get("budget", "divergence_full_angle_deg")),
             wavelength_m=get("budget", "wavelength_m"),
-            detector_efficiency=get("budget", "detector_efficiency"),
-            lambda_b=get("budget", "lambda_b_per_symbol"),
-            lambda_clip=get("budget", "lambda_clip_per_symbol"),
+            **given(
+                "budget",
+                detector_efficiency="detector_efficiency",
+                lambda_b="lambda_b_per_symbol",
+                lambda_clip="lambda_clip_per_symbol",
+            ),
         )
         pilot_seed = int(get("signal", "pilot_seed"))
         length = int(get("signal", "sequence_length"))
@@ -239,12 +241,11 @@ def parse_config(text: str) -> Config:
                 f"[clock] distribution must be 'uniform' or 'none', got {dist!r}"
             )
         _check_slot_fits(scene, grid, signal, clock)
-        trials = int(get("campaign", "trials_per_point"))
-        if trials < 1:
-            raise ConfigError(f"[campaign] trials_per_point must be >= 1, got {trials}")
-        seed = int(get("campaign", "seed"))
         try:
-            check_seed(seed)
+            spec = CampaignSpec(
+                scene, budget, signal, clock, grid,
+                **given("campaign", trials_per_point="trials_per_point", seed="seed"),
+            )
         except CampaignError as exc:
             raise ConfigError(f"[campaign] {exc}") from exc
         return Config(
@@ -253,8 +254,8 @@ def parse_config(text: str) -> Config:
             budget=budget,
             signal=signal,
             clock=clock,
-            trials_per_point=trials,
-            seed=seed,
+            trials_per_point=spec.trials_per_point,
+            seed=spec.seed,
             pilot_seed=pilot_seed,
         )
     except (SceneError, ChannelError, SyncError, TheoryError) as exc:

@@ -66,7 +66,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         if self.trials_per_point < 1:
-            raise CampaignError("trials_per_point must be >= 1")
+            raise CampaignError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         check_seed(self.seed)
         if self.points is not None:
             pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -226,11 +226,13 @@ def _point_task(args) -> PointResult:
 def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
     """Run every receiver point of the campaign; deterministic in the seed.
 
-    Points are independent and may be evaluated by worker processes; results
-    are merged in point order so the output does not depend on scheduling.
+    Points are independent and may be evaluated by worker processes, at most
+    one per point; results are merged in point order so the output does not
+    depend on scheduling.
     """
     points = spec.receiver_points()
     tasks = [(spec, (float(p[0]), float(p[1])), i) for i, p in enumerate(points)]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks))
@@ -277,10 +279,9 @@ def power_sweep(spec: CampaignSpec, powers_w, workers: int = 1) -> list[SweepEnt
     return out
 
 
-# The pilot seed and the draws per batch of sync_mse_empirical; both fix its
+# The pilot seed of sync_mse_empirical; with ``ROW_BLOCK`` it fixes its
 # random stream.
 EMPIRICAL_PILOT_SEED = 7
-EMPIRICAL_BATCH = 256
 
 
 def sync_mse_empirical(
@@ -300,11 +301,16 @@ def sync_mse_empirical(
     error of the correlation-peak start estimate. The default search half
     width matches the offset coverage of the truncated analytic bound
     (2 * m_max * n chips with m_max = ``DEFAULT_M_MAX``). The pilot comes
-    from ``EMPIRICAL_PILOT_SEED`` and trials are drawn ``EMPIRICAL_BATCH`` at
-    a time; both fix the random stream.
+    from ``EMPIRICAL_PILOT_SEED`` and trials are drawn ``ROW_BLOCK`` at a
+    time; both fix the random stream.
     """
     if trials < 1:
         raise CampaignError(f"trials must be >= 1, got {trials}")
+    for name, rate in (("lambda_s", lambda_s), ("lambda_b", lambda_b)):
+        if not (math.isfinite(rate) and rate >= 0):
+            raise CampaignError(f"{name} must be finite and >= 0, got {rate}")
+    if window_half_chips is not None and window_half_chips < 0:
+        raise CampaignError(f"window_half_chips must be >= 0, got {window_half_chips}")
     check_seed(seed)
     n = int(chips_per_symbol)
     t_chip = 1.0 / (symbol_rate_hz * n)
@@ -316,21 +322,14 @@ def sync_mse_empirical(
     rng = np.random.default_rng([seed, length, n, int(lambda_s * 1e6), int(lambda_b * 1e6)])
     window = range(0, 2 * half + 1)
     sum_sq = 0.0
-    done = 0
-    while done < trials:
-        b = min(EMPIRICAL_BATCH, trials - done)
+    for done in range(0, trials, ROW_BLOCK):
+        b = min(ROW_BLOCK, trials - done)
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
         starts = pilot_rate_profile(seq, n, t_true + eps / t_chip, total)
-        photons = sample_photons(rng, starts, lambda_s, lambda_b, n, total)
-        # Bin and score one row block at a time: the batch's counts are
-        # never all in memory, and each block stays in cache.
-        start = np.empty(b, dtype=np.int64)
-        for lo in range(0, b, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, b)
-            start[lo:hi] = estimate_start(correlate(photons.chip_counts(lo, hi), seq, n, window))
+        counts = sample_photons(rng, starts, lambda_s, lambda_b, n, total)
+        start = estimate_start(correlate(counts, seq, n, window))
         err = (start - t_true) * t_chip - eps
         sum_sq += float(np.sum(err**2))
-        done += b
     return sum_sq / trials
 
 

@@ -192,17 +192,12 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
         dtype = np.int32 if 2 * (len(seq) + 1) * total < 2**31 else np.int64
         # Chip-major (chips, rows): the prefix sum runs down axis 0 across
         # the block's rows, and each term below is one contiguous slice.
-        # Copying the counts in first and summing in place spares numpy's
-        # whole-block cast buffer. The copy reads its input contiguously:
-        # row by row from row-major counts (a rendered frame), as one
-        # transposed block from chip-major ones (``Photons.chip_counts``).
+        # Copying the counts in row by row first and summing in place spares
+        # numpy's whole-block cast buffer.
         csum = _scratch.take("csum", (seg_len + 1, b), dtype)
         csum[0] = 0
-        if block.strides[-1] == block.itemsize:
-            for r in range(b):
-                csum[1:, r] = block[r]
-        else:
-            csum[1:] = block.T
+        for r in range(b):
+            csum[1:, r] = block[r]
         np.cumsum(csum[1:], axis=0, out=csum[1:])
         acc = _scratch.take("acc", (width, b), dtype)
         acc.fill(0)

@@ -456,6 +456,17 @@ class TestCliExitCodes:
         assert exc.value.code == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_workers_below_one_is_exit_2(self, config_file, tmp_path, capsys, command, workers):
+        # every command takes --workers; a count below one is a usage error
+        args = [command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                *COMMAND_ARGS[command], "--workers", workers]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_boundary_seeds_run(self, config_file, tmp_path, seed):
         assert parse_config(CONFIG_TEXT.replace("seed = 7", f"seed = {seed}")).seed == seed

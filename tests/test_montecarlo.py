@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +28,7 @@ from uvtdoa.montecarlo import (
     trial_rng,
 )
 from uvtdoa.scene import SPEED_OF_LIGHT
-from uvtdoa.sync import generate_pilot
+from uvtdoa.sync import ROW_BLOCK, generate_pilot
 from uvtdoa.tdoa import SessionTdoa
 
 from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
@@ -111,6 +113,33 @@ class TestDeterminism:
         assert len(res.fixes) == 1
         assert sync_mse_empirical(10.0, 1.0, 64, 20, 1e6, trials=1, seed=2**64 - 1) >= 0.0
 
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        # A pool forks all its workers up front, so a worker count past the
+        # point count would fork idle processes; this executor forks none.
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("uvtdoa.montecarlo.ProcessPoolExecutor", RecordingExecutor)
+        spec = small_spec(trials=2)
+        serial = run_campaign(spec, workers=1)
+        wide = run_campaign(spec, workers=5000)
+        assert sizes == [2]
+        assert [p.fixes for p in wide.point_results] == [p.fixes for p in serial.point_results]
+        run_campaign(small_spec(trials=2, points=((30.0, 25.0),)), workers=8)
+        assert sizes == [2]  # one point runs in this process, with no pool
+
     def test_workers_do_not_change_results(self):
         spec = small_spec()
         serial = run_campaign(spec, workers=1)
@@ -181,12 +210,12 @@ class TestPowerSweep:
 
 
 def unblocked_sync_mse(lambda_s, lambda_b, length, n, symbol_rate_hz, trials, seed,
-                       window_half_chips=None, pilot_seed=7, batch=256):
-    """Reference: sample and score each batch of draws whole, in one array.
+                       window_half_chips=None, pilot_seed=7, batch=ROW_BLOCK):
+    """Reference: sample and score each pass of ``batch`` draws in one array.
 
     The same draws, in the same order, as ``sync_mse_empirical``, with the
-    photons binned into one (batch, window) array row-major and the whole
-    batch correlated by the plain row-wise prefix-sum form.
+    photons binned into one (batch, window) array row-major and the pass
+    correlated by the plain row-wise prefix-sum form.
     """
     t_chip = 1.0 / (symbol_rate_hz * n)
     half = int(window_half_chips) if window_half_chips is not None else 2 * 8 * n
@@ -230,7 +259,7 @@ class TestSyncMseEmpirical:
         mse = sync_mse_empirical(200.0, 0.0, 64, 100, 1e6, trials=4000, seed=2)
         assert mse == pytest.approx(t_c**2 / 12.0, rel=0.2)
 
-    # Trial counts below, at and past one row block and one 256-draw batch.
+    # Trial counts: one row, a partial last block (7), and many whole blocks.
     @pytest.mark.parametrize("trials", [1, 7, 100, 300])
     @pytest.mark.parametrize("length", [64, 256])
     @pytest.mark.parametrize("lambda_s", [2.0, 100.0])
@@ -243,11 +272,32 @@ class TestSyncMseEmpirical:
         got = sync_mse_empirical(*args, window_half_chips=13)
         assert got == unblocked_sync_mse(*args, window_half_chips=13)
 
-    @pytest.mark.parametrize("name", ["trials"])
-    @pytest.mark.parametrize("value", [0, -3])
+    def test_memory_stays_flat_in_the_trial_count(self):
+        # Each pass draws, bins and scores one row block, so the traced peak
+        # stays near the size of one block's photons, whatever the trials.
+        tracemalloc.start()
+        try:
+            sync_mse_empirical(100.0, 1.0, 256, 100, 1e6, trials=256, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    # Rates that no Poisson draw takes and a negative search half width fail
+    # as campaign errors that name the argument, like a trial count below one.
+    @pytest.mark.parametrize(
+        "value, name",
+        [(0, "trials"), (-3, "trials"),
+         (-1.0, "lambda_s"), (math.nan, "lambda_s"), (math.inf, "lambda_s"),
+         (-1.0, "lambda_b"), (math.nan, "lambda_b"), (math.inf, "lambda_b"),
+         (-1, "window_half_chips")],
+    )
     def test_rejects_count_below_one(self, name, value):
-        with pytest.raises(CampaignError, match=f"{name} must be >= 1"):
-            sync_mse_empirical(10.0, 1.0, 64, 100, 1e6, seed=1, **{name: value})
+        kwargs = {"lambda_s": 10.0, "lambda_b": 1.0, "trials": 8, name: value}
+        bound = ">= 1" if name == "trials" else ">= 0"
+        with pytest.raises(CampaignError, match=f"{name} must be (finite and )?{bound}"):
+            sync_mse_empirical(length=64, chips_per_symbol=100, symbol_rate_hz=1e6, seed=1,
+                               **kwargs)
 
 
 def session(t_ba_s, t_cb_s, chip_s=10e-9):

@@ -162,8 +162,8 @@ class TestCorrelate:
     )
     def test_row_blocks_match_brute_force(self, rows, chip_major, offset):
         # Row counts around the block size, 1-D and two batch axes, in
-        # row-major memory and as the chip-major view that
-        # Photons.chip_counts returns; an offset makes some counts negative.
+        # row-major memory and as a chip-major view; an offset makes some
+        # counts negative.
         rng = np.random.default_rng(17 + len(rows) + sum(rows))
         seq = generate_pilot(11, 4)
         n, window = 3, range(5, 28)
@@ -302,7 +302,7 @@ class TestDetectionProbability:
         trials, batch = 1000, 100
         starts = pilot_rate_profile(seq, n, np.full(batch, float(half)), total)
         for _ in range(trials // batch):
-            counts = sample_photons(rng, starts, lam_s, 0.0, n, total).chip_counts()
+            counts = sample_photons(rng, starts, lam_s, 0.0, n, total)
             scores = correlate(counts, seq, n, range(0, 2 * half + 1))
             hits += int(np.sum(estimate_start(scores) == half))
         assert hits / trials >= 0.99
