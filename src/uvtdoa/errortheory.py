@@ -8,6 +8,7 @@ anchor geometry.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,14 +94,16 @@ class SyncBoundParams:
     eps_quadrature_points: int = 33
 
     def __post_init__(self):
-        if self.lambda_s < 0 or self.lambda_b < 0:
-            raise TheoryError("photon rates must be >= 0")
+        for name, rate in (("lambda_s", self.lambda_s), ("lambda_b", self.lambda_b)):
+            # a NaN rate passes and gives a NaN bound
+            if rate < 0 or math.isinf(rate):
+                raise TheoryError(f"{name} must be finite and >= 0, got {rate}")
         if self.length < 2:
             raise TheoryError(f"pilot length must be >= 2, got {self.length}")
         if self.chips_per_symbol < 1:
             raise TheoryError("chips_per_symbol must be >= 1")
-        if not self.symbol_s > 0:
-            raise TheoryError("symbol_s must be > 0")
+        if not (math.isfinite(self.symbol_s) and self.symbol_s > 0):
+            raise TheoryError(f"symbol_s must be finite and > 0, got {self.symbol_s}")
         if self.m_max < 1:
             raise TheoryError("m_max must be >= 1")
         if 2 * self.m_max >= self.length:
@@ -151,6 +154,15 @@ def _cross_factors(m, k, e, n: int, big_l: int):
 # true value is under 1e-349, past the smallest subnormal, and erfc already
 # returns 0 beyond 26.64 (a standardized gap of -37.7).
 _CDF_ZERO_BELOW = -40.0
+
+
+# The cross-symbol pass is skipped only when every block's gap bound lies
+# below _CDF_ZERO_BELOW by this relative margin, which covers rounding: on a
+# grid that has the bound (see _cross_maxima), N and A stay far from
+# cancelling the terms they are summed from (|N| was at least 0.14 of their
+# magnitude and A at least 0.6 in a sweep of L up to 65535 and n up to
+# 4096), so a cell's gap and the bound are each computed to within ~1e-14.
+_SKIP_MARGIN = 1e-9
 
 
 def _sparse_normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -275,6 +287,28 @@ class _BoundGrid(NamedTuple):
     e_cross: np.ndarray  # fractional offsets in symbols, (1, 2n * Q)
     cross: tuple  # _cross_factors over m = 1..m_max and k = -n..n-1
     shift_mk: np.ndarray  # cross-symbol offsets (2m*n + k) * Tc in seconds, (m_max, 2n, 1)
+    cross_max: tuple | None  # _cross_maxima: per-(m, k) maxima of N, A and B, (m_max * 2n,)
+
+
+def _cross_maxima(neg_2m, x, y, z, var_f, e, big_l: int):
+    """Per-(m, k) block maxima of the rate-free factors of the cross cells' gaps.
+
+    A cross cell's standardized gap is lam_s*N / sqrt(lam_s*A + lam_b*B) with
+    N = (-2m*x - L*y - z) / 2, A = var_f + e and B = 2*var_f. In a block of
+    Q nodes where N < 0 and A, B >= 0, every cell's gap is therefore at most
+    lam_s*N_max / sqrt(lam_s*A_max + lam_b*B_max). Returns (N_max, A_max,
+    B_max), or None when some cell has no such bound (N >= 0, A <= 0 or
+    B < 0). Takes the factors unbroadcast and works one m at a time, so no
+    full-size temporary is made.
+    """
+    maxima = []
+    for i in range(len(neg_2m)):
+        num = 0.5 * (neg_2m[i] * x - big_l * y - z)
+        a, b = var_f[i] + e, 2.0 * var_f[i]
+        if np.any(num >= 0) or np.any(a <= 0) or np.any(b < 0):
+            return None
+        maxima.append([f.max(axis=-1).ravel() for f in (num, a, b)])
+    return tuple(np.concatenate(f) for f in zip(*maxima))
 
 
 @lru_cache(maxsize=64)
@@ -300,10 +334,28 @@ def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) ->
     grid = _BoundGrid(
         weights, eps, e[None, :], _within_factors(k, e[None, :], n), e_k**2,
         rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), (2.0 * m * n + k_c) * t_c,
+        _cross_maxima(neg_2m, *block, e_c, big_l),
     )
-    for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk):
+    for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk,
+                *(grid.cross_max or ())):
         arr.setflags(write=False)  # shared by every call with the same grid
     return grid
+
+
+def _cross_is_zero(params: SyncBoundParams, g: _BoundGrid) -> bool:
+    """True when every cross-symbol probability is provably exactly 0.0.
+
+    That is, when each block's gap bound (see ``_cross_maxima``) lies below
+    ``_CDF_ZERO_BELOW`` by the relative margin ``_SKIP_MARGIN``. Never true
+    at lam_s = 0, on a grid without maxima, or for a NaN rate, whose bound
+    fails the comparison.
+    """
+    if g.cross_max is None or params.lambda_s == 0:
+        return False
+    lam_s = params.lambda_s
+    n_max, a_max, b_max = g.cross_max
+    bound = lam_s * n_max / np.sqrt(lam_s * a_max + params.lambda_b * b_max)
+    return bool(np.all(bound < _CDF_ZERO_BELOW * (1.0 + _SKIP_MARGIN)))
 
 
 def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
@@ -323,12 +375,12 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
         integrand = g.eps**2
 
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
-    # probability underflows to 0.0 the block adds exactly nothing. Averaging
+    # probability underflows to 0.0 the block adds exactly nothing, so the
+    # pass is skipped when the cached maxima already prove it. Averaging
     # over the fractional offset, the density 1/Tc over a Tc-wide interval
     # cancels the interval half-width against the node scaling.
-    pmk = _p_cross(params, g.cross, g.e_cross)
     tail_value = 0.0
-    if pmk.any():
+    if not _cross_is_zero(params, g) and (pmk := _p_cross(params, g.cross, g.e_cross)).any():
         terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
         terms *= pmk.reshape(terms.shape)
         integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))

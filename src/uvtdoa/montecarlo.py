@@ -282,6 +282,9 @@ def power_sweep(spec: CampaignSpec, powers_w, workers: int = 1) -> list[SweepEnt
 # The pilot seed of sync_mse_empirical; with ``ROW_BLOCK`` it fixes its
 # random stream.
 EMPIRICAL_PILOT_SEED = 7
+# Largest mean of one Poisson draw in sync_mse_empirical: numpy's sampler
+# refuses means past about 9.2e18.
+EMPIRICAL_MEAN_MAX = 1e18
 
 
 def sync_mse_empirical(
@@ -303,12 +306,21 @@ def sync_mse_empirical(
     (2 * m_max * n chips with m_max = ``DEFAULT_M_MAX``). The pilot comes
     from ``EMPIRICAL_PILOT_SEED`` and trials are drawn ``ROW_BLOCK`` at a
     time; both fix the random stream.
+
+    Each Poisson draw's mean must stay at or below ``EMPIRICAL_MEAN_MAX``
+    (1e18 photons): ``lambda_s`` itself, and ``lambda_b`` times the
+    window's length in symbols. Bad arguments raise ``CampaignError``
+    naming the argument.
     """
     if trials < 1:
         raise CampaignError(f"trials must be >= 1, got {trials}")
     for name, rate in (("lambda_s", lambda_s), ("lambda_b", lambda_b)):
         if not (math.isfinite(rate) and rate >= 0):
             raise CampaignError(f"{name} must be finite and >= 0, got {rate}")
+    if chips_per_symbol < 1:
+        raise CampaignError(f"chips_per_symbol must be >= 1, got {chips_per_symbol}")
+    if not (math.isfinite(symbol_rate_hz) and symbol_rate_hz > 0):
+        raise CampaignError(f"symbol_rate_hz must be finite and > 0, got {symbol_rate_hz}")
     if window_half_chips is not None and window_half_chips < 0:
         raise CampaignError(f"window_half_chips must be >= 0, got {window_half_chips}")
     check_seed(seed)
@@ -318,6 +330,11 @@ def sync_mse_empirical(
     seq = generate_pilot(length, EMPIRICAL_PILOT_SEED)
     pilot_chips = length * n
     total = 2 * half + pilot_chips + 1
+    if lambda_s > EMPIRICAL_MEAN_MAX:
+        raise CampaignError(f"lambda_s must be <= {EMPIRICAL_MEAN_MAX:g}, got {lambda_s}")
+    if lambda_b * total / n > EMPIRICAL_MEAN_MAX:
+        raise CampaignError(f"lambda_b must be <= {EMPIRICAL_MEAN_MAX * n / total:.3g} "
+                            f"for a {total}-chip window, got {lambda_b}")
     t_true = half
     rng = np.random.default_rng([seed, length, n, int(lambda_s * 1e6), int(lambda_b * 1e6)])
     window = range(0, 2 * half + 1)

@@ -23,6 +23,7 @@ from uvtdoa.errortheory import (
     SyncBoundTailWarning,
     TheoryError,
     _bound_grid,
+    _cross_is_zero,
     _p_cross,
     _p_within,
     _sync_mse_bound_detail,
@@ -406,6 +407,42 @@ class TestSyncBoundExactness:
         with np.errstate(invalid="ignore"):
             assert math.isnan(sync_mse_bound(bound_params(lam_s=lam_s, lam_b=lam_b, length=64)))
 
+    @pytest.mark.parametrize("length", [8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_cross_skip_fires_only_on_all_zero_cells(self, length, n):
+        # Over the oracle sweep, wherever the cross-symbol pass is skipped
+        # every one of its cells would have come out exactly 0.0.
+        for m_max in (m for m in (1, 8, 22) if 2 * m < length):
+            for t_s in (1e-6, 0.33e-6):
+                grid = _bound_grid(n, length, t_s, m_max, 33)
+                for lam_s, lam_b in itertools.product(SWEEP_RATES_S, (0.0, 0.5, 1.0, 5.0)):
+                    params = SyncBoundParams(
+                        lambda_s=lam_s, lambda_b=lam_b, length=length,
+                        chips_per_symbol=n, symbol_s=t_s, m_max=m_max,
+                    )
+                    if _cross_is_zero(params, grid):
+                        assert not _p_cross(params, grid.cross, grid.e_cross).any(), params
+
+    def test_cross_skip_never_fires_on_degenerate_variance(self):
+        # At L = 64, m_max = 22, n = 100 some cells have a negative variance
+        # factor, so the grid has no gap bound and every rate runs the pass.
+        grid = _bound_grid(100, 64, 1e-6, 22, 33)
+        for lam_s, lam_b in itertools.product(SWEEP_RATES_S, (0.0, 0.5, 1.0, 5.0)):
+            params = SyncBoundParams(
+                lambda_s=lam_s, lambda_b=lam_b, length=64,
+                chips_per_symbol=100, symbol_s=1e-6, m_max=22,
+            )
+            assert not _cross_is_zero(params, grid)
+
+    def test_cross_skip_engages_at_high_rates(self):
+        # At L = 256, n = 100, lam_b = 1 every cross cell is zero from lam_s
+        # of about 25 on, and the cached bound proves it from about 28.
+        grid = _bound_grid(100, 256, 1e-6, 8, 33)
+        for lam_s in range(36, 101):
+            assert _cross_is_zero(bound_params(lam_s=float(lam_s), lam_b=1.0), grid), lam_s
+        for lam_s in (0.0, 2.0):
+            assert not _cross_is_zero(bound_params(lam_s=lam_s, lam_b=1.0), grid)
+
     def test_cdf_is_exactly_zero_at_the_skip_threshold(self):
         assert normal_cdf(_CDF_ZERO_BELOW) == 0.0
         assert normal_cdf(-np.inf) == 0.0
@@ -440,6 +477,16 @@ class TestSyncBoundExactness:
 
 
 class TestSyncBoundDomain:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lambda_s", math.inf), ("lambda_b", math.inf), ("symbol_s", math.inf),
+         ("symbol_s", math.nan), ("symbol_s", 0.0), ("lambda_s", -1.0)],
+    )
+    def test_rejects_infinite_rates_and_bad_symbol_time(self, field, value):
+        kwargs = {"lambda_s": 5.0, "lambda_b": 1.0, "symbol_s": 1e-6, field: value}
+        with pytest.raises(TheoryError, match=f"^{field} must be finite and"):
+            SyncBoundParams(length=64, chips_per_symbol=10, **kwargs)
+
     def test_m_max_at_half_length_rejected(self):
         bound_params(length=64, m_max=31)
         with pytest.raises(TheoryError, match="m_max"):

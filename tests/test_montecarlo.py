@@ -283,21 +283,28 @@ class TestSyncMseEmpirical:
             tracemalloc.stop()
         assert peak < 8e6
 
-    # Rates that no Poisson draw takes and a negative search half width fail
-    # as campaign errors that name the argument, like a trial count below one.
+    # Rates that no Poisson draw takes, a chip or symbol rate that gives no
+    # chip duration and a negative search half width fail as campaign errors
+    # that name the argument, like a trial count below one.
     @pytest.mark.parametrize(
         "value, name",
         [(0, "trials"), (-3, "trials"),
          (-1.0, "lambda_s"), (math.nan, "lambda_s"), (math.inf, "lambda_s"),
          (-1.0, "lambda_b"), (math.nan, "lambda_b"), (math.inf, "lambda_b"),
-         (-1, "window_half_chips")],
+         (-1, "window_half_chips"),
+         (1e20, "lambda_s"), (1e17, "lambda_b"), (0, "chips_per_symbol"),
+         (0.0, "symbol_rate_hz"), (-1e6, "symbol_rate_hz"), (math.nan, "symbol_rate_hz"),
+         (math.inf, "symbol_rate_hz")],
     )
     def test_rejects_count_below_one(self, name, value):
-        kwargs = {"lambda_s": 10.0, "lambda_b": 1.0, "trials": 8, name: value}
-        bound = ">= 1" if name == "trials" else ">= 0"
-        with pytest.raises(CampaignError, match=f"{name} must be (finite and )?{bound}"):
-            sync_mse_empirical(length=64, chips_per_symbol=100, symbol_rate_hz=1e6, seed=1,
-                               **kwargs)
+        kwargs = {"lambda_s": 10.0, "lambda_b": 1.0, "trials": 8, "chips_per_symbol": 100,
+                  "symbol_rate_hz": 1e6, name: value}
+        bound = {"trials": ">= 1", "chips_per_symbol": ">= 1",
+                 "symbol_rate_hz": "finite and > 0"}.get(name, "(finite and )?>= 0")
+        if value in (1e20, 1e17):
+            bound = "<= [0-9.e+]+"  # the sampler's ceiling on a Poisson mean
+        with pytest.raises(CampaignError, match=f"^{name} must be {bound}"):
+            sync_mse_empirical(length=64, seed=1, **kwargs)
 
 
 def session(t_ba_s, t_cb_s, chip_s=10e-9):
