@@ -20,6 +20,7 @@ from .errortheory import (
     positioning_mse,
     sync_mse_bound,
     theory_grid,
+    theory_points,
 )
 from .montecarlo import (
     CampaignResult,
@@ -82,4 +83,5 @@ __all__ = [
     "sync_mse_empirical",
     "synchronize_frame",
     "theory_grid",
+    "theory_points",
 ]

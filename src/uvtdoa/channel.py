@@ -67,17 +67,20 @@ class LinkBudget:
         return replace(self, power_w=power_w)
 
 
-def los_photon_rate(budget: LinkBudget, distance_m: float, symbol_duration_s: float) -> float:
+def los_photon_rate(budget: LinkBudget, distance_m, symbol_duration_s: float):
     """Mean detected photoelectrons per symbol over a line-of-sight path.
 
     Uniform-cone divergence with inverse-square spreading: the transmitter
     emits P*T_s/E_photon photons per symbol into a cone of solid angle
     2*pi*(1 - cos(theta/2)); the receiver intercepts its aperture's share at
     the given distance and detects a fraction equal to the quantum
-    efficiency. The result saturates at ``lambda_clip``.
+    efficiency. The result saturates at ``lambda_clip``. ``distance_m`` is
+    one distance, giving a float, or an array, giving an array of its shape;
+    every distance must be > 0.
     """
-    if not distance_m > 0:
-        raise ChannelError(f"distance_m must be > 0, got {distance_m}")
+    d = np.asarray(distance_m, dtype=float)
+    if not (d > 0).all():
+        raise ChannelError(f"distance_m must be > 0, got {float(d[~(d > 0)][0])}")
     if not symbol_duration_s > 0:
         raise ChannelError(f"symbol_duration_s must be > 0, got {symbol_duration_s}")
     photon_energy = PLANCK_CONSTANT * SPEED_OF_LIGHT / budget.wavelength_m
@@ -87,9 +90,10 @@ def los_photon_rate(budget: LinkBudget, distance_m: float, symbol_duration_s: fl
         budget.detector_efficiency
         * photons_per_symbol
         * budget.rx_area_m2
-        / (solid_angle * distance_m * distance_m)
+        / (solid_angle * d * d)
     )
-    return float(min(budget.lambda_clip, rate))
+    rate = np.minimum(budget.lambda_clip, rate)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import LinkBudget, SignalParams, los_photon_rate
-from .scene import GridSpec, Scene, inside_triangle, ranges
+from .scene import GridSpec, Scene, anchor_ranges, inside_triangle
 
 
 class TheoryError(ValueError):
@@ -391,41 +391,56 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
     return value, tail_fraction
 
 
+# Condition numbers above this declare the geometry matrix singular.
+CONDITION_LIMIT = 1e8
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Positioning MSE matrix, its scalar error and the geometry's conditioning."""
+    """Positioning MSE matrix, its scalar error and the geometry's conditioning.
 
-    mse_matrix: tuple[tuple[float, float], tuple[float, float]]
-    e_p: float
-    condition_number: float
+    For one point the fields are a nested tuple and floats; for a batch of
+    points of shape (...) they are arrays of shape (..., 2, 2) and (...).
+    """
+
+    mse_matrix: tuple[tuple[float, float], tuple[float, float]] | np.ndarray
+    e_p: float | np.ndarray
+    condition_number: float | np.ndarray
 
     def mse_array(self) -> np.ndarray:
         return np.asarray(self.mse_matrix, dtype=float)
 
 
-# Condition numbers above this declare the geometry matrix singular.
-CONDITION_LIMIT = 1e8
+def _is_singular(cond) -> np.ndarray:
+    """True where a condition number is above ``CONDITION_LIMIT`` or not finite."""
+    return ~(np.asarray(cond) <= CONDITION_LIMIT)
 
 
 def geometry_matrix(scene: Scene, at=None) -> np.ndarray:
-    """Partials of the two range differences w.r.t. the receiver position."""
-    p = np.asarray(at if at is not None else scene.rx_true, dtype=float)
-    r1, r2, r3 = ranges(scene, p)
+    """Partials of the two range differences w.r.t. the receiver position.
+
+    ``at`` (default: the scene's receiver) is one point or an array of
+    shape (..., 2); the result has shape (..., 2, 2).
+    """
+    p = scene.rx_true if at is None else at
+    r = anchor_ranges(scene, p)
+    p = np.asarray(p, dtype=float)
+    x0, y0 = p[..., 0], p[..., 1]
+    r1, r2, r3 = r[..., 0], r[..., 1], r[..., 2]
     (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
-    x0, y0 = p
-    return np.array(
-        [
-            [(ax - x0) / r1 - (bx - x0) / r2, (ay - y0) / r1 - (by - y0) / r2],
-            [(bx - x0) / r2 - (cx - x0) / r3, (by - y0) / r2 - (cy - y0) / r3],
-        ]
-    )
+    g = np.empty(p.shape[:-1] + (2, 2))
+    g[..., 0, 0] = (ax - x0) / r1 - (bx - x0) / r2
+    g[..., 0, 1] = (ay - y0) / r1 - (by - y0) / r2
+    g[..., 1, 0] = (bx - x0) / r2 - (cx - x0) / r3
+    g[..., 1, 1] = (by - y0) / r2 - (cy - y0) / r3
+    return g
 
 
 def positioning_mse(
     scene: Scene,
-    sigma2_a: float,
-    sigma2_b: float,
-    sigma2_c: float,
+    sigma2_a,
+    sigma2_b,
+    sigma2_c,
     at=None,
 ) -> ErrorBudget:
     """Linearized positioning MSE from per-anchor arrival-time variances.
@@ -434,34 +449,48 @@ def positioning_mse(
     arrival errors share the B term, hence the negative off-diagonal) is
     propagated through the inverted geometry matrix; the scalar error is the
     square root of the trace.
+
+    ``at`` (default: the scene's receiver) is one point or an array of
+    points of shape (..., 2), and each variance is a scalar or an array of
+    that batch shape (...). All points go through one stacked pass. At one
+    point a singular geometry matrix raises ``SingularGeometryError``; in a
+    batch it gives a NaN MSE and ``e_p`` there, with the matrix's condition
+    number.
     """
+    sigmas = []
     for name, s2 in (("sigma2_a", sigma2_a), ("sigma2_b", sigma2_b), ("sigma2_c", sigma2_c)):
-        if s2 < 0:
-            raise TheoryError(f"{name} must be >= 0, got {s2}")
+        s2 = np.asarray(s2, dtype=float)
+        if (s2 < 0).any():
+            raise TheoryError(f"{name} must be >= 0, got {float(s2[s2 < 0][0])}")
+        sigmas.append(s2)
     g = geometry_matrix(scene, at)
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    batch = g.shape[:-2]
+    g = g.reshape(-1, 2, 2)
+    s_a, s_b, s_c = (np.broadcast_to(s2, batch).reshape(-1) for s2 in sigmas)
+    cond = np.linalg.cond(g)
+    singular = _is_singular(cond)
+    if not batch and singular[0]:
         raise SingularGeometryError(
             f"geometry matrix is singular at {at if at is not None else scene.rx_true} "
-            f"(condition number {cond:.3e})",
-            condition_number=cond,
+            f"(condition number {cond[0]:.3e})",
+            condition_number=float(cond[0]),
         )
-    c2 = scene.c**2
-    hh = c2 * np.array(
-        [
-            [sigma2_a + sigma2_b, -sigma2_b],
-            [-sigma2_b, sigma2_b + sigma2_c],
-        ]
-    )
-    g_inv = np.linalg.inv(g)
-    mse = g_inv @ hh @ g_inv.T
-    mse = 0.5 * (mse + mse.T)  # symmetrize away last-bit asymmetry
-    e_p = float(np.sqrt(max(np.trace(mse), 0.0)))
-    return ErrorBudget(
-        mse_matrix=((float(mse[0, 0]), float(mse[0, 1])), (float(mse[1, 0]), float(mse[1, 1]))),
-        e_p=e_p,
-        condition_number=cond,
-    )
+    hh = np.empty_like(g)
+    hh[:, 0, 0] = s_a + s_b
+    hh[:, 0, 1] = hh[:, 1, 0] = -s_b
+    hh[:, 1, 1] = s_b + s_c
+    hh *= scene.c**2
+    ok = ~singular
+    g_inv = np.linalg.inv(g[ok])
+    m = g_inv @ hh[ok] @ np.swapaxes(g_inv, -1, -2)
+    mse = np.full_like(g, np.nan)
+    mse[ok] = 0.5 * (m + np.swapaxes(m, -1, -2))  # symmetrize away last-bit asymmetry
+    trace = mse[:, 0, 0] + mse[:, 1, 1]
+    e_p = np.sqrt(np.where(0.0 > trace, 0.0, trace))  # max(trace, 0.0), NaN kept
+    if not batch:
+        (m00, m01), (m10, m11) = mse[0].tolist()
+        return ErrorBudget(((m00, m01), (m10, m11)), float(e_p[0]), float(cond[0]))
+    return ErrorBudget(mse.reshape(batch + (2, 2)), e_p.reshape(batch), cond.reshape(batch))
 
 
 @dataclass(frozen=True)
@@ -499,45 +528,52 @@ def _cached_bound(params: SyncBoundParams) -> float:
 
 def anchor_sigma2(
     scene: Scene,
-    point,
+    points,
     budget: LinkBudget,
     params: SignalParams,
     clock: ClockModel,
-) -> tuple[float, float, float]:
-    """Total per-anchor arrival-time variance at a receiver point.
+) -> np.ndarray:
+    """Total per-anchor arrival-time variances at receiver points.
 
-    Clock-edge variance plus the sync-MSE bound at the link's photon rate.
-    The bound is cached per rate, which pays off once the clip flattens the
-    rates across the grid.
+    Clock-edge variance plus the sync-MSE bound at each link's photon rate,
+    shape (..., 3) for points of shape (..., 2). The bound is evaluated once
+    per distinct rate, in order of first appearance (point by point, anchors
+    A, B, C), and cached across calls, which pays off once the clip flattens
+    the rates across the grid.
     """
-    dists = ranges(scene, point)
-    out = []
-    for d in dists:
-        lam_s = los_photon_rate(budget, d, params.symbol_s)
-        bound = _cached_bound(SyncBoundParams.from_signal(params, lam_s, budget.lambda_b))
-        out.append(clock.variance_s2 + bound)
-    return out[0], out[1], out[2]
+    rates = los_photon_rate(budget, anchor_ranges(scene, points), params.symbol_s)
+    flat = rates.ravel().tolist()
+    bounds = {
+        lam_s: _cached_bound(SyncBoundParams.from_signal(params, lam_s, budget.lambda_b))
+        for lam_s in dict.fromkeys(flat)  # the distinct rates, in first-appearance order
+    }
+    return clock.variance_s2 + np.array([bounds[lam_s] for lam_s in flat]).reshape(rates.shape)
 
 
-def theory_point(
+def theory_points(
     scene: Scene,
-    point,
+    points,
     budget: LinkBudget,
     params: SignalParams,
     clock: ClockModel,
-) -> TheoryPoint:
-    """Theoretical scalar positioning error at one receiver point.
+) -> TheoryMap:
+    """Theoretical scalar positioning error at each of an (P, 2) array of points.
 
-    A singular geometry matrix is flagged with a NaN ``e_p`` and the
-    matrix's condition number rather than raised.
+    One pass over all points: ``anchor_sigma2`` then ``positioning_mse``. A
+    singular geometry matrix is flagged with a NaN ``e_p`` and the matrix's
+    condition number rather than raised.
     """
-    x, y = float(point[0]), float(point[1])
-    inside = inside_triangle(scene, point)
-    try:
-        out = positioning_mse(scene, *anchor_sigma2(scene, point, budget, params, clock), at=point)
-    except SingularGeometryError as exc:
-        return TheoryPoint(x, y, float("nan"), exc.condition_number, singular=True, inside=inside)
-    return TheoryPoint(x, y, out.e_p, out.condition_number, singular=False, inside=inside)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    s2 = anchor_sigma2(scene, pts, budget, params, clock)
+    err = positioning_mse(scene, s2[:, 0], s2[:, 1], s2[:, 2], at=pts)
+    return TheoryMap(tuple(
+        TheoryPoint(x, y, e_p, cond, singular, inside)
+        for (x, y), e_p, cond, singular, inside in zip(
+            pts.tolist(), err.e_p.tolist(), err.condition_number.tolist(),
+            _is_singular(err.condition_number).tolist(),
+            inside_triangle(scene, pts).tolist(),
+        )
+    ))
 
 
 def theory_grid(
@@ -547,7 +583,5 @@ def theory_grid(
     params: SignalParams,
     clock: ClockModel,
 ) -> TheoryMap:
-    """Theoretical scalar positioning error for every grid point (see ``theory_point``)."""
-    return TheoryMap(
-        tuple(theory_point(scene, p, budget, params, clock) for p in grid.points())
-    )
+    """Theoretical scalar positioning error for every grid point (see ``theory_points``)."""
+    return theory_points(scene, grid.points(), budget, params, clock)

@@ -22,7 +22,7 @@ from .channel import (
     render_frame,
     sample_photons,
 )
-from .errortheory import DEFAULT_M_MAX, ClockModel, theory_point
+from .errortheory import DEFAULT_M_MAX, ClockModel, theory_points
 from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
@@ -209,9 +209,8 @@ def run_point(
 
 def _point_task(args) -> PointResult:
     spec, point, index = args
-    scene = spec.scene.with_receiver(point)
-    result = run_point(
-        scene,
+    return run_point(
+        spec.scene.with_receiver(point),
         spec.signal,
         spec.budget,
         spec.clock,
@@ -219,8 +218,6 @@ def _point_task(args) -> PointResult:
         spec.seed,
         point_index=index,
     )
-    result.theory_ep_m = theory_point(scene, point, spec.budget, spec.signal, spec.clock).e_p
-    return result
 
 
 def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
@@ -228,7 +225,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
 
     Points are independent and may be evaluated by worker processes, at most
     one per point; results are merged in point order so the output does not
-    depend on scheduling.
+    depend on scheduling. The theoretical error of every point then comes
+    from one ``theory_points`` pass in this process.
     """
     points = spec.receiver_points()
     tasks = [(spec, (float(p[0]), float(p[1])), i) for i, p in enumerate(points)]
@@ -238,6 +236,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
             results = list(pool.map(_point_task, tasks))
     else:
         results = [_point_task(t) for t in tasks]
+    theory = theory_points(spec.scene, points, spec.budget, spec.signal, spec.clock)
+    for result, point in zip(results, theory.points):
+        result.theory_ep_m = point.e_p
     return CampaignResult(
         seed=spec.seed,
         trials_per_point=spec.trials_per_point,

@@ -35,6 +35,19 @@ def _as_point(p, name: str) -> tuple[float, float]:
     return x, y
 
 
+def _as_points(p, name: str) -> np.ndarray:
+    """``p`` as a float array of finite 2-D points, shape (..., 2)."""
+    try:
+        pts = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise SceneError(f"{name} must hold 2-D points, got {p!r}") from None
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise SceneError(f"{name} must hold 2-D points, got {p!r}")
+    if not np.isfinite(pts).all():
+        raise SceneError(f"{name} has non-finite coordinates: {p!r}")
+    return pts
+
+
 def triangle_area(a, b, c) -> float:
     """Unsigned area of the triangle spanned by three 2-D points."""
     ax, ay = a
@@ -100,20 +113,41 @@ def ranges(scene: Scene, p) -> tuple[float, float, float]:
     )
 
 
+def anchor_ranges(scene: Scene, points) -> np.ndarray:
+    """Distances from points of shape (..., 2) to anchors A, B, C, shape (..., 3).
+
+    The same expression as ``ranges``, evaluated elementwise, so the bits
+    match it point by point.
+    """
+    pts = _as_points(points, "points")
+    x, y = pts[..., 0], pts[..., 1]
+    out = np.empty(pts.shape[:-1] + (3,))
+    for i, (ax, ay) in enumerate((scene.tx_a, scene.tx_b, scene.tx_c)):
+        dx, dy = ax - x, ay - y
+        out[..., i] = np.sqrt(dx * dx + dy * dy)
+    return out
+
+
 # Barycentric slack: points this far outside an edge still count as inside,
 # so boundary points survive floating-point noise.
 _EDGE_TOL = -1e-12
 
 
-def inside_triangle(scene: Scene, p) -> bool:
-    """True iff ``p`` lies inside or on the anchor triangle."""
-    px, py = _as_point(p, "p")
+def inside_triangle(scene: Scene, p):
+    """True where ``p`` lies inside or on the anchor triangle.
+
+    ``p`` is one point, giving a bool, or an array of shape (..., 2), giving
+    a bool array of shape (...).
+    """
+    pts = _as_points(p, "p")
+    px, py = pts[..., 0], pts[..., 1]
     (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
     den = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
     w1 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / den
     w2 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / den
     w3 = 1.0 - w1 - w2
-    return w1 >= _EDGE_TOL and w2 >= _EDGE_TOL and w3 >= _EDGE_TOL
+    inside = (w1 >= _EDGE_TOL) & (w2 >= _EDGE_TOL) & (w3 >= _EDGE_TOL)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass(frozen=True)

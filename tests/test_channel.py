@@ -47,6 +47,17 @@ class TestLosPhotonRate:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ChannelError):
             los_photon_rate(make_budget(), 0.0, 1e-6)
+        with pytest.raises(ChannelError, match=r"got -2\.0$"):
+            los_photon_rate(make_budget(), np.array([[5.0, -2.0], [0.0, 1.0]]), 1e-6)
+
+    def test_array_of_distances_keeps_its_shape(self):
+        budget = make_budget(power_w=0.15)
+        d = np.array([[0.5, 70.0, 140.0], [1e3, 3e4, 2.5]])
+        rates = los_photon_rate(budget, d, 1e-6)
+        assert rates.shape == (2, 3)
+        assert rates.tolist() == [[los_photon_rate(budget, x, 1e-6) for x in row]
+                                  for row in d.tolist()]
+        assert isinstance(los_photon_rate(budget, 70.0, 1e-6), float)
 
 
 def chip_aligned_scene(params, chips=50):

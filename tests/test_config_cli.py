@@ -509,6 +509,17 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: cannot read log") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_corner_on_an_anchor_is_exit_3(self, tmp_path, capsys):
+        # The corner (0, 0) is anchor A: its link has no distance, and the
+        # rate refuses it before dividing by it.
+        text = CONFIG_TEXT.replace("x_min_m = 25", "x_min_m = 0").replace(
+            "y_min_m = 20", "y_min_m = 0")
+        path = tmp_path / "on_anchor.cfg"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: distance_m must be > 0, got 0.0\n"
+
     def test_library_error_is_exit_3(self, config_file, tmp_path, capsys):
         # An empty power list loads and reaches power_sweep's CampaignError.
         assert main(["sweep", "--config", str(config_file), "--powers-mw", ",",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from uvtdoa import (
     Scene,
     SingularGeometryError,
     SyncBoundParams,
+    inside_triangle,
     misdetect_prob_cross_symbol,
     misdetect_prob_within_symbol,
     positioning_mse,
@@ -23,6 +25,7 @@ from uvtdoa.errortheory import (
     SyncBoundTailWarning,
     TheoryError,
     _bound_grid,
+    _cached_bound,
     _cross_is_zero,
     _p_cross,
     _p_within,
@@ -261,15 +264,33 @@ class TestTheoryGrid:
 
     def test_matches_pointwise_calls(self):
         scene = make_scene(GEOMETRY_II)
-        grid = GridSpec(20.0, 50.0, 15.0, 45.0, steps_x=3, steps_y=3)
         budget = make_budget(power_w=0.15)
         signal = make_signal()
         clock = ClockModel.uniform(0, 100e-9)
-        tmap = theory_grid(scene, grid, budget, signal, clock)
-        for point in tmap.points:
-            s2 = anchor_sigma2(scene, (point.x, point.y), budget, signal, clock)
-            direct = positioning_mse(scene, *s2, at=(point.x, point.y))
-            assert point.e_p == pytest.approx(direct.e_p, rel=1e-12)
+        grids = {
+            GridSpec(20.0, 50.0, 15.0, 45.0, steps_x=3, steps_y=3): 0,
+            # the far column is singular: a mixed stack
+            GridSpec(30.0, 5.0e9, 20.0, 30.0, steps_x=2, steps_y=2): 2,
+        }
+        for grid, n_singular in grids.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SyncBoundTailWarning)
+                tmap = theory_grid(scene, grid, budget, signal, clock)
+                for point in tmap.points:
+                    at = (point.x, point.y)
+                    s2 = anchor_sigma2(scene, at, budget, signal, clock)
+                    assert point.inside == inside_triangle(scene, at)
+                    try:
+                        direct = positioning_mse(scene, *s2, at=at)
+                    except SingularGeometryError as exc:
+                        assert point.singular
+                        assert math.isnan(point.e_p)
+                        assert point.condition_number == exc.condition_number
+                    else:
+                        assert not point.singular
+                        assert point.e_p == direct.e_p
+                        assert point.condition_number == direct.condition_number
+            assert sum(p.singular for p in tmap.points) == n_singular
 
     def test_center_lower_than_edges_ideal_clock(self):
         scene = make_scene(GEOMETRY_II)
@@ -287,7 +308,10 @@ class TestTheoryGrid:
         # one grid column sits so far out that the geometry degenerates
         grid = GridSpec(30.0, 5.0e9, 20.0, 30.0, steps_x=2, steps_y=2)
         budget = make_budget(power_w=0.15)
-        # the far column's links are weak enough that the truncated bound warns
+        # the far column's links are weak enough that the truncated bound
+        # warns; the bound cache is process-wide, so an earlier test's call
+        # at these rates would otherwise have taken the warning
+        _cached_bound.cache_clear()
         with pytest.warns(SyncBoundTailWarning):
             tmap = theory_grid(scene, grid, budget, make_signal(), ClockModel.ideal())
         flags = [p.singular for p in tmap.points]

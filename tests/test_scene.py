@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uvtdoa import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
+from uvtdoa.scene import anchor_ranges
 
 from conftest import GEOMETRY_I, GEOMETRY_II, GEOMETRY_III, make_scene
 
@@ -40,9 +41,13 @@ class TestRanges:
         for geometry in (GEOMETRY_I, GEOMETRY_II, GEOMETRY_III):
             scene = make_scene(geometry)
             for scale in (1.0, 100.0, 1e4):
-                for p in rng.uniform(-scale, scale, size=(200, 2)):
+                points = rng.uniform(-scale, scale, size=(200, 2))
+                # and the array form gives the same bits at every point
+                batch = anchor_ranges(scene, points.reshape(10, 20, 2)).reshape(200, 3)
+                for p, row in zip(points, batch):
                     expected = np.linalg.norm(scene.anchors - p, axis=1)
                     assert ranges(scene, p) == tuple(float(d) for d in expected)
+                    assert ranges(scene, p) == tuple(row.tolist())
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(7)
@@ -87,6 +92,14 @@ class TestInsideTriangle:
         oracle = all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
         assert inside_triangle(scene, p) is True
         assert inside_triangle(scene, p) == oracle
+
+    def test_array_matches_point_by_point(self):
+        scene = make_scene(GEOMETRY_II)
+        points = np.random.default_rng(4).uniform(-20, 100, size=(6, 50, 2))
+        inside = inside_triangle(scene, points)
+        assert inside.shape == (6, 50) and inside.any() and not inside.all()
+        for p, flag in zip(points.reshape(-1, 2), inside.ravel()):
+            assert inside_triangle(scene, p) is bool(flag)
 
     def test_vertex_permutation_invariance(self):
         rng = np.random.default_rng(3)
