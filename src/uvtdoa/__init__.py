@@ -19,7 +19,6 @@ from .errortheory import (
     misdetect_prob_within_symbol,
     positioning_mse,
     sync_mse_bound,
-    theory_grid,
     theory_points,
 )
 from .montecarlo import (
@@ -82,6 +81,5 @@ __all__ = [
     "sync_mse_bound",
     "sync_mse_empirical",
     "synchronize_frame",
-    "theory_grid",
     "theory_points",
 ]

@@ -101,17 +101,14 @@ class SignalParams:
     """Pilot sequence and timing of the time-division transmission.
 
     ``slot_interval_s`` must exceed the pilot duration so consecutive anchor
-    slots never overlap. Per-anchor signal rates are photoelectrons/symbol
-    and are typically filled in per receiver point from the link budget.
+    slots never overlap, and must be a whole number of chips: the receiver
+    cuts slot i at ``i * slot_chips`` chips, where anchor i transmits.
     """
 
     sequence: tuple[int, ...]
     symbol_rate_hz: float
     chips_per_symbol: int
     slot_interval_s: float
-    lambda_s_a: float = 0.0
-    lambda_s_b: float = 0.0
-    lambda_s_c: float = 0.0
 
     def __post_init__(self):
         seq = tuple(int(v) for v in np.asarray(self.sequence).reshape(-1))
@@ -130,9 +127,12 @@ class SignalParams:
                 f"slot_interval_s = {self.slot_interval_s} is shorter than the "
                 f"pilot duration {len(seq) / self.symbol_rate_hz}; slots would overlap"
             )
-        for name in ("lambda_s_a", "lambda_s_b", "lambda_s_c"):
-            if getattr(self, name) < 0:
-                raise ChannelError(f"{name} must be >= 0")
+        chips = self.slot_interval_s / self.chip_s
+        if abs(chips - round(chips)) > 1e-6:
+            raise ChannelError(
+                f"slot_interval_s = {self.slot_interval_s!r} is {chips:.9g} chips of "
+                f"{self.chip_s!r} s, not a whole number"
+            )
 
     @property
     def length(self) -> int:
@@ -163,11 +163,6 @@ class SignalParams:
     def sequence_array(self) -> np.ndarray:
         """The pilot as a read-only int64 array, built once per instance."""
         return self._pilot
-
-    def with_rates(self, lambda_s_a: float, lambda_s_b: float, lambda_s_c: float) -> "SignalParams":
-        return replace(
-            self, lambda_s_a=lambda_s_a, lambda_s_b=lambda_s_b, lambda_s_c=lambda_s_c
-        )
 
 
 @dataclass
@@ -242,23 +237,31 @@ def sample_photons(
 def render_frame(
     scene: Scene,
     params: SignalParams,
-    budget: LinkBudget,
+    lambda_s,
+    lambda_b: float,
     clock_offsets_s,
     frac_offset_eps_s: float,
     rng_seed,
 ) -> ChipTrace:
     """Simulate the chip counts of one three-slot pilot frame.
 
-    Anchor i transmits at i * slot_interval; its pilot reaches the receiver
-    delayed by the clock offset, the flight time, and the shared fractional
-    offset ``frac_offset_eps_s``. Counts are Poisson with per-chip means from
-    the background plus the prorated pilot overlap, independent across chips,
-    drawn photon by photon (see ``sample_photons``). Identical inputs and
-    seed give an identical trace.
+    Anchor i transmits at i * slot_interval with ``lambda_s[i]`` signal
+    photoelectrons per symbol; its pilot reaches the receiver delayed by the
+    clock offset, the flight time, and the shared fractional offset
+    ``frac_offset_eps_s``. Counts are Poisson with per-chip means from the
+    background ``lambda_b`` per symbol plus the prorated pilot overlap,
+    independent across chips, drawn photon by photon (see
+    ``sample_photons``). Identical inputs and seed give an identical trace.
     """
     offsets = np.asarray(clock_offsets_s, dtype=float).reshape(-1)
     if offsets.shape != (3,):
         raise ChannelError("clock_offsets_s must hold one offset per anchor")
+    lambdas = np.asarray(lambda_s, dtype=float).reshape(-1)
+    if lambdas.shape != (3,) or not (lambdas >= 0).all() or not lambda_b >= 0:
+        raise ChannelError(
+            f"lambda_s must hold one rate >= 0 per anchor and lambda_b must be >= 0, "
+            f"got {lambda_s!r} and {lambda_b!r}"
+        )
     rng = np.random.default_rng(rng_seed)
     t_chip = params.chip_s
     slot_chips = params.slot_chips
@@ -281,9 +284,8 @@ def render_frame(
     starts = pilot_rate_profile(
         params.sequence_array(), params.chips_per_symbol, arrivals_s / t_chip, n_chips
     )
-    lambdas = np.array([params.lambda_s_a, params.lambda_s_b, params.lambda_s_c])
     counts = sample_photons(
         rng, starts.reshape(1, -1), np.repeat(lambdas, starts.shape[1]),
-        budget.lambda_b, params.chips_per_symbol, n_chips,
+        lambda_b, params.chips_per_symbol, n_chips,
     )
     return ChipTrace(counts[0])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
-from .errortheory import TheoryError, theory_grid
+from .errortheory import TheoryError, theory_points
 from .montecarlo import (
     CampaignError,
     calibration_offsets,
@@ -302,7 +302,7 @@ def _campaign_payload(meta: dict, result) -> dict:
 
 
 def cmd_theory(cfg: Config, args, out: Path) -> int:
-    tmap = theory_grid(cfg.scene, cfg.grid, cfg.budget, cfg.signal, cfg.clock)
+    tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
     if all(p.singular for p in tmap.points):
         print("error: geometry matrix singular at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -435,12 +435,7 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         print("error: no complete A/B/C sessions in measurement log", file=sys.stderr)
         return EXIT_IO
     cal = calibration_offsets(cfg.scene, cal_sessions)
-    rng = np.random.default_rng(cfg.seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = differential_correction(cfg.scene, cal, sessions, rng=rng)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    res = differential_correction(cfg.scene, cal, sessions, rng=np.random.default_rng(cfg.seed))
     counts = {
         "calibration_skipped_lines": cal_skipped,
         "calibration_incomplete_sessions": cal_dropped,
@@ -541,6 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -564,7 +563,11 @@ def main(argv=None) -> int:
         "diffcal": cmd_diffcal,
     }
     try:
-        return handlers[args.command](cfg, args, out)
+        with warnings.catch_warnings():
+            # Each shown warning is one "warning: <message>" line; the
+            # filters stay as they are, so a warning made an error raises.
+            warnings.showwarning = _print_warning
+            return handlers[args.command](cfg, args, out)
     except ReplayError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import LinkBudget, SignalParams, los_photon_rate
-from .scene import GridSpec, Scene, anchor_ranges, inside_triangle
+from .scene import Scene, anchor_ranges, inside_triangle
 
 
 class TheoryError(ValueError):
@@ -117,17 +117,6 @@ class SyncBoundParams:
     @property
     def chip_s(self) -> float:
         return self.symbol_s / self.chips_per_symbol
-
-    @classmethod
-    def from_signal(cls, params: SignalParams, lambda_s: float,
-                    lambda_b: float) -> "SyncBoundParams":
-        return cls(
-            lambda_s=lambda_s,
-            lambda_b=lambda_b,
-            length=params.length,
-            chips_per_symbol=params.chips_per_symbol,
-            symbol_s=params.symbol_s,
-        )
 
 
 def _within_factors(k, e, n: int):
@@ -407,9 +396,6 @@ class ErrorBudget:
     e_p: float | np.ndarray
     condition_number: float | np.ndarray
 
-    def mse_array(self) -> np.ndarray:
-        return np.asarray(self.mse_matrix, dtype=float)
-
 
 def _is_singular(cond) -> np.ndarray:
     """True where a condition number is above ``CONDITION_LIMIT`` or not finite."""
@@ -544,7 +530,8 @@ def anchor_sigma2(
     rates = los_photon_rate(budget, anchor_ranges(scene, points), params.symbol_s)
     flat = rates.ravel().tolist()
     bounds = {
-        lam_s: _cached_bound(SyncBoundParams.from_signal(params, lam_s, budget.lambda_b))
+        lam_s: _cached_bound(SyncBoundParams(
+            lam_s, budget.lambda_b, params.length, params.chips_per_symbol, params.symbol_s))
         for lam_s in dict.fromkeys(flat)  # the distinct rates, in first-appearance order
     }
     return clock.variance_s2 + np.array([bounds[lam_s] for lam_s in flat]).reshape(rates.shape)
@@ -574,14 +561,3 @@ def theory_points(
             inside_triangle(scene, pts).tolist(),
         )
     ))
-
-
-def theory_grid(
-    scene: Scene,
-    grid: GridSpec,
-    budget: LinkBudget,
-    params: SignalParams,
-    clock: ClockModel,
-) -> TheoryMap:
-    """Theoretical scalar positioning error for every grid point (see ``theory_points``)."""
-    return theory_points(scene, grid.points(), budget, params, clock)

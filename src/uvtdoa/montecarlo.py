@@ -23,7 +23,7 @@ from .channel import (
     sample_photons,
 )
 from .errortheory import DEFAULT_M_MAX, ClockModel, theory_points
-from .scene import GridSpec, Scene, default_grid, inside_triangle, ranges
+from .scene import GridSpec, Scene, anchor_ranges, default_grid, inside_triangle, ranges
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
@@ -122,18 +122,6 @@ class CampaignResult:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def params_for_point(
-    scene: Scene, signal: SignalParams, budget: LinkBudget
-) -> SignalParams:
-    """Signal params with per-anchor photon rates for the scene's receiver."""
-    dists = ranges(scene, scene.rx_true)
-    return signal.with_rates(
-        los_photon_rate(budget, dists[0], signal.symbol_s),
-        los_photon_rate(budget, dists[1], signal.symbol_s),
-        los_photon_rate(budget, dists[2], signal.symbol_s),
-    )
-
-
 def detect(
     scene: Scene,
     params: SignalParams,
@@ -146,10 +134,13 @@ def detect(
 ) -> list[tuple[int, int, int]]:
     """Slot-relative start chips of the three pilots, one triple per trial.
 
-    Trial t draws from its own substream, in order: the clock offsets (unless
-    ``session_offsets`` gives a session's shared offsets), a shared fractional
-    arrival offset, then the frame; the frame is then synchronized.
+    The three links' photon rates come from the expression the theory uses
+    (see ``anchor_sigma2``). Trial t draws from its own substream, in order:
+    the clock offsets (unless ``session_offsets`` gives a session's shared
+    offsets), a shared fractional arrival offset, then the frame; the frame
+    is then synchronized.
     """
+    lambda_s = los_photon_rate(budget, anchor_ranges(scene, scene.rx_true), params.symbol_s)
     t_chip = params.chip_s
     chips = []
     for t in range(trials):
@@ -159,7 +150,7 @@ def detect(
         # Free the frame before the next render: a frame kept alive across
         # it leaves a heap hole that glibc trims and page-faults back in on
         # every trial.
-        frame = render_frame(scene, params, budget, offsets, eps, rng)
+        frame = render_frame(scene, params, lambda_s, budget.lambda_b, offsets, eps, rng)
         chips.append(synchronize_frame(frame.counts, params))
         del frame
     return chips
@@ -186,9 +177,8 @@ def run_point(
     its error is NaN; ``rmse_m`` and ``mean_error_m`` are taken over the
     fixes, and are NaN when there is none.
     """
-    params = params_for_point(scene, signal, budget)
-    chips = detect(scene, params, budget, clock, trials, seed, point_index)
-    chip_s = params.chip_s
+    chips = detect(scene, signal, budget, clock, trials, seed, point_index)
+    chip_s = signal.chip_s
     fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s) for c in chips]
     truth = scene.rx_true
     errors = np.array([math.dist(fix.position, truth) for fix in fixes])
@@ -454,15 +444,15 @@ def differential_campaign(spec: CampaignSpec) -> list[DifferentialPointResult]:
     out = []
     for index, point in enumerate(spec.receiver_points()):
         scene = spec.scene.with_receiver(point)
-        params = params_for_point(scene, spec.signal, spec.budget)
         session_offsets = spec.clock.sample(trial_rng(spec.seed, index, 0, tag=1), 3)
         chips = detect(
-            scene, params, spec.budget, spec.clock, spec.trials_per_point, spec.seed,
+            scene, spec.signal, spec.budget, spec.clock, spec.trials_per_point, spec.seed,
             index, session_offsets,
         )
         truth = scene.rx_true
+        chip_s = spec.signal.chip_s
         sessions = [
-            SessionTdoa(f"t{t}", *time_differences(c, params.chip_s), params.chip_s, truth)
+            SessionTdoa(f"t{t}", *time_differences(c, chip_s), chip_s, truth)
             for t, c in enumerate(chips)
         ]
         res = differential_correction(scene, calibration_offsets(scene, sessions[:1]), sessions[1:])

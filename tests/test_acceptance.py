@@ -80,14 +80,13 @@ def test_criterion_2_poisson_channel_fidelity():
     lam_b = 1.0
     pvalues = {}
     for lam_s in (2.0, 10.0, 100.0):
-        params = make_signal(length=256, n=4, slot_s=300e-6).with_rates(lam_s, 0.0, 0.0)
-        budget = make_budget(lambda_b=lam_b)
+        params = make_signal(length=256, n=4, slot_s=300e-6)
         scene = chip_aligned_scene(params, chips=40)
         on_idx = np.nonzero(params.sequence_array())[0]
         draws = []
         frame = 0
         while len(draws) < 10_000:
-            trace = render_frame(scene, params, budget, (0, 0, 0), 0.0,
+            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), lam_b, (0, 0, 0), 0.0,
                                  (int(lam_s * 10), frame))
             sums = trace.counts[40 : 40 + params.pilot_chips].reshape(-1, 4).sum(axis=1)
             draws.extend(sums[on_idx].tolist())
@@ -294,7 +293,7 @@ def test_criterion_9_property_suite():
             budget = positioning_mse(scene, *rng.uniform(0, 1e-15, size=3))
         except Exception:
             continue
-        m = budget.mse_array()
+        m = np.asarray(budget.mse_matrix)
         if abs(m[0, 1] - m[1, 0]) > 1e-18:
             failures.append("mse symmetry")
         if np.linalg.eigvalsh(m).min() < -1e-12 * max(m.max(), 1.0):

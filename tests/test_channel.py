@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,10 +69,9 @@ def chip_aligned_scene(params, chips=50):
 
 class TestRenderFrame:
     def test_zero_rates_zero_trace(self):
-        params = make_signal(length=16, n=4, slot_s=40e-6).with_rates(0.0, 0.0, 0.0)
-        budget = make_budget(lambda_b=0.0)
+        params = make_signal(length=16, n=4, slot_s=40e-6)
         scene = chip_aligned_scene(params)
-        trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, 1)
+        trace = render_frame(scene, params, (0.0, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, 1)
         assert np.all(trace.counts == 0)
         assert len(trace.counts) == 3 * params.slot_chips
 
@@ -83,13 +83,12 @@ class TestRenderFrame:
         params = SignalParams(
             sequence=[1] * length, symbol_rate_hz=1e6, chips_per_symbol=4,
             slot_interval_s=40e-6,
-        ).with_rates(lam_s, 0.0, 0.0)
-        budget = make_budget(lambda_b=0.0)
+        )
         scene = chip_aligned_scene(params, chips=8)
         n_frames = 10_000
         totals = np.empty(n_frames)
         for k in range(n_frames):
-            trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, k)
+            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, k)
             totals[k] = trace.counts[: params.slot_chips].sum()
         mean_expected = length * lam_s
         se = math.sqrt(mean_expected / n_frames)  # Poisson variance = mean
@@ -98,15 +97,14 @@ class TestRenderFrame:
     @pytest.mark.parametrize("lam_s", [5.0])
     def test_per_symbol_distribution_chi_square(self, lam_s):
         lam_b = 1.0
-        params = make_signal(length=256, n=4, slot_s=300e-6).with_rates(lam_s, 0.0, 0.0)
-        budget = make_budget(lambda_b=lam_b)
+        params = make_signal(length=256, n=4, slot_s=300e-6)
         scene = chip_aligned_scene(params, chips=40)
         n = params.chips_per_symbol
         on_idx = np.nonzero(params.sequence_array())[0]
         draws = []
         frame = 0
         while len(draws) < 10_000:
-            trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, frame)
+            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), lam_b, (0, 0, 0), 0.0, frame)
             sums = trace.counts[40 : 40 + params.pilot_chips].reshape(-1, n).sum(axis=1)
             draws.extend(sums[on_idx].tolist())
             frame += 1
@@ -115,19 +113,27 @@ class TestRenderFrame:
         assert p > 0.01
 
     def test_determinism(self):
-        params = make_signal(length=32, n=4, slot_s=64e-6).with_rates(5.0, 3.0, 1.0)
-        budget = make_budget()
+        params = make_signal(length=32, n=4, slot_s=64e-6)
         scene = chip_aligned_scene(params)
-        t1 = render_frame(scene, params, budget, (1e-8, 2e-8, 0), 3e-9, 1234)
-        t2 = render_frame(scene, params, budget, (1e-8, 2e-8, 0), 3e-9, 1234)
+        t1 = render_frame(scene, params, (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
+        t2 = render_frame(scene, params, (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
         assert np.array_equal(t1.counts, t2.counts)
 
     def test_slot_overrun_rejected(self):
-        params = make_signal(length=16, n=4, slot_s=17e-6).with_rates(5.0, 5.0, 5.0)
-        budget = make_budget()
+        params = make_signal(length=16, n=4, slot_s=17e-6)
         scene = chip_aligned_scene(params)
         with pytest.raises(SlotOverrunError):
-            render_frame(scene, params, budget, (2e-6, 0, 0), 0.0, 1)
+            render_frame(scene, params, (5.0, 5.0, 5.0), 1.0, (2e-6, 0, 0), 0.0, 1)
+
+    @pytest.mark.parametrize("lambda_s, lambda_b", [
+        ((5.0, -1.0, 5.0), 1.0), ((5.0, math.nan, 5.0), 1.0), ((5.0, 5.0), 1.0),
+        ((5.0, 5.0, 5.0), -1.0),
+    ])
+    def test_rates_rejected_unless_three_nonnegative(self, lambda_s, lambda_b):
+        params = make_signal(length=16, n=4, slot_s=40e-6)
+        scene = chip_aligned_scene(params)
+        with pytest.raises(ChannelError, match="lambda_s must hold one rate >= 0 per anchor"):
+            render_frame(scene, params, lambda_s, lambda_b, (0, 0, 0), 0.0, 1)
 
 
 def poisson_gof_pvalue(draws, mean):
@@ -254,5 +260,12 @@ class TestSignalParams:
         assert pilot.dtype == np.int64 and tuple(pilot) == signal.sequence
         with pytest.raises(ValueError):
             pilot[0] = 1 - pilot[0]
-        # with_rates builds its own copy of the same pilot
-        assert np.array_equal(signal.with_rates(1.0, 2.0, 3.0).sequence_array(), pilot)
+        # a copy with another field builds its own copy of the same pilot
+        assert np.array_equal(replace(signal, slot_interval_s=400e-6).sequence_array(), pilot)
+
+    def test_slot_must_be_a_whole_number_of_chips(self):
+        # 10 ns chips: 300 us is 30000 chips; 300.004 us is 30000.4, which
+        # the receiver would cut 0.4 chip away from where the anchor sends
+        assert make_signal(slot_s=300e-6).slot_chips == 30000
+        with pytest.raises(ChannelError, match=r"slot_interval_s = 0\.000300004 is 30000\.4 chips"):
+            make_signal(slot_s=300.004e-6)

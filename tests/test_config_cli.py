@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -124,6 +125,36 @@ class TestConfigParsing:
         assert outputs["omitted"] == outputs["written"]
 
 
+# The paper's campaign: Geometry II, the default 9x9 grid, L = 256, 100
+# chips of 10 ns per symbol, 150 mW.
+PAPER_CONFIG_TEXT = """
+[scene]
+tx_a_m = 0.0, 0.0
+tx_b_m = 75.6, 0.0
+tx_c_m = 32.2, 76.6
+
+[budget]
+power_w = 0.15
+rx_area_m2 = 1.77e-4
+divergence_full_angle_deg = 120
+wavelength_m = 266e-9
+
+[signal]
+sequence_length = 256
+symbol_rate_hz = 1e6
+chips_per_symbol = 100
+slot_interval_s = 300e-6
+
+[clock]
+distribution = uniform
+lo_ns = 0
+hi_ns = 100
+
+[campaign]
+trials_per_point = 4
+seed = 5
+"""
+
 # Extra arguments each command needs besides --config, --out and --seed.
 COMMAND_ARGS = {
     "theory": [],
@@ -208,11 +239,11 @@ class TestCliTheory:
         assert main(["theory", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_csv_matches_direct_library_call(self, config_file, tmp_path):
-        from uvtdoa import load_config, theory_grid
+        from uvtdoa import load_config, theory_points
         out = tmp_path / "golden"
         main(["theory", "--config", str(config_file), "--out", str(out)])
         cfg = load_config(config_file)
-        tmap = theory_grid(cfg.scene, cfg.grid, cfg.budget, cfg.signal, cfg.clock)
+        tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
         rows = [l for l in (out / "theory_map.csv").read_text().splitlines()
                 if not l.startswith("#") and not l.startswith("x_m")]
         assert len(rows) == len(tmap.points)
@@ -236,13 +267,32 @@ class TestCliSimulate:
         assert payload["trials_per_point"] == 4
         assert len(payload["points"]) == 9
         assert payload["grid_average_rmse_m"] > 0
-        # the campaign's theory column is theory_grid's, bit for bit
-        from uvtdoa import load_config, theory_grid
+        # the campaign's theory column is theory_points', bit for bit
+        from uvtdoa import load_config, theory_points
         cfg = load_config(config_file)
-        tmap = theory_grid(cfg.scene, cfg.grid, cfg.budget, cfg.signal, cfg.clock)
+        tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
         for point, theory in zip(payload["points"], tmap.points):
             assert (point["x_m"], point["y_m"]) == (theory.x, theory.y)
             assert point["theory_ep_m"] == theory.e_p
+
+    def test_output_bytes_are_pinned(self, config_file, tmp_path):
+        # A 2x2 grid, 3 trials, seed 3. A change that moves an output byte
+        # fails here and must say so. Recorded with numpy 2.4.6 and scipy
+        # 1.17.1 on x86-64 Linux.
+        config_file.write_text(
+            CONFIG_TEXT.replace("steps_x = 3\nsteps_y = 3", "steps_x = 2\nsteps_y = 2")
+            .replace("trials_per_point = 4", "trials_per_point = 3").replace("seed = 7", "seed = 3")
+        )
+        out = tmp_path / "o"
+        for command in ("simulate", "theory"):
+            assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == {
+            "campaign.json": "fbae972929bb0f05685c63c89ecc5fb782d42a0ecf232b3a40dfe66a605b74f2",
+            "detections.csv": "ce82fe3a6990d375b0f949ac86845d96790cdcd3394d1038a03229706e11cf68",
+            "theory_map.csv": "4bdd0299ad6e33c216ee5a6198ea599b81d58178365ecd2b8d573f70a565ef60",
+            "trials.csv": "fbba22f427fdc2d00d2e2cf64278414a35f1cb024cce317f81895ac355576b0b",
+        }
 
     def test_no_fix_point_writes_null(self, config_file, tmp_path):
         # 0-30 us clock offsets put every range difference kilometres past
@@ -344,20 +394,24 @@ class TestCliSweep:
         assert float(sim_avg) == payload["grid_average_rmse_m"]
         assert float(theory_avg) == payload["theory_average_m"]
 
-    def test_grid_without_inside_point_reads_nan_without_warnings(self, config_file, tmp_path):
+    def test_grid_without_inside_point_reads_nan_without_warnings(
+        self, config_file, tmp_path, capsys
+    ):
         import warnings
         config_file.write_text(CONFIG_TEXT.replace(
             "x_min_m = 25\nx_max_m = 50\ny_min_m = 20\ny_max_m = 45\nsteps_x = 3\nsteps_y = 3",
             "x_min_m = 60\nx_max_m = 70\ny_min_m = 50\ny_max_m = 60\nsteps_x = 2\nsteps_y = 2",
         ).replace("trials_per_point = 4", "trials_per_point = 2"))
-        with warnings.catch_warnings(record=True) as caught:
+        # main prints every warning it shows on stderr, one line each
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             assert main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "sw"),
                          "--powers-mw", "150"]) == 0
             assert main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "sim")]) == 0
-        assert not [w for w in caught if "Mean of empty slice" in str(w.message)]
-        assert not [w for w in caught if "invalid value" in str(w.message)]
+        err = capsys.readouterr().err
+        assert "Mean of empty slice" not in err
+        assert "invalid value" not in err
         rows = [l for l in (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
                 if not l.startswith("#") and not l.startswith("power_mw")]
         assert rows[0].split(",")[3:] == ["nan", "nan"]
@@ -365,6 +419,24 @@ class TestCliSweep:
         assert not any(p["inside"] for p in payload["points"])
         assert payload["inside_average_rmse_m"] is None
         assert payload["inside_theory_average_m"] is None
+
+    # Only the sync bound's truncation warning is let through here: it is
+    # the output under test. Any other RuntimeWarning stays an error.
+    @pytest.mark.filterwarnings("default::uvtdoa.errortheory.SyncBoundTailWarning")
+    def test_warnings_are_one_line_each(self, tmp_path, capsys):
+        # The paper config (Geometry II, default 9x9 grid): the truncated
+        # sync bound warns once per power, each on one "warning:" line that
+        # names no source file.
+        from uvtdoa.errortheory import _cached_bound
+        _cached_bound.cache_clear()  # a cached bound would not warn again
+        path = tmp_path / "paper.cfg"
+        path.write_text(PAPER_CONFIG_TEXT)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw"),
+                     "--powers-mw", "1,30,150"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sync MSE bound truncation at m_max=8 leaves a tail fraction of {tail}"
+            for tail in ("1.16e-05", "2.38e-04", "1.27e-05")
+        ]
 
     def test_json_meta_carries_detector_efficiency(self, config_file, tmp_path):
         out = tmp_path / "sweepj"
@@ -388,6 +460,17 @@ class TestCliExitCodes:
         path.write_text(text)
         for command in ("theory", "simulate"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "slot_interval_s" in capsys.readouterr().err
+
+    def test_slot_of_a_fraction_of_a_chip_is_exit_2(self, tmp_path, capsys):
+        # 50 ns chips: a 100.02 us slot is 2000.4 chips, so the receiver's
+        # slot cuts would drift 0.4 chip per slot from the transmissions
+        text = CONFIG_TEXT.replace("slot_interval_s = 100e-6", "slot_interval_s = 100.02e-6")
+        with pytest.raises(ConfigError, match="slot_interval_s"):
+            parse_config(text)
+        path = tmp_path / "fractional_slot.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "slot_interval_s" in capsys.readouterr().err
 
     def test_slot_fits_farthest_grid_corner(self):

@@ -18,7 +18,7 @@ from uvtdoa import (
     positioning_mse,
     sync_mse_bound,
     sync_mse_empirical,
-    theory_grid,
+    theory_points,
 )
 from uvtdoa.errortheory import (
     _CDF_ZERO_BELOW,
@@ -195,7 +195,7 @@ class TestPositioningMse:
                 budget = positioning_mse(scene_try, *s2)
             except SingularGeometryError:
                 continue
-            m = budget.mse_array()
+            m = np.asarray(budget.mse_matrix)
             assert m[0, 1] == pytest.approx(m[1, 0], abs=1e-18)
             eigs = np.linalg.eigvalsh(m)
             assert eigs.min() >= -1e-12 * max(eigs.max(), 1.0)
@@ -259,7 +259,7 @@ class TestTheoryGrid:
         signal = make_signal(length=64)
         # with an ideal clock and an effectively infinite photon rate the
         # only error left is chip quantization, which stays tiny
-        tmap = theory_grid(scene, grid, budget, signal, ClockModel.ideal())
+        tmap = theory_points(scene, grid.points(), budget, signal, ClockModel.ideal())
         assert all(p.e_p < 2.0 for p in tmap.points)
 
     def test_matches_pointwise_calls(self):
@@ -275,7 +275,7 @@ class TestTheoryGrid:
         for grid, n_singular in grids.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", SyncBoundTailWarning)
-                tmap = theory_grid(scene, grid, budget, signal, clock)
+                tmap = theory_points(scene, grid.points(), budget, signal, clock)
                 for point in tmap.points:
                     at = (point.x, point.y)
                     s2 = anchor_sigma2(scene, at, budget, signal, clock)
@@ -297,7 +297,7 @@ class TestTheoryGrid:
         grid = GridSpec(15.0, 60.0, 15.0, 60.0, steps_x=5, steps_y=5)
         budget = make_budget(power_w=0.1)
         signal = make_signal()
-        tmap = theory_grid(scene, grid, budget, signal, ClockModel.ideal())
+        tmap = theory_points(scene, grid.points(), budget, signal, ClockModel.ideal())
         eps = np.array([p.e_p for p in tmap.points]).reshape(5, 5)
         center = eps[2, 2]
         corners = [eps[0, 0], eps[0, -1], eps[-1, 0], eps[-1, -1]]
@@ -313,7 +313,7 @@ class TestTheoryGrid:
         # at these rates would otherwise have taken the warning
         _cached_bound.cache_clear()
         with pytest.warns(SyncBoundTailWarning):
-            tmap = theory_grid(scene, grid, budget, make_signal(), ClockModel.ideal())
+            tmap = theory_points(scene, grid.points(), budget, make_signal(), ClockModel.ideal())
         flags = [p.singular for p in tmap.points]
         assert any(flags) and not all(flags)
         for p in tmap.points:

@@ -24,7 +24,6 @@ from uvtdoa.montecarlo import (
     CampaignError,
     detect,
     differential_campaign,
-    params_for_point,
     trial_rng,
 )
 from uvtdoa.scene import SPEED_OF_LIGHT
@@ -61,8 +60,7 @@ GOLDEN_START_CHIPS = {
 def test_detect_stream_is_pinned(power_w):
     scene = make_scene(GEOMETRY_II, rx=(40.0, 30.0))
     budget = make_budget(power_w=power_w)
-    params = params_for_point(scene, make_signal(), budget)
-    chips = detect(scene, params, budget, ClockModel.uniform(0.0, 100e-9), 6, seed=2024,
+    chips = detect(scene, make_signal(), budget, ClockModel.uniform(0.0, 100e-9), 6, seed=2024,
                    point_index=5)
     assert chips == GOLDEN_START_CHIPS[power_w]
 

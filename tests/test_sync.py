@@ -14,7 +14,7 @@ from uvtdoa.sync import (
 )
 from uvtdoa.tdoa import time_differences
 
-from conftest import make_budget, make_signal
+from conftest import make_signal
 
 
 def brute_force_scores(counts, seq, n, window):
@@ -324,12 +324,9 @@ class TestArrivalTimes:
         # arrival estimate lands within half a chip of its flight time, so
         # the recovered differences land within one chip (two half-chip
         # quantizations) of the geometric truth.
-        params = make_signal(length=64, n=20, rate_hz=1e6, slot_s=200e-6).with_rates(
-            80.0, 80.0, 80.0
-        )
-        budget = make_budget(lambda_b=0.5)
+        params = make_signal(length=64, n=20, rate_hz=1e6, slot_s=200e-6)
         scene = Scene(tx_a=(0, 0), tx_b=(75.6, 0), tx_c=(32.2, 76.6), rx_true=(30.0, 22.0))
-        trace = render_frame(scene, params, budget, (0, 0, 0), 0.0, 77)
+        trace = render_frame(scene, params, (80.0, 80.0, 80.0), 0.5, (0, 0, 0), 0.0, 77)
         starts = synchronize_frame(trace.counts, params)
         flights = [r / SPEED_OF_LIGHT for r in ranges(scene, scene.rx_true)]
         for chip, truth in zip(starts, flights):
