@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import LinkBudget, SignalParams, los_photon_rate
 from .scene import Scene, anchor_ranges, inside_triangle
@@ -37,9 +36,76 @@ class SyncBoundTailWarning(RuntimeWarning):
     """Truncated tail of the sync MSE bound is not negligible."""
 
 
+# Cephes' rational forms of the complementary error function (ndtr.c):
+# erfc(x) = 1 - x T(x^2)/U(x^2) for |x| < 1, exp(-x^2) P(|x|)/Q(|x|) for
+# 1 <= |x| < 8 and exp(-x^2) R(|x|)/S(|x|) beyond; Q, S and U are monic.
+# Every branch matches math.erfc to a few ulps.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+# Past x^2 = MAXLOG, exp(-x^2) is below the smallest normal double and erfc is 0.
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x, coef):
+    """Polynomial in ``x`` with coefficients from the highest power down."""
+    y = x * coef[0]
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erfc(x) -> np.ndarray:
+    """Complementary error function of a float array, element by element.
+
+    Exactly 0 (or 2 for negative x) where x^2 > MAXLOG; NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    y = np.zeros(x.shape)
+    near, mid = a < 1.0, a < 8.0
+    if near.any():
+        s = x[near]
+        z = s * s
+        t = _horner(z, _ERFC_T)
+        t *= s
+        t /= _horner(z, _ERFC_U)
+        y[near] = np.subtract(1.0, t, out=t)
+    # 1 <= |x| < 8, then |x| >= 8 short of the underflow; NaN lands there and stays NaN
+    tail = ~(mid | (a * a > _MAXLOG))
+    for rows, num, den in ((mid ^ near, _ERFC_P, _ERFC_Q), (tail, _ERFC_R, _ERFC_S)):
+        if rows.any():
+            b = a[rows]
+            p = _horner(b, num)
+            q = _horner(b, den)
+            b *= b
+            np.negative(b, out=b)
+            z = np.exp(b, out=b)
+            z *= p
+            z /= q
+            y[rows] = z
+    np.subtract(2.0, y, out=y, where=x <= -1.0)  # erfc(-|x|) = 2 - erfc(|x|)
+    return y
+
+
 def normal_cdf(x):
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
+    y = _erfc(np.asarray(x, dtype=float) / -np.sqrt(2.0))
+    y *= 0.5
+    return y if y.ndim else y[()]
 
 
 @dataclass(frozen=True)
@@ -166,21 +232,51 @@ def _sparse_normal_cdf(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _p_within(params: SyncBoundParams, factors, e):
-    """Misdetection-probability bound for a |k|-chip offset inside one symbol.
+def _within_gap(lam_s, params: SyncBoundParams, factors, e):
+    """Standardized within-symbol score gap at rate(s) ``lam_s`` (not 0).
 
     Gaussian approximation of the correlation-score gap between the true
     start and a start offset by k chips, from ``_within_factors`` and the
-    fractional offset ``e`` in symbols; broadcasts over their arrays.
+    fractional offset ``e`` in symbols; broadcasts over their arrays and
+    ``lam_s``. The other inputs come from ``params``.
     """
-    lam_s, lam_b, big_l = params.lambda_s, params.lambda_b, params.length
+    lam_b, big_l = params.lambda_b, params.length
     mean_f, var_f = factors
-    num = 0.5 * lam_s * mean_f * (big_l - 1)
+    # in place on two full-size arrays: fresh large arrays cost page faults
+    num = 0.5 * lam_s * mean_f
+    num *= big_l - 1
     var = var_f * (0.5 * lam_s + lam_b) * (big_l - 1) + e * lam_s
-    if lam_s == 0:
+    num /= np.sqrt(var, out=var)
+    return num
+
+
+def _p_within(params: SyncBoundParams, factors, e):
+    """Misdetection-probability bound for a |k|-chip offset inside one symbol.
+
+    The CDF of ``_within_gap``.
+    """
+    if params.lambda_s == 0:
         # No signal: the score gap is pure noise, even odds per comparison.
-        return np.full(np.broadcast(num, var).shape, 0.5)
-    return _sparse_normal_cdf(num / np.sqrt(var))
+        return np.full(np.broadcast(*factors, e).shape, 0.5)
+    return _sparse_normal_cdf(_within_gap(params.lambda_s, params, factors, e))
+
+
+# A within-symbol term below this fraction of the k = 1 term leaves the k-sum
+# unchanged: see _within_integrands.
+_ROUND_AWAY = 2.0**-54
+
+
+def _round_away_below(t1, e_max):
+    """Gap below which a within-symbol cell's term cannot change the k-sum.
+
+    For z <= -1, normal_cdf(z) < exp(-z^2/2), so a cell's term e_k^2 * p is
+    under ``t1 * _ROUND_AWAY`` once z < -sqrt(-2 ln(t1 * _ROUND_AWAY / e_max)),
+    with ``t1`` the k = 1 term and ``e_max`` the largest e_k^2 at its node.
+    The threshold is below -8.6 (t1 <= e_max), -inf where t1 is 0 (nothing
+    is skipped) and NaN where it is NaN (nothing is skipped either).
+    """
+    with np.errstate(divide="ignore"):
+        return -np.sqrt(-2.0 * np.log(t1 * _ROUND_AWAY / e_max))
 
 
 def _p_cross(params: SyncBoundParams, factors, e):
@@ -347,21 +443,71 @@ def _cross_is_zero(params: SyncBoundParams, g: _BoundGrid) -> bool:
     return bool(np.all(bound < _CDF_ZERO_BELOW * (1.0 + _SKIP_MARGIN)))
 
 
+# Rates per within-symbol pass. At n = 100 and Q = 33 a pass's (rates, n-1, Q)
+# temporaries are ~400 KB each; on `theory` over a 25 x 25 grid, blocks of 4
+# and 8 ran slower (more passes, each with its fixed cost) and 32 was no
+# faster but 2.5 MB larger.
+_RATE_BLOCK = 16
+
+
+def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
+    """Within-symbol part of the bound's integrand at each rate, (len(rates), Q).
+
+    ``eps^2 (1 - p_1) + 2 sum_k e_k^2 p_k``: exact detection, whose timing
+    error is just the fractional offset, then offsets of 1..n-1 chips in
+    both directions; the other inputs come from ``params`` (n > 1). The
+    k-sum adds k = 1..n-1 in order, starting from the k = 1 term t1, and
+    every term is >= 0, so the running sum is >= t1 and a term below
+    ``t1 * _ROUND_AWAY`` is under half its ulp: adding it changes nothing.
+    Such cells (see ``_round_away_below``; e_k^2 grows with k, so its
+    largest value at a node is the last row) and those at or below
+    ``_CDF_ZERO_BELOW`` are set to 0.0 without evaluating the CDF. Each
+    CDF call costs tens of numpy operations whatever its size, so the
+    rates go ``_RATE_BLOCK`` at a time through one pass.
+    """
+    g = _bound_grid(
+        params.chips_per_symbol, params.length, params.symbol_s,
+        params.m_max, params.eps_quadrature_points,
+    )
+    rates = np.asarray(rates, dtype=float)
+    rows = []
+    for lo in range(0, len(rates), _RATE_BLOCK):
+        lam = rates[lo:lo + _RATE_BLOCK]
+        with np.errstate(invalid="ignore"):  # 0/0 at lam_s = lam_b = 0, replaced below
+            p = _within_gap(lam[:, None, None], params, g.within, g.e_within)
+        first, rest = p[:, 0], p[:, 1:]
+        _sparse_normal_cdf(first)
+        floor = _round_away_below(g.e_k2[0] * first, g.e_k2[-1])[:, None, :]
+        dead = (rest <= _CDF_ZERO_BELOW) | (rest < floor)
+        live = ~dead
+        rest[live] = normal_cdf(rest[live])
+        rest[dead] = 0.0
+        p[lam == 0] = 0.5  # no signal: the score gap is pure noise, even odds
+        row = g.eps**2 * (1.0 - p[:, 0])
+        p *= g.e_k2
+        rows.append(row + 2.0 * np.sum(p, axis=1))
+    return np.concatenate(rows)
+
+
+# Within-symbol integrand rows that anchor_sigma2 computes for a grid's
+# distinct rates in one _within_integrands call, just before it asks for
+# their bounds one by one; _sync_mse_bound_detail takes a bound's row from
+# here when it is present. Empty outside anchor_sigma2.
+_WITHIN_AHEAD: dict = {}
+
+
 def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
     g = _bound_grid(
         params.chips_per_symbol, params.length, params.symbol_s,
         params.m_max, params.eps_quadrature_points,
     )
 
-    # Exact detection: timing error is just the fractional offset. Offsets of
-    # 1..n-1 chips within a symbol count in both directions; the 1-chip row
-    # is the exact detection's complement.
-    if params.chips_per_symbol > 1:
-        p0k = _p_within(params, g.within, g.e_within)
-        integrand = g.eps**2 * (1.0 - p0k[0])
-        integrand = integrand + 2.0 * np.sum(g.e_k2 * p0k, axis=0)
-    else:
+    # With one chip per symbol there is no within-symbol offset: the timing
+    # error of an exact detection is just the fractional offset.
+    if params.chips_per_symbol == 1:
         integrand = g.eps**2
+    elif (integrand := _WITHIN_AHEAD.get(params)) is None:
+        integrand = _within_integrands(params, [params.lambda_s])[0]
 
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
     # probability underflows to 0.0 the block adds exactly nothing, so the
@@ -525,15 +671,25 @@ def anchor_sigma2(
     shape (..., 3) for points of shape (..., 2). The bound is evaluated once
     per distinct rate, in order of first appearance (point by point, anchors
     A, B, C), and cached across calls, which pays off once the clip flattens
-    the rates across the grid.
+    the rates across the grid. The within-symbol parts of all the distinct
+    rates' bounds are computed first, in one batched pass (see
+    ``_within_integrands``); a rate whose bound is already cached does not
+    use its row.
     """
     rates = los_photon_rate(budget, anchor_ranges(scene, points), params.symbol_s)
     flat = rates.ravel().tolist()
-    bounds = {
-        lam_s: _cached_bound(SyncBoundParams(
-            lam_s, budget.lambda_b, params.length, params.chips_per_symbol, params.symbol_s))
+    bound_params = [
+        SyncBoundParams(
+            lam_s, budget.lambda_b, params.length, params.chips_per_symbol, params.symbol_s)
         for lam_s in dict.fromkeys(flat)  # the distinct rates, in first-appearance order
-    }
+    ]
+    if bound_params and params.chips_per_symbol > 1:
+        rows = _within_integrands(bound_params[0], [b.lambda_s for b in bound_params])
+        _WITHIN_AHEAD.update(zip(bound_params, rows))
+    try:
+        bounds = {b.lambda_s: _cached_bound(b) for b in bound_params}
+    finally:
+        _WITHIN_AHEAD.clear()
     return clock.variance_s2 + np.array([bounds[lam_s] for lam_s in flat]).reshape(rates.shape)
 
 

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1065,3 +1069,36 @@ class TestCliProvenance:
                   "--format", "json", *extra])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+# Blocks every scipy import, loads the CLI, runs two commands and reports any
+# scipy module that got loaded anyway.
+SCIPY_FREE_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+def loaded():
+    return sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+import uvtdoa.cli
+assert not loaded(), loaded()
+cfg, log, out = sys.argv[1:]
+codes = [uvtdoa.cli.main(["theory", "--config", cfg, "--out", out + "/theory"]),
+         uvtdoa.cli.main(["replay", "--config", cfg, "--log", log, "--out", out + "/replay"])]
+assert codes == [0, 0], codes
+assert not loaded(), loaded()
+"""
+
+
+def test_runtime_needs_no_scipy(config_file, tmp_path):
+    from conftest import make_scene
+    import uvtdoa
+    log = tmp_path / "log.csv"
+    write_log(log, synthetic_log_rows(make_scene(), [(36.0, 25.0), (30.0, 40.0)]))
+    src = str(Path(uvtdoa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(config_file), str(log), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "theory" / "theory_map.csv").exists()
+    assert (tmp_path / "replay" / "replay_fixes.csv").exists()

@@ -20,16 +20,25 @@ from uvtdoa import (
     sync_mse_empirical,
     theory_points,
 )
+import uvtdoa.errortheory as errortheory
 from uvtdoa.errortheory import (
     _CDF_ZERO_BELOW,
+    _MAXLOG,
+    _RATE_BLOCK,
+    _ROUND_AWAY,
+    _WITHIN_AHEAD,
     SyncBoundTailWarning,
     TheoryError,
     _bound_grid,
     _cached_bound,
     _cross_is_zero,
+    _erfc,
     _p_cross,
     _p_within,
+    _round_away_below,
     _sync_mse_bound_detail,
+    _within_gap,
+    _within_integrands,
     anchor_sigma2,
     normal_cdf,
 )
@@ -250,6 +259,47 @@ class TestNormalCdf:
         for x in (-8.0, -2.5, -0.3, 0.0, 0.7, 4.2):
             assert normal_cdf(x) == pytest.approx(phi_oracle(x), abs=1e-12)
 
+    def test_matches_scipy_over_dense_sweep(self):
+        # normal_cdf against the scipy formula it replaces, and erfc itself,
+        # over arguments that cross every branch edge and the underflow.
+        x = np.linspace(-40.0, 40.0, 400_001)
+        for got, ref in ((normal_cdf(x), 0.5 * erfc(-x / np.sqrt(2.0))), (_erfc(x), erfc(x))):
+            normal = ref >= 2.2e-308
+            assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-15 * ref[normal])
+            assert np.array_equal(got == 0.0, ref == 0.0)  # zero exactly where scipy is
+
+    def test_exact_at_signed_zero_infinity_and_nan(self):
+        assert _erfc(np.array([0.0, -0.0, np.inf, -np.inf])).tolist() == [1.0, 1.0, 0.0, 2.0]
+        assert normal_cdf(0.0) == normal_cdf(-0.0) == 0.5
+        assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0
+        assert math.isnan(normal_cdf(math.nan)) and np.isnan(_erfc(np.array([np.nan]))).all()
+
+    def test_scalars_and_shapes(self):
+        assert isinstance(normal_cdf(0.3), float)
+        assert np.ndim(normal_cdf(np.array(0.3))) == 0
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert np.array_equal(normal_cdf(grid.T), normal_cdf(grid).T)  # not C-contiguous
+        assert normal_cdf(np.zeros(0)).shape == (0,)
+        x = np.linspace(-9.0, 9.0, 3001)
+        assert np.array_equal(normal_cdf(x), [normal_cdf(v) for v in x.tolist()])
+
+    def test_each_branch_and_edge_against_math_erfc(self):
+        # No scipy: |x| < 1, 1 <= |x| < 8 and |x| >= 8 on both sides of each
+        # edge. The tolerance grows with x^2, which carries the rounding of
+        # x^2 into exp(-x^2); below 1 the 1 - erf cancellation costs ~6 ulps.
+        edge = math.sqrt(_MAXLOG)
+        xs = [0.0, 1e-300, 0.25, 0.5, 0.999, math.nextafter(1.0, 0.0), 1.0, 2.5, 5.0,
+              math.nextafter(8.0, 0.0), 8.0, 12.0, 20.0, 26.0, 26.5]
+        for x in xs + [-x for x in xs]:
+            got, ref = float(_erfc(np.array([x]))[0]), math.erfc(x)
+            assert abs(got - ref) <= 8 * np.finfo(float).eps * (1 + x * x) * ref, x
+        below = math.nextafter(edge, 0.0)
+        assert _erfc(np.array([below]))[0] > 0.0  # still a (subnormal) value
+        past = math.nextafter(edge, 30.0)
+        assert past * past > _MAXLOG
+        assert _erfc(np.array([past, -past])).tolist() == [0.0, 2.0]
+
 
 class TestTheoryGrid:
     def test_zero_sigma_zero_map(self):
@@ -322,10 +372,12 @@ class TestTheoryGrid:
         assert np.isfinite(tmap.average_ep())
 
 
-# Verbatim copy of the sync-MSE bound as it was before the sparse evaluation
-# and the cached rate-free grid; the bound must still equal it bit for bit.
+# Verbatim copy of the sync-MSE bound as it was before the sparse evaluation,
+# the cached rate-free grid and the pruned within-symbol cells, on the
+# package's own normal_cdf (tested on its own below); the bound
+# must still equal it bit for bit.
 def _oracle_cdf(x):
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return normal_cdf(x)
 
 
 def _oracle_p_within(params, k, eps_s):
@@ -467,6 +519,52 @@ class TestSyncBoundExactness:
         for lam_s in (0.0, 2.0):
             assert not _cross_is_zero(bound_params(lam_s=lam_s, lam_b=1.0), grid)
 
+    @pytest.mark.parametrize("length", [8, 64, 256])
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_pruned_cells_are_under_half_an_ulp(self, length, n):
+        # Over the oracle sweep's within-symbol cells, every cell below the
+        # round-away threshold has a term under 2**-54 of its node's k = 1
+        # term, so leaving it out cannot change the k-sum.
+        for t_s in (1e-6, 0.33e-6):
+            grid = _bound_grid(n, length, t_s, 1, 33)
+            for lam_s, lam_b in itertools.product(SWEEP_RATES_S[:-1], (0.0, 0.5, 1.0, 5.0)):
+                params = SyncBoundParams(
+                    lambda_s=lam_s, lambda_b=lam_b, length=length,
+                    chips_per_symbol=n, symbol_s=t_s, m_max=1,
+                )
+                z = _within_gap(lam_s, params, grid.within, grid.e_within)
+                terms = grid.e_k2 * np.clip(_oracle_p_within(
+                    params, np.arange(1, n, dtype=float)[:, None], grid.eps[None, :]), 0.0, 1.0)
+                floor = _round_away_below(terms[0], grid.e_k2[-1])
+                assert np.all(floor < -8.6)
+                pruned = z[1:] < floor
+                assert np.all(terms[1:] < _ROUND_AWAY * terms[0], where=pruned)
+
+    @staticmethod
+    def _cells_evaluated(monkeypatch, params):
+        # Cells of a one-rate within-symbol pass that reach normal_cdf.
+        grid = _bound_grid(params.chips_per_symbol, params.length, params.symbol_s,
+                           params.m_max, params.eps_quadrature_points)
+        seen = []
+        monkeypatch.setattr(errortheory, "normal_cdf",
+                            lambda z: seen.append(np.size(z)) or normal_cdf(z))
+        _within_integrands(params, [params.lambda_s])
+        monkeypatch.undo()
+        return sum(seen)
+
+    def test_pruning_engages_on_most_live_cells(self, monkeypatch):
+        # At L = 256, n = 100, lam_b = 1 the rule skips most cells above
+        # _CDF_ZERO_BELOW: 56 % at lam_s = 5, 87-93 % from about 15 on
+        # (measured), none at 2 or below, and none at lam_s = 0.
+        grid = _bound_grid(100, 256, 1e-6, 8, 33)
+        for lam_s in (15.0, 20.0, 25.0, 30.0, 50.0, 75.0, 100.0):
+            params = bound_params(lam_s=lam_s, lam_b=1.0)
+            z = _within_gap(lam_s, params, grid.within, grid.e_within)
+            live = int(np.sum(z > _CDF_ZERO_BELOW))
+            assert self._cells_evaluated(monkeypatch, params) <= 0.15 * live, lam_s
+        assert self._cells_evaluated(monkeypatch, bound_params(lam_s=2.0, lam_b=1.0)) == 99 * 33
+        assert self._cells_evaluated(monkeypatch, bound_params(lam_s=0.0, lam_b=1.0)) == 99 * 33
+
     def test_cdf_is_exactly_zero_at_the_skip_threshold(self):
         assert normal_cdf(_CDF_ZERO_BELOW) == 0.0
         assert normal_cdf(-np.inf) == 0.0
@@ -498,6 +596,55 @@ class TestSyncBoundExactness:
             for m, k in ((1, -10), (3, 0), (8, 9)):
                 assert misdetect_prob_cross_symbol(params, m, k, eps) == float(
                     np.clip(_oracle_p_cross(params, m, k, eps), 0.0, 1.0))
+
+
+class TestBatchedRates:
+    RATES = [0.0, 0.3, 2.0, 5.0, 5.0, 8.5, 17.0, 26.0, 31.0, 40.0, 64.0, 100.0, 1e3,
+             0.05, 1.5, 3.0, 12.0, 90.0, 0.7, *np.geomspace(0.01, 500.0, 20).tolist()]
+
+    @pytest.mark.parametrize("length, n", [(64, 10), (256, 100)])
+    def test_batched_rows_equal_one_rate_rows(self, length, n):
+        assert len(self.RATES) > 2 * _RATE_BLOCK  # three blocks, the last one short
+        params = bound_params(lam_b=1.0, length=length, n=n)
+        rows = _within_integrands(params, self.RATES)
+        assert rows.shape == (len(self.RATES), 33)
+        for row, lam_s in zip(rows, self.RATES):
+            assert np.array_equal(row, _within_integrands(params, [lam_s])[0]), lam_s
+
+    def test_nan_rate_in_a_batch_gives_nan_there_only(self):
+        params = bound_params(lam_b=1.0)
+        rows = _within_integrands(params, [5.0, math.nan, 50.0])
+        assert np.isnan(rows[1]).all()
+        assert np.array_equal(rows[[0, 2]], _within_integrands(params, [5.0, 50.0]))
+
+    def test_anchor_sigma2_batches_the_within_pass(self, monkeypatch):
+        # One within-symbol pass over the grid's distinct rates, then one
+        # bound per rate, each equal to the bound computed on its own and
+        # warning in the same order.
+        passes = []
+        def counting(params, rates):
+            passes.append(len(rates))
+            return _within_integrands(params, rates)
+        monkeypatch.setattr(errortheory, "_within_integrands", counting)
+        _cached_bound.cache_clear()
+        # weak links: 47 of the 48 distinct rates warn
+        scene, budget, signal = make_scene(GEOMETRY_II), make_budget(power_w=1e-4), make_signal()
+        points = GridSpec(20.0, 50.0, 15.0, 45.0, steps_x=4, steps_y=4).points()
+        with warnings.catch_warnings(record=True) as batched:
+            warnings.simplefilter("always")
+            got = anchor_sigma2(scene, points, budget, signal, ClockModel.ideal())
+        monkeypatch.undo()
+        rates = errortheory.los_photon_rate(
+            budget, errortheory.anchor_ranges(scene, points), signal.symbol_s).ravel().tolist()
+        assert passes == [len(set(rates))] and passes[0] > _RATE_BLOCK
+        assert not _WITHIN_AHEAD  # emptied again
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want = {lam_s: sync_mse_bound(SyncBoundParams(
+                lam_s, budget.lambda_b, signal.length, signal.chips_per_symbol, signal.symbol_s))
+                for lam_s in dict.fromkeys(rates)}
+        assert got.ravel().tolist() == [want[lam_s] for lam_s in rates]
+        assert batched and [str(w.message) for w in batched] == [str(w.message) for w in alone]
 
 
 class TestSyncBoundDomain:
