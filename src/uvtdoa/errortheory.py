@@ -373,6 +373,7 @@ class _BoundGrid(NamedTuple):
     cross: tuple  # _cross_factors over m = 1..m_max and k = -n..n-1
     shift_mk: np.ndarray  # cross-symbol offsets (2m*n + k) * Tc in seconds, (m_max, 2n, 1)
     cross_max: tuple | None  # _cross_maxima: per-(m, k) maxima of N, A and B, (m_max * 2n,)
+    key: tuple  # the arguments of _bound_grid that built it
 
 
 def _cross_maxima(neg_2m, x, y, z, var_f, e, big_l: int):
@@ -419,7 +420,7 @@ def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) ->
     grid = _BoundGrid(
         weights, eps, e[None, :], _within_factors(k, e[None, :], n), e_k**2,
         rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), (2.0 * m * n + k_c) * t_c,
-        _cross_maxima(neg_2m, *block, e_c, big_l),
+        _cross_maxima(neg_2m, *block, e_c, big_l), (n, big_l, symbol_s, m_max, points),
     )
     for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk,
                 *(grid.cross_max or ())):
@@ -427,27 +428,55 @@ def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) ->
     return grid
 
 
+@lru_cache(maxsize=64)
+def _cross_zero_from(n: int, big_l: int, symbol_s: float, m_max: int, points: int,
+                     lam_b: float) -> float:
+    """Rate from which every cross-symbol probability is provably exactly 0.0.
+
+    One threshold per grid (the ``_bound_grid`` arguments) and lam_b. A
+    block's gap bound lam*N/sqrt(lam*A + lam_b*B) (see ``_cross_maxima``)
+    falls as lam grows, and meets -c, c = -_CDF_ZERO_BELOW * (1 +
+    _SKIP_MARGIN), at the positive root of lam^2 N^2 = c^2 (lam A + lam_b B).
+    From the largest root, raised by the margin once more to cover the
+    rounding of the root and of the bound, every block's bound, computed
+    at the rate, is below -c, so every cell's CDF is 0.0. inf on a grid
+    without maxima, NaN for a NaN lam_b; no rate reaches either.
+    """
+    cross_max = _bound_grid(n, big_l, symbol_s, m_max, points).cross_max
+    if cross_max is None:
+        return math.inf
+    n_max, a_max, b_max = cross_max
+    c2 = (_CDF_ZERO_BELOW * (1.0 + _SKIP_MARGIN)) ** 2
+    half = c2 * a_max / (2.0 * n_max**2)
+    roots = half + np.sqrt(half**2 + c2 * lam_b * b_max / n_max**2)
+    return float(roots.max()) * (1.0 + _SKIP_MARGIN)
+
+
 def _cross_is_zero(params: SyncBoundParams, g: _BoundGrid) -> bool:
     """True when every cross-symbol probability is provably exactly 0.0.
 
-    That is, when each block's gap bound (see ``_cross_maxima``) lies below
-    ``_CDF_ZERO_BELOW`` by the relative margin ``_SKIP_MARGIN``. Never true
-    at lam_s = 0, on a grid without maxima, or for a NaN rate, whose bound
-    fails the comparison.
+    That is, from the grid's threshold rate on (see ``_cross_zero_from``).
+    Never true at lam_s = 0 (every root is > 0), on a grid without maxima,
+    or for a NaN rate, which fails the comparison.
     """
-    if g.cross_max is None or params.lambda_s == 0:
-        return False
-    lam_s = params.lambda_s
-    n_max, a_max, b_max = g.cross_max
-    bound = lam_s * n_max / np.sqrt(lam_s * a_max + params.lambda_b * b_max)
-    return bool(np.all(bound < _CDF_ZERO_BELOW * (1.0 + _SKIP_MARGIN)))
+    return params.lambda_s >= _cross_zero_from(*g.key, params.lambda_b)
 
 
-# Rates per within-symbol pass. At n = 100 and Q = 33 a pass's (rates, n-1, Q)
-# temporaries are ~400 KB each; on `theory` over a 25 x 25 grid, blocks of 4
-# and 8 ran slower (more passes, each with its fixed cost) and 32 was no
-# faster but 2.5 MB larger.
-_RATE_BLOCK = 16
+# Gap cells per within-symbol pass, in full-width rate rows: a pass holds at
+# most _RATE_BLOCK * (n-1) * Q cells, ~200 KB per temporary at n = 100 and
+# Q = 33, whatever prefix of k it evaluates (99 rates on k = 1..8). On the
+# 435 rates of `theory` over a 25 x 25 Geometry III grid, 4 made more
+# passes, each with its fixed cost, and ran 20 % slower; 16 ran no faster
+# and its traced peak was 0.75 MB larger, as the CDF's temporaries grow
+# with a pass's live cells, which are most cells of a cut pass.
+_RATE_BLOCK = 8
+
+# Rows of k evaluated first, k = 1.._HEAD_ROWS. On `theory` over a dense
+# Geometry III grid at 150 mW no (rate, node) has a live cell past k = 6.
+# Weak rates then go to the full n-1 rows in one more round: at 1 mW, and
+# for a weak rate's bound on its own, that was faster than doubling the
+# rows round by round, each round with its own CDF call.
+_HEAD_ROWS = 8
 
 
 def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
@@ -461,32 +490,67 @@ def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
     ``t1 * _ROUND_AWAY`` is under half its ulp: adding it changes nothing.
     Such cells (see ``_round_away_below``; e_k^2 grows with k, so its
     largest value at a node is the last row) and those at or below
-    ``_CDF_ZERO_BELOW`` are set to 0.0 without evaluating the CDF. Each
-    CDF call costs tens of numpy operations whatever its size, so the
-    rates go ``_RATE_BLOCK`` at a time through one pass.
+    ``_CDF_ZERO_BELOW`` are dead: 0.0, without evaluating the CDF.
+
+    The gap z(k) = -c (k/n - 2e) / sqrt(a k + b) of ``_within_gap``, with
+    c = lam_s (L-1)/2, a = (lam_s + 2 lam_b)(L-1)/n and b = e lam_s (e the
+    fractional offset in symbols, |e| < 1/(2n)), does not rise with k
+    from k = 2 on: dz/dk has the sign of -(a k/(2n) + e lam_s/n + e a),
+    and for k >= 2 that bracket is at least a/(2n) - lam_s/(2n^2) >= 0,
+    since a >= lam_s (L-1)/n. So a rate's live cells at a node are
+    k = 1..K, and the k-sum may stop at K: the later terms are exact zeros.
+    Each rate is evaluated on k = 1.._HEAD_ROWS first, and on the rest of
+    the rows only if its last row has a cell that is not below the
+    thresholds by a relative margin. Each CDF call costs tens of numpy
+    operations whatever its size, so the rates of each round go through
+    passes of at most ``_RATE_BLOCK`` full-width rows of cells. A rate of 0
+    (even odds at every offset) takes its row from the closed form; a NaN
+    rate gives a NaN row from its first rows.
     """
     g = _bound_grid(
         params.chips_per_symbol, params.length, params.symbol_s,
         params.m_max, params.eps_quadrature_points,
     )
     rates = np.asarray(rates, dtype=float)
-    rows = []
-    for lo in range(0, len(rates), _RATE_BLOCK):
-        lam = rates[lo:lo + _RATE_BLOCK]
-        with np.errstate(invalid="ignore"):  # 0/0 at lam_s = lam_b = 0, replaced below
-            p = _within_gap(lam[:, None, None], params, g.within, g.e_within)
-        first, rest = p[:, 0], p[:, 1:]
-        _sparse_normal_cdf(first)
-        floor = _round_away_below(g.e_k2[0] * first, g.e_k2[-1])[:, None, :]
-        dead = (rest <= _CDF_ZERO_BELOW) | (rest < floor)
-        live = ~dead
-        rest[live] = normal_cdf(rest[live])
-        rest[dead] = 0.0
-        p[lam == 0] = 0.5  # no signal: the score gap is pure noise, even odds
-        row = g.eps**2 * (1.0 - p[:, 0])
-        p *= g.e_k2
-        rows.append(row + 2.0 * np.sum(p, axis=1))
-    return np.concatenate(rows)
+    full = len(g.e_k2)
+    out = np.empty((len(rates), len(g.eps)))  # eps^2 (1 - p_1), then the integrand
+    ksum, floor = np.empty_like(out), np.empty_like(out)  # running k-sum, round-away floor
+    if (silent := rates == 0).any():
+        # no signal: the score gap is pure noise, even odds at every offset
+        out[silent] = g.eps**2 * 0.5
+        ksum[silent] = np.sum(0.5 * g.e_k2, axis=0)
+    todo, lo, hi = np.flatnonzero(~silent), 0, min(_HEAD_ROWS, full)
+    while todo.size:
+        per_pass = max(1, _RATE_BLOCK * full // (hi - lo))
+        longer = []
+        for i in range(0, todo.size, per_pass):
+            idx = todo[i:i + per_pass]
+            lam = rates[idx]
+            p = _within_gap(lam[:, None, None], params, [f[lo:hi] for f in g.within], g.e_within)
+            rest = p
+            if lo == 0:  # the k = 1 row
+                rest = p[:, 1:]
+                first = _sparse_normal_cdf(p[:, 0])
+                out[idx] = g.eps**2 * (1.0 - first)
+                floor[idx] = _round_away_below(g.e_k2[0] * first, g.e_k2[-1])
+            f = floor[idx]
+            # later rows can count only where this pass's last one is not
+            # below both thresholds by the margin
+            below = np.maximum(f, _CDF_ZERO_BELOW) * (1.0 + _SKIP_MARGIN)
+            counts = ~np.all(p[:, -1] < below, axis=-1) & ~np.isnan(lam)
+            longer.append(idx[counts & (hi < full)])
+            dead = (rest <= _CDF_ZERO_BELOW) | (rest < f[:, None, :])
+            live = ~dead
+            rest[live] = normal_cdf(rest[live])
+            rest[dead] = 0.0
+            p *= g.e_k2[lo:hi]
+            if lo:  # carry on the running sum, in order
+                p = np.concatenate([ksum[idx, None], p], axis=1)
+            ksum[idx] = np.sum(p, axis=1)
+        todo = np.concatenate(longer)
+        lo, hi = hi, full
+    out += 2.0 * ksum
+    return out
 
 
 # Within-symbol integrand rows that anchor_sigma2 computes for a grid's
@@ -511,7 +575,7 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
 
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
     # probability underflows to 0.0 the block adds exactly nothing, so the
-    # pass is skipped when the cached maxima already prove it. Averaging
+    # pass is skipped from the grid's threshold rate on. Averaging
     # over the fractional offset, the density 1/Tc over a Tc-wide interval
     # cancels the interval half-width against the node scaling.
     tail_value = 0.0

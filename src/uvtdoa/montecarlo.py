@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -222,6 +221,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
     tasks = [(spec, (float(p[0]), float(p[1])), i) for i, p in enumerate(points)]
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here: the pool machinery (multiprocessing) is slow to
+        # import and no serial run needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks))
     else:

@@ -159,6 +159,52 @@ trials_per_point = 4
 seed = 5
 """
 
+GEOMETRY_III_CONFIG_TEXT = """
+[scene]
+tx_a_m = 0, 0
+tx_b_m = 128.6, 122.8
+tx_c_m = 247.1, 0
+
+[grid]
+steps_x = 4
+steps_y = 4
+
+[budget]
+power_w = 0.15
+rx_area_m2 = 1.77e-4
+divergence_full_angle_deg = 120
+wavelength_m = 266e-9
+
+[signal]
+sequence_length = 256
+symbol_rate_hz = 1e6
+chips_per_symbol = 100
+slot_interval_s = 300e-6
+
+[clock]
+distribution = uniform
+hi_ns = 100
+
+[campaign]
+trials_per_point = 1
+seed = 11
+"""
+# What `theory` (CSV, then JSON) and `sweep --powers-mw 1,150` write on
+# GEOMETRY_III_CONFIG_TEXT, run one after the other from an empty bound
+# cache: files, then each run's stdout and stderr.
+WEAK_LINK_WARNINGS = 23
+WEAK_LINK_DIGESTS = {
+    "theory_map.csv": "771eb6f6984e4ec8da1b41385a7fc8c13e94eff8adb296cbd64fc739b8252983",
+    "theory_map.json": "b8782181a88e6d0c4a6614478e62c734ef1a219fe5cdc7b54f7989c0a4aec8b0",
+    "sweep.csv": "380dd83833db433b1af3ee80f3d8f0843402110787e6ed1e5f3e48755820eedf",
+    "theory0.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
+    "theory0.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "theory1.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
+    "theory1.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "sweep2.stdout": "c97337bddef2f4b14f882365f87cacf60df2300c04b712b1356777de66e772bb",
+    "sweep2.stderr": "31a6bc6c561047fac8db676c5829c7db3979e71c604e01ef22285d5c966cb447",
+}
+
 # Extra arguments each command needs besides --config, --out and --seed.
 COMMAND_ARGS = {
     "theory": [],
@@ -297,6 +343,32 @@ class TestCliSimulate:
             "theory_map.csv": "4bdd0299ad6e33c216ee5a6198ea599b81d58178365ecd2b8d573f70a565ef60",
             "trials.csv": "fbba22f427fdc2d00d2e2cf64278414a35f1cb024cce317f81895ac355576b0b",
         }
+
+    # The truncation warnings of the weak links are part of the output.
+    @pytest.mark.filterwarnings("default::uvtdoa.errortheory.SyncBoundTailWarning")
+    def test_weak_link_bytes_are_pinned(self, tmp_path, capsys):
+        # Geometry III on a 4x4 grid: at 150 mW most links fall below the
+        # clip and at 1 mW every link is weak, so the sync bound runs on
+        # hundreds of distinct rates, low ones included. Recorded with
+        # numpy 2.4.6 on x86-64 Linux.
+        from uvtdoa.errortheory import _cached_bound
+        _cached_bound.cache_clear()  # a cached bound would not warn again
+        path = tmp_path / "geometry-iii.cfg"
+        path.write_text(GEOMETRY_III_CONFIG_TEXT)
+        out = tmp_path / "o"
+        runs = (["theory"], ["theory", "--format", "json"], ["sweep", "--powers-mw", "1,150"])
+        streams = []
+        for args in runs:
+            assert main([*args, "--config", str(path), "--out", str(out)]) == 0
+            streams.append(capsys.readouterr())
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        for i, captured in enumerate(streams):
+            for name, text in (("stdout", captured.out), ("stderr", captured.err)):
+                digests[f"{runs[i][0]}{i}.{name}"] = hashlib.sha256(text.encode()).hexdigest()
+        warned = [line for captured in streams for line in captured.err.splitlines()]
+        assert all(line.startswith("warning: sync MSE bound truncation") for line in warned)
+        assert len(warned) == WEAK_LINK_WARNINGS
+        assert digests == WEAK_LINK_DIGESTS
 
     def test_no_fix_point_writes_null(self, config_file, tmp_path):
         # 0-30 us clock offsets put every range difference kilometres past
@@ -1102,3 +1174,20 @@ def test_runtime_needs_no_scipy(config_file, tmp_path):
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "theory" / "theory_map.csv").exists()
     assert (tmp_path / "replay" / "replay_fixes.csv").exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    # run_campaign imports the process pool only when it forks workers, so
+    # no command start pays for multiprocessing.
+    import uvtdoa
+    src = str(Path(uvtdoa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, uvtdoa.cli\n"
+        "pool = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process')\n"
+        "assert not pool, pool\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from uvtdoa import (
     Scene,
     SingularGeometryError,
     SyncBoundParams,
+    default_grid,
     inside_triangle,
     misdetect_prob_cross_symbol,
     misdetect_prob_within_symbol,
@@ -27,11 +30,13 @@ from uvtdoa.errortheory import (
     _RATE_BLOCK,
     _ROUND_AWAY,
     _WITHIN_AHEAD,
+    _SKIP_MARGIN,
     SyncBoundTailWarning,
     TheoryError,
     _bound_grid,
     _cached_bound,
     _cross_is_zero,
+    _cross_zero_from,
     _erfc,
     _p_cross,
     _p_within,
@@ -43,7 +48,7 @@ from uvtdoa.errortheory import (
     normal_cdf,
 )
 
-from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
+from conftest import GEOMETRY_II, GEOMETRY_III, make_budget, make_scene, make_signal
 
 
 def phi_oracle(x):
@@ -555,7 +560,8 @@ class TestSyncBoundExactness:
     def test_pruning_engages_on_most_live_cells(self, monkeypatch):
         # At L = 256, n = 100, lam_b = 1 the rule skips most cells above
         # _CDF_ZERO_BELOW: 56 % at lam_s = 5, 87-93 % from about 15 on
-        # (measured), none at 2 or below, and none at lam_s = 0.
+        # (measured), and none at 2 or below. At lam_s = 0 the row is the
+        # closed form of even odds, with no CDF call.
         grid = _bound_grid(100, 256, 1e-6, 8, 33)
         for lam_s in (15.0, 20.0, 25.0, 30.0, 50.0, 75.0, 100.0):
             params = bound_params(lam_s=lam_s, lam_b=1.0)
@@ -563,7 +569,7 @@ class TestSyncBoundExactness:
             live = int(np.sum(z > _CDF_ZERO_BELOW))
             assert self._cells_evaluated(monkeypatch, params) <= 0.15 * live, lam_s
         assert self._cells_evaluated(monkeypatch, bound_params(lam_s=2.0, lam_b=1.0)) == 99 * 33
-        assert self._cells_evaluated(monkeypatch, bound_params(lam_s=0.0, lam_b=1.0)) == 99 * 33
+        assert self._cells_evaluated(monkeypatch, bound_params(lam_s=0.0, lam_b=1.0)) == 0
 
     def test_cdf_is_exactly_zero_at_the_skip_threshold(self):
         assert normal_cdf(_CDF_ZERO_BELOW) == 0.0
@@ -645,6 +651,114 @@ class TestBatchedRates:
                 for lam_s in dict.fromkeys(rates)}
         assert got.ravel().tolist() == [want[lam_s] for lam_s in rates]
         assert batched and [str(w.message) for w in batched] == [str(w.message) for w in alone]
+
+
+def _cross_blocks_prove_zero(params, grid):
+    # The cross-symbol skip test the rate threshold replaced: every block's
+    # gap bound below _CDF_ZERO_BELOW by the relative margin, rate by rate.
+    if grid.cross_max is None or params.lambda_s == 0:
+        return False
+    lam_s = params.lambda_s
+    n_max, a_max, b_max = grid.cross_max
+    bound = lam_s * n_max / np.sqrt(lam_s * a_max + params.lambda_b * b_max)
+    return bool(np.all(bound < _CDF_ZERO_BELOW * (1.0 + _SKIP_MARGIN)))
+
+
+class TestPrunedPasses:
+    @pytest.mark.parametrize("length", [8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_within_gap_does_not_rise_with_k(self, length, n):
+        # The within-symbol pass stops at a rate's last row that can count:
+        # that needs the computed gap, not only the exact one, to be
+        # non-increasing in k at every node.
+        grid = _bound_grid(n, length, 1e-6, 1, 33)
+        for lam_s, lam_b in itertools.product(SWEEP_RATES_S[:-1], (0.0, 0.5, 1.0, 5.0)):
+            params = SyncBoundParams(lambda_s=lam_s, lambda_b=lam_b, length=length,
+                                     chips_per_symbol=n, symbol_s=1e-6, m_max=1)
+            z = _within_gap(lam_s, params, grid.within, grid.e_within)
+            assert np.all(np.diff(z, axis=0) <= 0), params
+
+    @pytest.mark.parametrize("length, n", [(64, 10), (256, 100)])
+    def test_mixed_block_equals_one_rate_calls_and_the_oracle(self, length, n, monkeypatch):
+        # A weak rate extends its rows alone: neither the rate of 0 (closed
+        # form) nor the NaN rate (NaN from its first rows) nor the strong
+        # rate, done within the first rows, goes with it.
+        rates = [0.01, 0.0, math.nan, 100.0]
+        params = bound_params(lam_b=1.0, length=length, n=n)
+        passes = []
+        def recording(lam_s, params, factors, e):
+            passes.append((np.size(lam_s), len(factors[0])))
+            return _within_gap(lam_s, params, factors, e)
+        monkeypatch.setattr(errortheory, "_within_gap", recording)
+        rows = _within_integrands(params, rates)
+        monkeypatch.undo()
+        assert passes == {10: [(3, 8), (1, 1)],
+                          100: [(3, 8), (1, 91)]}[n]
+        assert np.isnan(rows[2]).all() and not np.isnan(rows[[0, 1, 3]]).any()
+        for row, lam_s in zip(rows, rates):
+            assert np.array_equal(row, _within_integrands(params, [lam_s])[0], equal_nan=True)
+            one = dataclasses.replace(params, lambda_s=lam_s)
+            _WITHIN_AHEAD[one] = row
+            try:
+                got = _sync_mse_bound_detail(one)
+            finally:
+                _WITHIN_AHEAD.clear()
+            assert np.array_equal(got, _oracle_bound_detail(one), equal_nan=True), lam_s
+
+    @pytest.mark.parametrize("length", [8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_cross_threshold_is_never_bolder_than_the_block_test(self, length, n):
+        # From the threshold rate on, the per-block gap bounds prove every
+        # cross cell zero too, and the cells are zero. At L >= 64 the sweep
+        # reaches the threshold.
+        engaged = 0
+        for m_max in (m for m in (1, 8, 22) if 2 * m < length):
+            grid = _bound_grid(n, length, 1e-6, m_max, 33)
+            for lam_s, lam_b in itertools.product(SWEEP_RATES_S, (0.0, 0.5, 1.0, 5.0)):
+                params = SyncBoundParams(
+                    lambda_s=lam_s, lambda_b=lam_b, length=length,
+                    chips_per_symbol=n, symbol_s=1e-6, m_max=m_max,
+                )
+                if _cross_is_zero(params, grid):
+                    engaged += 1
+                    assert _cross_blocks_prove_zero(params, grid), params
+                    assert not _p_cross(params, grid.cross, grid.e_cross).any(), params
+        assert engaged > 0 or length < 64
+
+    def test_cross_threshold_is_one_root_per_grid_and_background(self):
+        # On the degenerate grid there is no threshold; on a regular one the
+        # threshold sits just above the rate where the block test starts to
+        # prove zero, and it is computed once per lam_b.
+        assert _cross_zero_from(100, 64, 1e-6, 22, 33, 1.0) == math.inf
+        _cross_zero_from.cache_clear()
+        grid = _bound_grid(100, 256, 1e-6, 8, 33)
+        for lam_b in (0.5, 1.0):
+            threshold = _cross_zero_from(*grid.key, lam_b)
+            at = bound_params(lam_s=threshold, lam_b=lam_b)
+            below = bound_params(lam_s=threshold * (1.0 - 1e-6), lam_b=lam_b)
+            assert _cross_blocks_prove_zero(at, grid) and not _cross_blocks_prove_zero(below, grid)
+            for lam_s in np.linspace(0.0, 100.0, 201):
+                _cross_is_zero(bound_params(lam_s=float(lam_s), lam_b=lam_b), grid)
+        assert _cross_zero_from.cache_info().misses == 2
+
+    def test_anchor_sigma2_peak_memory(self):
+        # `theory` on a 25 x 25 Geometry III grid at 150 mW: 435 distinct
+        # rates, most below the clip. The traced peak of the bound part,
+        # with the rate-free grid already built, was 1 754 592 bytes at the
+        # least before the within-symbol pass stopped at each rate's last
+        # live row (numpy 2.4.6, x86-64 Linux).
+        scene, budget, signal = make_scene(GEOMETRY_III), make_budget(power_w=0.15), make_signal()
+        points = dataclasses.replace(default_grid(scene), steps_x=25, steps_y=25).points()
+        _bound_grid(100, 256, signal.symbol_s, 8, 33)
+        _cached_bound.cache_clear()
+        tracemalloc.start()
+        try:
+            anchor_sigma2(scene, points, budget, signal, ClockModel.ideal())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _cached_bound.cache_info().currsize == 435
+        assert peak <= 1_754_592
 
 
 class TestSyncBoundDomain:

@@ -129,7 +129,8 @@ class TestDeterminism:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("uvtdoa.montecarlo.ProcessPoolExecutor", RecordingExecutor)
+        # run_campaign imports the class from concurrent.futures when it needs a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         spec = small_spec(trials=2)
         serial = run_campaign(spec, workers=1)
         wide = run_campaign(spec, workers=5000)
