@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
 from .errortheory import TheoryError, theory_points
@@ -60,12 +61,18 @@ _LOG_COLUMNS = ["timestamp_s", "session", "anchor", "arrival_chip", "chip_ns",
 
 
 def _meta(cfg: Config, tool: str) -> dict:
-    """Provenance every artifact carries: command, config hash, seed, efficiency."""
+    """Provenance every artifact carries: command, config hash, seed, efficiency.
+
+    The package and numpy versions are recorded too: numpy does not promise
+    the same random streams across its versions (NEP 19).
+    """
     return {
         "tool": f"uvtdoa {tool}",
         "config_sha256": config_hash(cfg),
         "seed": cfg.seed,
         "detector_efficiency": cfg.budget.detector_efficiency,
+        "uvtdoa_version": __version__,
+        "numpy_version": np.__version__,
     }
 
 

@@ -1,8 +1,8 @@
 """End-to-end simulation campaigns: render, synchronize, solve, aggregate.
 
-Every trial gets its own counter-based random substream keyed by
-(campaign seed, point index, trial index), so results are reproducible and
-independent of scheduling or worker count.
+Every trial gets its own SFC64 random substream, seeded through a
+``SeedSequence`` of (campaign seed, tag, trial index, point index), so
+results are reproducible and independent of scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CampaignError(ValueError):
     """Invalid campaign specification."""
 
 
-# Seeds are unsigned 64-bit integers: trial_rng keys Philox with one, and
-# np.random.default_rng takes no negative seed.
+# Seeds are unsigned 64-bit integers, the range configs and artifacts
+# record; a SeedSequence would take a larger one but no negative one.
 SEED_BOUND = 2**64
 
 
@@ -43,11 +43,10 @@ def check_seed(seed: int) -> None:
 
 
 def trial_rng(seed: int, point_index: int, trial_index: int, tag: int = 0) -> np.random.Generator:
-    """Counter-based substream for one (point, trial) cell of a campaign."""
+    """Independent SFC64 substream for one (point, trial, tag) cell of a campaign."""
     check_seed(seed)
-    key = np.uint64(seed)
-    counter = np.array([0, tag, trial_index, point_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    entropy = np.random.SeedSequence([seed, tag, trial_index, point_index])
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 @dataclass(frozen=True)

@@ -178,35 +178,37 @@ def correlate(counts, sequence, chips_per_symbol: int, window: range) -> np.ndar
     for lo in range(0, len(rows), ROW_BLOCK):
         block = rows[lo : lo + ROW_BLOCK]
         b = len(block)
-        # The accumulator sums at most L + 1 prefix sums, none larger in
-        # magnitude than a row's absolute total, so every intermediate stays
-        # within 2 * (L + 1) * total: int32 is exact while that is below
-        # 2**31. The block's total bounds every row's and is cheap to sum in
-        # either memory order, so rows are summed one by one only when it is
-        # too large; abs() runs only on negative counts, sparing a
-        # block-sized temporary.
+        # Sums wrap modulo 2**bits and are read back as signed: every score
+        # is a signed sum of one row's segment counts, so it is exact while
+        # the row's absolute total is below 2**(bits - 1), however the
+        # intermediate sums wrap. abs() runs only on negative counts,
+        # sparing a block-sized temporary.
         magnitude = block if block.min() >= 0 else np.abs(block)
-        total = int(magnitude.sum())
-        if 2 * (len(seq) + 1) * total >= 2**31:
-            total = int(magnitude.sum(axis=-1).max())
-        dtype = np.int32 if 2 * (len(seq) + 1) * total < 2**31 else np.int64
+        total = int(magnitude.sum(axis=-1).max())
+        wide = np.uint32 if total < 2**31 else np.uint64
         # Chip-major (chips, rows): the prefix sum runs down axis 0 across
         # the block's rows, and each term below is one contiguous slice.
         # Copying the counts in row by row first and summing in place spares
-        # numpy's whole-block cast buffer.
-        csum = _scratch.take("csum", (seg_len + 1, b), dtype)
+        # numpy's whole-block cast buffer; without dtype= numpy would sum
+        # 32-bit counts in 64 bits. numpy's 16-bit prefix sum down axis 0
+        # is slower than the 32-bit one, so 16-bit sums are narrowed from it.
+        csum = _scratch.take("csum", (seg_len + 1, b), wide)
         csum[0] = 0
         for r in range(b):
             csum[1:, r] = block[r]
-        np.cumsum(csum[1:], axis=0, out=csum[1:])
-        acc = _scratch.take("acc", (width, b), dtype)
+        np.cumsum(csum[1:], axis=0, dtype=wide, out=csum[1:])
+        if total < 2**15:
+            csum16 = _scratch.take("csum16", (seg_len + 1, b), np.uint16)
+            np.copyto(csum16, csum, casting="unsafe")
+            csum = csum16
+        acc = _scratch.take("acc", (width, b), csum.dtype)
         acc.fill(0)
         for k, op in terms:
             op(acc, csum[k : k + width], out=acc)
         acc *= 2
         for k, op in undo:
             op(acc, csum[k : k + width], out=acc)
-        out[lo : lo + b] = acc.T
+        out[lo : lo + b] = acc.view(f"i{acc.itemsize}").T
     return out.reshape(counts.shape[:-1] + (width,))
 
 

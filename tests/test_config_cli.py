@@ -194,14 +194,14 @@ seed = 11
 # cache: files, then each run's stdout and stderr.
 WEAK_LINK_WARNINGS = 23
 WEAK_LINK_DIGESTS = {
-    "theory_map.csv": "771eb6f6984e4ec8da1b41385a7fc8c13e94eff8adb296cbd64fc739b8252983",
-    "theory_map.json": "b8782181a88e6d0c4a6614478e62c734ef1a219fe5cdc7b54f7989c0a4aec8b0",
-    "sweep.csv": "380dd83833db433b1af3ee80f3d8f0843402110787e6ed1e5f3e48755820eedf",
+    "theory_map.csv": "51b84bcec63af094cddc50e9bcff68a8e56f4559ed75263f3a0ec5cecf695a51",
+    "theory_map.json": "eefad39f13588dcc8a50a1e2ef34185db4a768d6a2052fdaf123e4901ad5f484",
+    "sweep.csv": "178fb32e615db843c6f63005997ffa605f84741e1ed4e1755d9cee958c1db602",
     "theory0.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
     "theory0.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "theory1.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
     "theory1.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "sweep2.stdout": "c97337bddef2f4b14f882365f87cacf60df2300c04b712b1356777de66e772bb",
+    "sweep2.stdout": "984ea13e14876eebe16ab320d85119151b27163b4675c061fd6bdab8afc2792b",
     "sweep2.stderr": "31a6bc6c561047fac8db676c5829c7db3979e71c604e01ef22285d5c966cb447",
 }
 
@@ -327,8 +327,8 @@ class TestCliSimulate:
 
     def test_output_bytes_are_pinned(self, config_file, tmp_path):
         # A 2x2 grid, 3 trials, seed 3. A change that moves an output byte
-        # fails here and must say so. Recorded with numpy 2.4.6 and scipy
-        # 1.17.1 on x86-64 Linux.
+        # fails here and must say so. Recorded with uvtdoa 0.1.0 and numpy
+        # 2.4.6 on x86-64 Linux; the artifacts carry both versions.
         config_file.write_text(
             CONFIG_TEXT.replace("steps_x = 3\nsteps_y = 3", "steps_x = 2\nsteps_y = 2")
             .replace("trials_per_point = 4", "trials_per_point = 3").replace("seed = 7", "seed = 3")
@@ -338,10 +338,10 @@ class TestCliSimulate:
             assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
         assert digests == {
-            "campaign.json": "fbae972929bb0f05685c63c89ecc5fb782d42a0ecf232b3a40dfe66a605b74f2",
-            "detections.csv": "ce82fe3a6990d375b0f949ac86845d96790cdcd3394d1038a03229706e11cf68",
-            "theory_map.csv": "4bdd0299ad6e33c216ee5a6198ea599b81d58178365ecd2b8d573f70a565ef60",
-            "trials.csv": "fbba22f427fdc2d00d2e2cf64278414a35f1cb024cce317f81895ac355576b0b",
+            "campaign.json": "39d1fbc79870cc63c54aef79c9c3ab397a245964e8b442b3b21593b53639954d",
+            "detections.csv": "96ec0877ccb5b3a47cb57c6cfc342e3bf0d5d6f9450d970b345bb84b64119056",
+            "theory_map.csv": "cc7bad3ee22b3fcb2933c6d72d907749241a7a5df7fa17a2b1a723f12d717aac",
+            "trials.csv": "059632fee2ab49c63c582f1adff75aca84f48068e147512ef8559d2812a24d8d",
         }
 
     # The truncation warnings of the weak links are part of the output.
@@ -1084,6 +1084,37 @@ class TestSessionsFromRecords:
         assert sessions[0].t_ba_s == pytest.approx(20 * 50e-9 / 1.0)
 
 
+def every_artifact(config_file, tmp_path, *seed_args):
+    """Each command's output files, keyed by command."""
+    def run(command, *extra):
+        out = tmp_path / f"{command}{len(extra)}"
+        assert main([command, "--config", str(config_file), "--out", str(out),
+                     *seed_args, *extra]) == 0
+        return out
+
+    sim = run("simulate")
+    log = str(sim / "detections.csv")
+    return {
+        "theory": [run("theory") / "theory_map.csv",
+                   run("theory", "--format", "json") / "theory_map.json"],
+        "sweep": [run("sweep", "--powers-mw", "150") / "sweep.csv",
+                  run("sweep", "--powers-mw", "150", "--format", "json") / "sweep.json"],
+        "simulate": [sim / "campaign.json", sim / "trials.csv", sim / "detections.csv"],
+        "replay": [run("replay", "--log", log) / name
+                   for name in ("replay_fixes.csv", "replay_clusters.csv")],
+        "diffcal": [run("diffcal", "--calibration", log, "--log", log)
+                    / "diffcal_fixes.csv"],
+    }
+
+
+def artifact_meta(path):
+    """Provenance of one output file: a JSON payload's, or a CSV's header lines."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        return payload.get("meta", payload)
+    return read_meta(path)
+
+
 class TestCliProvenance:
     """Every artifact states the same tool, config hash, seed and efficiency."""
 
@@ -1097,36 +1128,23 @@ class TestCliProvenance:
             "seed": seed,
             "detector_efficiency": 0.15,
         }
-
-        def run(command, *extra):
-            out = tmp_path / f"{command}{len(extra)}"
-            assert main([command, "--config", str(config_file), "--out", str(out),
-                         *seed_args, *extra]) == 0
-            return out
-
-        sim = run("simulate")
-        log = str(sim / "detections.csv")
-        artifacts = {
-            "theory": [run("theory") / "theory_map.csv",
-                       run("theory", "--format", "json") / "theory_map.json"],
-            "sweep": [run("sweep", "--powers-mw", "150") / "sweep.csv",
-                      run("sweep", "--powers-mw", "150", "--format", "json") / "sweep.json"],
-            "simulate": [sim / "campaign.json", sim / "trials.csv", sim / "detections.csv"],
-            "replay": [run("replay", "--log", log) / name
-                       for name in ("replay_fixes.csv", "replay_clusters.csv")],
-            "diffcal": [run("diffcal", "--calibration", log, "--log", log)
-                        / "diffcal_fixes.csv"],
-        }
-        for command, paths in artifacts.items():
+        for command, paths in every_artifact(config_file, tmp_path, *seed_args).items():
             for path in paths:
-                if path.suffix == ".json":
-                    payload = json.loads(path.read_text())
-                    meta = payload.get("meta", payload)
-                else:
-                    text = read_meta(path)
-                    meta = dict(text, seed=int(text["seed"]),
-                                detector_efficiency=float(text["detector_efficiency"]))
+                meta = artifact_meta(path)
+                if path.suffix == ".csv":
+                    meta = dict(meta, seed=int(meta["seed"]),
+                                detector_efficiency=float(meta["detector_efficiency"]))
                 assert meta["tool"] == f"uvtdoa {command}", path
+                assert {key: meta[key] for key in want} == want, path
+
+    def test_every_artifact_records_versions(self, config_file, tmp_path):
+        # numpy does not promise the same random streams across its versions
+        # (NEP 19), so the output bytes depend on the versions that wrote them
+        import uvtdoa
+        want = {"uvtdoa_version": uvtdoa.__version__, "numpy_version": np.__version__}
+        for paths in every_artifact(config_file, tmp_path).values():
+            for path in paths:
+                meta = artifact_meta(path)
                 assert {key: meta[key] for key in want} == want, path
 
     @pytest.mark.parametrize("command, extra", [

@@ -178,7 +178,7 @@ class TestCorrelate:
 
     def test_one_block_past_int32_others_not(self):
         # Row ROW_BLOCK + 1 carries 2**29 photons per on-symbol chip, so its
-        # block needs 64-bit sums while the first and last blocks stay 32-bit;
+        # block needs 64-bit sums while the first and last blocks stay 16-bit;
         # every row must still match the oracle.
         rng = np.random.default_rng(8)
         seq = generate_pilot(8, 1)
@@ -196,7 +196,7 @@ class TestCorrelate:
     def test_signed_counts_bounded_by_magnitude(self):
         # 19 chips of +2**29, then 19 of -2**29: the scored 39 chips sum to
         # zero, but the scores reach 2**32, so the plain sum must not pick
-        # 32-bit sums.
+        # 16- or 32-bit sums.
         seq = generate_pilot(8, 1)
         n, window = 2, range(0, 24)
         counts = np.zeros((2, 40), dtype=np.int64)
@@ -208,18 +208,19 @@ class TestCorrelate:
 
     def test_reused_scratch_never_leaks_between_calls(self):
         # correlate keeps its prefix-sum and accumulator buffers across calls.
-        # Consecutive calls change the block shape, the accumulator dtype
-        # (int32-exact counts, then counts that need int64) and the memory
-        # layout (row-major, then a chip-major view); every call must match
-        # the oracle, and no earlier result may change under a later call.
+        # Consecutive calls change the block shape, the width of the sums
+        # (16, 32 and 64 bits) and the memory layout (row-major, then a
+        # chip-major view); every call must match the oracle, and no earlier
+        # result may change under a later call.
         rng = np.random.default_rng(31)
         seq = generate_pilot(8, 1)
         n = 2
-        calls, wide = [], set()
+        calls, widths = [], set()
         for rows, n_chips, width, scale, chip_major in [
             (3, 60, 30, 1, False),
             (ROW_BLOCK + 2, 44, 12, 2**27, False),
             (2, 70, 41, 1, True),
+            (3, 50, 20, 2**12, False),
             (1, 40, 5, 2**27, True),
             (ROW_BLOCK, 60, 30, 1, False),
         ]:
@@ -231,11 +232,40 @@ class TestCorrelate:
             expected = np.array([brute_force_scores(r, seq, n, window) for r in counts])
             assert np.array_equal(scores, expected)
             calls.append((scores, scores.copy()))
-            # correlate's own test for a block that needs 64-bit sums
-            wide.add(2 * (len(seq) + 1) * int(counts.sum(axis=-1).max()) >= 2**31)
-        assert wide == {False, True}
+            # correlate's own rule for the width of each block's sums; the
+            # scored segment runs to the end of the row
+            for lo in range(0, rows, ROW_BLOCK):
+                total = int(counts[lo : lo + ROW_BLOCK, window.start :].sum(axis=-1).max())
+                widths.add(16 if total < 2**15 else 32 if total < 2**31 else 64)
+        assert widths == {16, 32, 64}
         for scores, snapshot in calls:
             assert np.array_equal(scores, snapshot)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("total", [2**15 - 1, 2**15, 2**31 - 1, 2**31])
+    def test_scores_reach_the_row_total_at_each_width_boundary(self, total, signed):
+        # correlate sums modulo 2**16, 2**32 or 2**64 and reads the result
+        # back as signed, which is exact only while every |score| is below
+        # half the modulus; |score| <= the row's absolute total. Row 0 puts
+        # its total on an on-symbol chip of the pilot at t = 0 and row 1 on
+        # an off-symbol chip, so the scores reach exactly +total and -total.
+        # A signed row moves half its total to a chip of the other sign
+        # with a negative count: its plain sum is ~0, its scores still
+        # reach +/-total.
+        seq = generate_pilot(8, 1)
+        n, window = 2, range(0, 9)
+        chips = np.repeat(seq, n)
+        on, off = np.flatnonzero(chips)[0], np.flatnonzero(1 - chips)[0]
+        counts = np.zeros((2, window.stop - 1 + len(chips)), dtype=np.int64)
+        share = total // 2 if signed else total
+        for row, (plus, minus) in enumerate([(on, off), (off, on)]):
+            counts[row, plus] = share
+            counts[row, minus] = -(total - share)
+        assert np.abs(counts).sum(axis=-1).tolist() == [total, total]
+        scores = correlate(counts, seq, n, window)
+        assert (scores[0, 0], scores[1, 0]) == (total, -total)
+        for row, got in zip(counts, scores):
+            assert np.array_equal(got, brute_force_scores(row, seq, n, window))
 
     def test_large_counts_stay_exact(self):
         # The peak score (on-symbol chips x 2**29 photons) is past 2**31, so
