@@ -15,8 +15,6 @@ from .errortheory import (
     ErrorBudget,
     SingularGeometryError,
     SyncBoundParams,
-    misdetect_prob_cross_symbol,
-    misdetect_prob_within_symbol,
     positioning_mse,
     sync_mse_bound,
     theory_points,
@@ -67,8 +65,6 @@ __all__ = [
     "load_config",
     "los_photon_rate",
     "measurement_from_times",
-    "misdetect_prob_cross_symbol",
-    "misdetect_prob_within_symbol",
     "parse_config",
     "positioning_mse",
     "power_sweep",

@@ -149,9 +149,13 @@ DEFAULT_M_MAX = 8
 
 @dataclass(frozen=True)
 class SyncBoundParams:
-    """Inputs of the synchronization-MSE upper bound for one anchor link."""
+    """Inputs of the synchronization-MSE upper bound.
 
-    lambda_s: float
+    ``lambda_s`` is one link's photon rate or a 1-D array of rates that
+    share the other inputs.
+    """
+
+    lambda_s: float | np.ndarray
     lambda_b: float
     length: int
     chips_per_symbol: int
@@ -160,10 +164,13 @@ class SyncBoundParams:
     eps_quadrature_points: int = 33
 
     def __post_init__(self):
+        if np.ndim(self.lambda_s) > 1:
+            raise TheoryError("lambda_s must be a float or a 1-D array")
         for name, rate in (("lambda_s", self.lambda_s), ("lambda_b", self.lambda_b)):
             # a NaN rate passes and gives a NaN bound
-            if rate < 0 or math.isinf(rate):
-                raise TheoryError(f"{name} must be finite and >= 0, got {rate}")
+            rate = np.asarray(rate)
+            if (bad := rate[(rate < 0) | np.isinf(rate)]).size:
+                raise TheoryError(f"{name} must be finite and >= 0, got {bad[0].item()}")
         if self.length < 2:
             raise TheoryError(f"pilot length must be >= 2, got {self.length}")
         if self.chips_per_symbol < 1:
@@ -250,17 +257,6 @@ def _within_gap(lam_s, params: SyncBoundParams, factors, e):
     return num
 
 
-def _p_within(params: SyncBoundParams, factors, e):
-    """Misdetection-probability bound for a |k|-chip offset inside one symbol.
-
-    The CDF of ``_within_gap``.
-    """
-    if params.lambda_s == 0:
-        # No signal: the score gap is pure noise, even odds per comparison.
-        return np.full(np.broadcast(*factors, e).shape, 0.5)
-    return _sparse_normal_cdf(_within_gap(params.lambda_s, params, factors, e))
-
-
 # A within-symbol term below this fraction of the k = 1 term leaves the k-sum
 # unchanged: see _within_integrands.
 _ROUND_AWAY = 2.0**-54
@@ -279,16 +275,17 @@ def _round_away_below(t1, e_max):
         return -np.sqrt(-2.0 * np.log(t1 * _ROUND_AWAY / e_max))
 
 
-def _p_cross(params: SyncBoundParams, factors, e):
+def _p_cross(lam_s: float, params: SyncBoundParams, factors, e):
     """Misdetection-probability bound for offsets of 2m*n + k chips, m >= 1.
 
-    Takes ``_cross_factors`` and the fractional offset ``e`` in symbols.
+    Takes the rate ``lam_s``, ``_cross_factors`` and the fractional offset
+    ``e`` in symbols; the other inputs come from ``params``.
     ``-2m * x`` must already have the output's shape: the other terms are
     subtracted from it in place. Where the Gaussian variance term
     degenerates (possible for extreme m at small pilot lengths) the limiting
     value of the CDF is used.
     """
-    lam_s, lam_b, big_l = params.lambda_s, params.lambda_b, params.length
+    lam_b, big_l = params.lambda_b, params.length
     neg_2m, x, y, z, var_f = factors
     # In place on two full-size buffers: fresh large arrays cost page faults.
     num = neg_2m * 0.5 * lam_s * x
@@ -308,52 +305,33 @@ def _p_cross(params: SyncBoundParams, factors, e):
     return p if limit is None else np.where(ok, p, limit)
 
 
-def misdetect_prob_within_symbol(params: SyncBoundParams, k: int, eps_s: float) -> float:
-    """Scalar within-symbol misdetection bound; k = 0 is the complement case.
-
-    Negative k is evaluated at |k|: the bound treats the two offset
-    directions symmetrically.
-    """
-    n = params.chips_per_symbol
-    if k == 0 or not 1 <= abs(k) <= n - 1:
-        raise TheoryError(f"k must satisfy 1 <= |k| <= {n - 1}, got {k}")
-    e = np.full(1, eps_s, dtype=float) / params.symbol_s
-    return _p_within(params, _within_factors(float(abs(k)), e, n), e).item()
-
-
-def misdetect_prob_cross_symbol(params: SyncBoundParams, m: int, k: int, eps_s: float) -> float:
-    """Scalar cross-symbol misdetection bound for an offset of 2m*n + k chips."""
-    n = params.chips_per_symbol
-    if m < 1:
-        raise TheoryError(f"m must be >= 1, got {m}")
-    if not -n <= k <= n - 1:
-        raise TheoryError(f"k must satisfy -{n} <= k <= {n - 1}, got {k}")
-    e = np.full(1, eps_s, dtype=float) / params.symbol_s
-    return _p_cross(params, _cross_factors(float(m), float(k), e, n, params.length), e).item()
-
-
 # Truncation is declared unconverged when the last m-term carries more than
 # this fraction of the accumulated bound.
 TAIL_FRACTION_LIMIT = 1e-6
 
 
-def sync_mse_bound(params: SyncBoundParams) -> float:
-    """Upper bound (seconds^2) on the correlation-sync MSE for one anchor.
+def sync_mse_bound(params: SyncBoundParams) -> float | np.ndarray:
+    """Upper bound (seconds^2) on the correlation-sync MSE for one anchor link.
 
     Integrates the squared timing error of every candidate misdetection
     offset, weighted by its probability bound, over the uniform fractional
     offset of the arrival within one chip. Gauss-Legendre quadrature over the
     offset; the cross-symbol sum is truncated at ``m_max`` and a warning is
     emitted if the last term is not negligible.
+
+    A float rate gives a float; an array of rates gives an array of their
+    bounds, each equal bit for bit to the bound at that rate alone, with one
+    warning per rate over the limit, in rate order.
     """
     value, tail_fraction = _sync_mse_bound_detail(params)
-    if tail_fraction > TAIL_FRACTION_LIMIT:
-        warnings.warn(
-            f"sync MSE bound truncation at m_max={params.m_max} leaves a tail "
-            f"fraction of {tail_fraction:.2e}",
-            SyncBoundTailWarning,
-            stacklevel=2,
-        )
+    for tail in np.atleast_1d(tail_fraction).tolist():
+        if tail > TAIL_FRACTION_LIMIT:
+            warnings.warn(
+                f"sync MSE bound truncation at m_max={params.m_max} leaves a tail "
+                f"fraction of {tail:.2e}",
+                SyncBoundTailWarning,
+                stacklevel=2,
+            )
     return value
 
 
@@ -452,14 +430,14 @@ def _cross_zero_from(n: int, big_l: int, symbol_s: float, m_max: int, points: in
     return float(roots.max()) * (1.0 + _SKIP_MARGIN)
 
 
-def _cross_is_zero(params: SyncBoundParams, g: _BoundGrid) -> bool:
-    """True when every cross-symbol probability is provably exactly 0.0.
+def _cross_is_zero(lam_s: float, params: SyncBoundParams, g: _BoundGrid) -> bool:
+    """True when every cross-symbol probability at ``lam_s`` is provably exactly 0.0.
 
     That is, from the grid's threshold rate on (see ``_cross_zero_from``).
     Never true at lam_s = 0 (every root is > 0), on a grid without maxima,
     or for a NaN rate, which fails the comparison.
     """
-    return params.lambda_s >= _cross_zero_from(*g.key, params.lambda_b)
+    return lam_s >= _cross_zero_from(*g.key, params.lambda_b)
 
 
 # Gap cells per within-symbol pass, in full-width rate rows: a pass holds at
@@ -479,8 +457,8 @@ _RATE_BLOCK = 8
 _HEAD_ROWS = 8
 
 
-def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
-    """Within-symbol part of the bound's integrand at each rate, (len(rates), Q).
+def _within_integrands(params: SyncBoundParams) -> np.ndarray:
+    """Within-symbol part of the bound's integrand at each rate of ``params``, (rates, Q).
 
     ``eps^2 (1 - p_1) + 2 sum_k e_k^2 p_k``: exact detection, whose timing
     error is just the fractional offset, then offsets of 1..n-1 chips in
@@ -511,7 +489,7 @@ def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
         params.chips_per_symbol, params.length, params.symbol_s,
         params.m_max, params.eps_quadrature_points,
     )
-    rates = np.asarray(rates, dtype=float)
+    rates = np.asarray(params.lambda_s, dtype=float).reshape(-1)
     full = len(g.e_k2)
     out = np.empty((len(rates), len(g.eps)))  # eps^2 (1 - p_1), then the integrand
     ksum, floor = np.empty_like(out), np.empty_like(out)  # running k-sum, round-away floor
@@ -553,41 +531,46 @@ def _within_integrands(params: SyncBoundParams, rates) -> np.ndarray:
     return out
 
 
-# Within-symbol integrand rows that anchor_sigma2 computes for a grid's
-# distinct rates in one _within_integrands call, just before it asks for
-# their bounds one by one; _sync_mse_bound_detail takes a bound's row from
-# here when it is present. Empty outside anchor_sigma2.
-_WITHIN_AHEAD: dict = {}
+def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple:
+    """The bound and the tail fraction of its last m-term, at each rate of ``params``.
 
-
-def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple[float, float]:
+    Floats for a float rate, arrays for an array. The within-symbol rows of
+    all the rates come from one ``_within_integrands`` call, which spreads
+    the numpy erfc's fixed per-call cost; the cross-symbol pass runs one
+    rate at a time.
+    """
     g = _bound_grid(
         params.chips_per_symbol, params.length, params.symbol_s,
         params.m_max, params.eps_quadrature_points,
     )
+    rates = np.asarray(params.lambda_s, dtype=float).reshape(-1)
 
     # With one chip per symbol there is no within-symbol offset: the timing
     # error of an exact detection is just the fractional offset.
     if params.chips_per_symbol == 1:
-        integrand = g.eps**2
-    elif (integrand := _WITHIN_AHEAD.get(params)) is None:
-        integrand = _within_integrands(params, [params.lambda_s])[0]
+        rows = np.broadcast_to(g.eps**2, (len(rates), len(g.eps)))
+    else:
+        rows = _within_integrands(params)
 
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
     # probability underflows to 0.0 the block adds exactly nothing, so the
     # pass is skipped from the grid's threshold rate on. Averaging
     # over the fractional offset, the density 1/Tc over a Tc-wide interval
     # cancels the interval half-width against the node scaling.
-    tail_value = 0.0
-    if not _cross_is_zero(params, g) and (pmk := _p_cross(params, g.cross, g.e_cross)).any():
-        terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
-        terms *= pmk.reshape(terms.shape)
-        integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))
-        tail = 2.0 * np.sum(terms[-1], axis=0)
-        tail_value = float(0.5 * np.sum(g.weights * tail))
-    value = float(0.5 * np.sum(g.weights * integrand))
-    tail_fraction = tail_value / value if value > 0 else 0.0
-    return value, tail_fraction
+    value, tail_value = np.empty(len(rates)), np.zeros(len(rates))
+    for i, (lam_s, integrand) in enumerate(zip(rates.tolist(), rows)):
+        if (not _cross_is_zero(lam_s, params, g)
+                and (pmk := _p_cross(lam_s, params, g.cross, g.e_cross)).any()):
+            terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
+            terms *= pmk.reshape(terms.shape)
+            integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))
+            tail = 2.0 * np.sum(terms[-1], axis=0)
+            tail_value[i] = 0.5 * np.sum(g.weights * tail)
+        value[i] = 0.5 * np.sum(g.weights * integrand)
+    tail_fraction = np.divide(tail_value, value, out=np.zeros_like(value), where=value > 0)
+    if np.ndim(params.lambda_s):
+        return value, tail_fraction
+    return float(value[0]), float(tail_fraction[0])
 
 
 # Condition numbers above this declare the geometry matrix singular.
@@ -717,11 +700,6 @@ class TheoryMap:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-@lru_cache(maxsize=4096)
-def _cached_bound(params: SyncBoundParams) -> float:
-    return sync_mse_bound(params)
-
-
 def anchor_sigma2(
     scene: Scene,
     points,
@@ -732,28 +710,17 @@ def anchor_sigma2(
     """Total per-anchor arrival-time variances at receiver points.
 
     Clock-edge variance plus the sync-MSE bound at each link's photon rate,
-    shape (..., 3) for points of shape (..., 2). The bound is evaluated once
-    per distinct rate, in order of first appearance (point by point, anchors
-    A, B, C), and cached across calls, which pays off once the clip flattens
-    the rates across the grid. The within-symbol parts of all the distinct
-    rates' bounds are computed first, in one batched pass (see
-    ``_within_integrands``); a rate whose bound is already cached does not
-    use its row.
+    shape (..., 3) for points of shape (..., 2). One ``sync_mse_bound`` call
+    evaluates the bound at the distinct rates, in order of first appearance
+    (point by point, anchors A, B, C), which pays off once the clip
+    flattens the rates across the grid.
     """
     rates = los_photon_rate(budget, anchor_ranges(scene, points), params.symbol_s)
     flat = rates.ravel().tolist()
-    bound_params = [
-        SyncBoundParams(
-            lam_s, budget.lambda_b, params.length, params.chips_per_symbol, params.symbol_s)
-        for lam_s in dict.fromkeys(flat)  # the distinct rates, in first-appearance order
-    ]
-    if bound_params and params.chips_per_symbol > 1:
-        rows = _within_integrands(bound_params[0], [b.lambda_s for b in bound_params])
-        _WITHIN_AHEAD.update(zip(bound_params, rows))
-    try:
-        bounds = {b.lambda_s: _cached_bound(b) for b in bound_params}
-    finally:
-        _WITHIN_AHEAD.clear()
+    distinct = list(dict.fromkeys(flat))
+    bounds = dict(zip(distinct, sync_mse_bound(SyncBoundParams(
+        np.array(distinct), budget.lambda_b, params.length, params.chips_per_symbol,
+        params.symbol_s)).tolist()))
     return clock.variance_s2 + np.array([bounds[lam_s] for lam_s in flat]).reshape(rates.shape)
 
 

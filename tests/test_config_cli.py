@@ -351,8 +351,6 @@ class TestCliSimulate:
         # clip and at 1 mW every link is weak, so the sync bound runs on
         # hundreds of distinct rates, low ones included. Recorded with
         # numpy 2.4.6 on x86-64 Linux.
-        from uvtdoa.errortheory import _cached_bound
-        _cached_bound.cache_clear()  # a cached bound would not warn again
         path = tmp_path / "geometry-iii.cfg"
         path.write_text(GEOMETRY_III_CONFIG_TEXT)
         out = tmp_path / "o"
@@ -503,8 +501,6 @@ class TestCliSweep:
         # The paper config (Geometry II, default 9x9 grid): the truncated
         # sync bound warns once per power, each on one "warning:" line that
         # names no source file.
-        from uvtdoa.errortheory import _cached_bound
-        _cached_bound.cache_clear()  # a cached bound would not warn again
         path = tmp_path / "paper.cfg"
         path.write_text(PAPER_CONFIG_TEXT)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw"),

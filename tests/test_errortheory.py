@@ -16,8 +16,6 @@ from uvtdoa import (
     SyncBoundParams,
     default_grid,
     inside_triangle,
-    misdetect_prob_cross_symbol,
-    misdetect_prob_within_symbol,
     positioning_mse,
     sync_mse_bound,
     sync_mse_empirical,
@@ -29,19 +27,18 @@ from uvtdoa.errortheory import (
     _MAXLOG,
     _RATE_BLOCK,
     _ROUND_AWAY,
-    _WITHIN_AHEAD,
     _SKIP_MARGIN,
     SyncBoundTailWarning,
     TheoryError,
     _bound_grid,
-    _cached_bound,
+    _cross_factors,
     _cross_is_zero,
     _cross_zero_from,
     _erfc,
     _p_cross,
-    _p_within,
     _round_away_below,
     _sync_mse_bound_detail,
+    _within_factors,
     _within_gap,
     _within_integrands,
     anchor_sigma2,
@@ -61,6 +58,31 @@ def bound_params(lam_s=5.0, lam_b=1.0, length=256, n=100, **kw):
         lambda_s=lam_s, lambda_b=lam_b, length=length, chips_per_symbol=n,
         symbol_s=1e-6, **kw,
     )
+
+
+def within_cell(params, k, eps_s):
+    # The bound's misdetection probability for an offset of |k| chips inside
+    # one symbol at a fractional offset of eps_s seconds: the CDF of its gap.
+    e = np.full(1, eps_s, dtype=float) / params.symbol_s
+    factors = _within_factors(float(abs(k)), e, params.chips_per_symbol)
+    return normal_cdf(_within_gap(params.lambda_s, params, factors, e)).item()
+
+
+def cross_cell(params, m, k, eps_s):
+    # The bound's misdetection probability for an offset of 2m*n + k chips.
+    e = np.full(1, eps_s, dtype=float) / params.symbol_s
+    factors = _cross_factors(float(m), float(k), e, params.chips_per_symbol, params.length)
+    return _p_cross(params.lambda_s, params, factors, e).item()
+
+
+def within_rows(params, rates):
+    # The within-symbol integrand rows of the bound at each of the rates.
+    return _within_integrands(dataclasses.replace(params, lambda_s=np.asarray(rates, dtype=float)))
+
+
+def grid_of(params):
+    return _bound_grid(params.chips_per_symbol, params.length, params.symbol_s,
+                       params.m_max, params.eps_quadrature_points)
 
 
 class TestClockVariance:
@@ -83,7 +105,7 @@ class TestClockVariance:
 
 class TestMisdetectWithinSymbol:
     def test_vanishes_at_huge_rate(self):
-        p = misdetect_prob_within_symbol(bound_params(lam_s=1e6), 1, 0.0)
+        p = within_cell(bound_params(lam_s=1e6), 1, 0.0)
         assert p == pytest.approx(0.0, abs=1e-12)
 
     def test_against_independent_oracle(self):
@@ -94,32 +116,44 @@ class TestMisdetectWithinSymbol:
             2.0 * (k / n) * (0.5 * lam_s + lam_b) * (length - 1) + (eps / t_s) * lam_s
         )
         expected = phi_oracle(num / den)
-        got = misdetect_prob_within_symbol(bound_params(), k, eps)
+        got = within_cell(bound_params(), k, eps)
         assert got == pytest.approx(expected, abs=1e-12)
         assert 0.0 <= got <= 1.0
 
     def test_monotone_in_eps(self):
         params = bound_params()
         t_c = params.chip_s
-        lo = misdetect_prob_within_symbol(params, 1, -t_c / 2)
-        hi = misdetect_prob_within_symbol(params, 1, +t_c / 2)
+        lo = within_cell(params, 1, -t_c / 2)
+        hi = within_cell(params, 1, +t_c / 2)
         assert hi > lo
 
     def test_negative_k_symmetric(self):
+        # The bound treats the two offset directions symmetrically: its
+        # within-symbol integrand takes an offset of -k chips from the cell
+        # of +k, eps^2 (1 - p_1) + sum over k = +-1..+-(n-1) of e_|k|^2 p_|k|.
         params = bound_params()
-        assert misdetect_prob_within_symbol(params, -3, 1e-9) == pytest.approx(
-            misdetect_prob_within_symbol(params, 3, 1e-9)
-        )
+        grid = grid_of(params)
+        p = normal_cdf(_within_gap(params.lambda_s, params, grid.within, grid.e_within))
+        both = np.concatenate([grid.e_k2 * p, (grid.e_k2 * p)[::-1]])
+        expected = grid.eps**2 * (1.0 - p[0]) + np.sum(both, axis=0)
+        assert _within_integrands(params)[0] == pytest.approx(expected)
+        assert within_cell(params, -3, 1e-9) == within_cell(params, 3, 1e-9)
 
     def test_k_zero_rejected(self):
-        with pytest.raises(TheoryError):
-            misdetect_prob_within_symbol(bound_params(), 0, 0.0)
+        # A 0-chip offset is the exact detection, not a misdetection: the
+        # bound's within-symbol cells are k = 1..n-1 and nothing else.
+        params = bound_params()
+        n = params.chips_per_symbol
+        grid = grid_of(params)
+        k = np.arange(1, n, dtype=float)[:, None]
+        assert np.rint(grid.within[1] * n / 2.0).ravel().tolist() == list(range(1, n))
+        assert np.allclose(grid.e_k2, (k * params.chip_s - grid.eps) ** 2, rtol=1e-12, atol=0)
 
 
 class TestMisdetectCrossSymbol:
     def test_vanishes_at_huge_rate(self):
         for m in (1, 3, 8):
-            p = misdetect_prob_cross_symbol(bound_params(lam_s=1e6), m, 0, 0.0)
+            p = cross_cell(bound_params(lam_s=1e6), m, 0, 0.0)
             assert p == pytest.approx(0.0, abs=1e-12)
 
     def test_against_independent_oracle(self):
@@ -137,20 +171,26 @@ class TestMisdetectCrossSymbol:
             + e * lam_s
         )
         expected = phi_oracle(num / den)
-        got = misdetect_prob_cross_symbol(bound_params(), m, k, eps)
+        got = cross_cell(bound_params(), m, k, eps)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_decreasing_in_m(self):
         params = bound_params(lam_s=2.0, lam_b=1.0, length=64)
-        p1 = misdetect_prob_cross_symbol(params, 1, 0, 0.0)
-        p3 = misdetect_prob_cross_symbol(params, 3, 0, 0.0)
+        p1 = cross_cell(params, 1, 0, 0.0)
+        p3 = cross_cell(params, 3, 0, 0.0)
         assert p3 <= p1
 
     def test_domain_rejections(self):
-        with pytest.raises(TheoryError):
-            misdetect_prob_cross_symbol(bound_params(), 0, 0, 0.0)
-        with pytest.raises(TheoryError):
-            misdetect_prob_cross_symbol(bound_params(), 1, 100, 0.0)
+        # The bound's cross-symbol cells are offsets of 2m*n + k chips for
+        # m = 1..m_max and k = -n..n-1 only: no m = 0 and no k = n.
+        params = bound_params()
+        n, m_max = params.chips_per_symbol, params.m_max
+        grid = grid_of(params)
+        m = np.arange(1, m_max + 1)[:, None]
+        assert grid.cross[0].ravel().tolist() == (-2.0 * m).ravel().tolist()
+        chips = np.rint(grid.shift_mk[..., 0] / params.chip_s)
+        assert np.array_equal(chips, 2 * m * n + np.arange(-n, n)[None, :])
+        assert grid.e_cross.shape == (1, 2 * n * params.eps_quadrature_points)
 
 
 class TestSyncMseBound:
@@ -363,10 +403,7 @@ class TestTheoryGrid:
         # one grid column sits so far out that the geometry degenerates
         grid = GridSpec(30.0, 5.0e9, 20.0, 30.0, steps_x=2, steps_y=2)
         budget = make_budget(power_w=0.15)
-        # the far column's links are weak enough that the truncated bound
-        # warns; the bound cache is process-wide, so an earlier test's call
-        # at these rates would otherwise have taken the warning
-        _cached_bound.cache_clear()
+        # the far column's links are weak enough that the truncated bound warns
         with pytest.warns(SyncBoundTailWarning):
             tmap = theory_points(scene, grid.points(), budget, make_signal(), ClockModel.ideal())
         flags = [p.singular for p in tmap.points]
@@ -375,6 +412,23 @@ class TestTheoryGrid:
             if p.singular:
                 assert np.isnan(p.e_p)
         assert np.isfinite(tmap.average_ep())
+
+    def test_second_call_warns_as_the_first(self):
+        # At 1 mW every link of a 3x3 Geometry III grid is weak, and 13 of
+        # its distinct rates leave a truncation tail above the limit. A bound
+        # is not remembered between calls, so a second call warns again.
+        scene = make_scene(GEOMETRY_III)
+        points = dataclasses.replace(default_grid(scene), steps_x=3, steps_y=3).points()
+        calls = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                theory_points(scene, points, make_budget(power_w=1e-3), make_signal(),
+                              ClockModel.uniform(0, 100e-9))
+            calls.append([(w.category, str(w.message)) for w in caught])
+        assert len(calls[0]) == 13
+        assert {category for category, _ in calls[0]} == {SyncBoundTailWarning}
+        assert calls[1] == calls[0]
 
 
 # Verbatim copy of the sync-MSE bound as it was before the sparse evaluation,
@@ -501,8 +555,8 @@ class TestSyncBoundExactness:
                         lambda_s=lam_s, lambda_b=lam_b, length=length,
                         chips_per_symbol=n, symbol_s=t_s, m_max=m_max,
                     )
-                    if _cross_is_zero(params, grid):
-                        assert not _p_cross(params, grid.cross, grid.e_cross).any(), params
+                    if _cross_is_zero(lam_s, params, grid):
+                        assert not _p_cross(lam_s, params, grid.cross, grid.e_cross).any(), params
 
     def test_cross_skip_never_fires_on_degenerate_variance(self):
         # At L = 64, m_max = 22, n = 100 some cells have a negative variance
@@ -513,16 +567,16 @@ class TestSyncBoundExactness:
                 lambda_s=lam_s, lambda_b=lam_b, length=64,
                 chips_per_symbol=100, symbol_s=1e-6, m_max=22,
             )
-            assert not _cross_is_zero(params, grid)
+            assert not _cross_is_zero(lam_s, params, grid)
 
     def test_cross_skip_engages_at_high_rates(self):
         # At L = 256, n = 100, lam_b = 1 every cross cell is zero from lam_s
         # of about 25 on, and the cached bound proves it from about 28.
         grid = _bound_grid(100, 256, 1e-6, 8, 33)
         for lam_s in range(36, 101):
-            assert _cross_is_zero(bound_params(lam_s=float(lam_s), lam_b=1.0), grid), lam_s
+            assert _cross_is_zero(float(lam_s), bound_params(lam_b=1.0), grid), lam_s
         for lam_s in (0.0, 2.0):
-            assert not _cross_is_zero(bound_params(lam_s=lam_s, lam_b=1.0), grid)
+            assert not _cross_is_zero(lam_s, bound_params(lam_b=1.0), grid)
 
     @pytest.mark.parametrize("length", [8, 64, 256])
     @pytest.mark.parametrize("n", [10, 100])
@@ -548,12 +602,10 @@ class TestSyncBoundExactness:
     @staticmethod
     def _cells_evaluated(monkeypatch, params):
         # Cells of a one-rate within-symbol pass that reach normal_cdf.
-        grid = _bound_grid(params.chips_per_symbol, params.length, params.symbol_s,
-                           params.m_max, params.eps_quadrature_points)
         seen = []
         monkeypatch.setattr(errortheory, "normal_cdf",
                             lambda z: seen.append(np.size(z)) or normal_cdf(z))
-        _within_integrands(params, [params.lambda_s])
+        _within_integrands(params)
         monkeypatch.undo()
         return sum(seen)
 
@@ -579,28 +631,30 @@ class TestSyncBoundExactness:
     def test_scalar_helpers_equal_bound_cells(self, lam_s):
         params = bound_params(lam_s=lam_s, lam_b=1.0, length=64, n=10)
         n, t_s = params.chips_per_symbol, params.symbol_s
+        # The bound's grid of cells, evaluated in one pass, equals each cell
+        # evaluated on its own at its (m, k, eps).
         grid = _bound_grid(n, params.length, t_s, params.m_max, params.eps_quadrature_points)
-        p0k = _p_within(params, grid.within, grid.e_within)
-        pmk = _p_cross(params, grid.cross, grid.e_cross).reshape(params.m_max, 2 * n, -1)
+        p0k = normal_cdf(_within_gap(lam_s, params, grid.within, grid.e_within))
+        pmk = _p_cross(lam_s, params, grid.cross, grid.e_cross).reshape(params.m_max, 2 * n, -1)
         if lam_s == 2.0:
             assert pmk.any()  # the cross cells are not all zero here
         for q, eps in enumerate(grid.eps):
             for k in range(1, n):
-                assert misdetect_prob_within_symbol(params, k, eps) == p0k[k - 1, q]
-                assert misdetect_prob_within_symbol(params, -k, eps) == p0k[k - 1, q]
+                assert within_cell(params, k, eps) == p0k[k - 1, q]
+                assert within_cell(params, -k, eps) == p0k[k - 1, q]
             for m in range(1, params.m_max + 1):
                 for k in range(-n, n):
-                    got = misdetect_prob_cross_symbol(params, m, k, eps)
+                    got = cross_cell(params, m, k, eps)
                     assert got == pmk[m - 1, k + n, q]
 
     def test_scalar_helpers_equal_oracle_off_grid(self):
         params = bound_params(lam_s=3.0, lam_b=0.5, length=64, n=10)
         for eps in (-3e-8, 0.0, 1.7e-8, 2e-6, -2e-6):
             for k in (1, 4, 9):
-                assert misdetect_prob_within_symbol(params, k, eps) == float(
+                assert within_cell(params, k, eps) == float(
                     np.clip(_oracle_p_within(params, k, eps), 0.0, 1.0))
             for m, k in ((1, -10), (3, 0), (8, 9)):
-                assert misdetect_prob_cross_symbol(params, m, k, eps) == float(
+                assert cross_cell(params, m, k, eps) == float(
                     np.clip(_oracle_p_cross(params, m, k, eps), 0.0, 1.0))
 
 
@@ -612,27 +666,58 @@ class TestBatchedRates:
     def test_batched_rows_equal_one_rate_rows(self, length, n):
         assert len(self.RATES) > 2 * _RATE_BLOCK  # three blocks, the last one short
         params = bound_params(lam_b=1.0, length=length, n=n)
-        rows = _within_integrands(params, self.RATES)
+        rows = within_rows(params, self.RATES)
         assert rows.shape == (len(self.RATES), 33)
         for row, lam_s in zip(rows, self.RATES):
-            assert np.array_equal(row, _within_integrands(params, [lam_s])[0]), lam_s
+            assert np.array_equal(row, within_rows(params, [lam_s])[0]), lam_s
 
     def test_nan_rate_in_a_batch_gives_nan_there_only(self):
         params = bound_params(lam_b=1.0)
-        rows = _within_integrands(params, [5.0, math.nan, 50.0])
+        rows = within_rows(params, [5.0, math.nan, 50.0])
         assert np.isnan(rows[1]).all()
-        assert np.array_equal(rows[[0, 2]], _within_integrands(params, [5.0, 50.0]))
+        assert np.array_equal(rows[[0, 2]], within_rows(params, [5.0, 50.0]))
+
+    @staticmethod
+    def _bounds_and_warnings(params, rates):
+        # The bound over an array of the rates, then at each rate on its own,
+        # with the warnings each way emits.
+        with warnings.catch_warnings(record=True) as batched, np.errstate(invalid="ignore"):
+            warnings.simplefilter("always")
+            got = sync_mse_bound(dataclasses.replace(params, lambda_s=np.array(rates)))
+        with warnings.catch_warnings(record=True) as alone, np.errstate(invalid="ignore"):
+            warnings.simplefilter("always")
+            want = [sync_mse_bound(dataclasses.replace(params, lambda_s=lam_s)) for lam_s in rates]
+        assert isinstance(got, np.ndarray) and got.shape == (len(rates),)
+        assert all(isinstance(value, float) for value in want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert [str(w.message) for w in batched] == [str(w.message) for w in alone]
+        return batched
+
+    @pytest.mark.parametrize("length, n", [(64, 10), (256, 100)])
+    def test_array_equals_one_rate_calls(self, length, n):
+        # Rates of 0, a duplicate and NaN included; the weak ones warn.
+        rates = [*self.RATES, math.nan]
+        warned = self._bounds_and_warnings(bound_params(lam_b=1.0, length=length, n=n), rates)
+        assert warned
+
+    def test_array_with_one_chip_per_symbol(self):
+        rates = [*self.RATES, math.nan]
+        warned = self._bounds_and_warnings(bound_params(lam_b=1.0, length=64, n=1), rates)
+        assert warned
 
     def test_anchor_sigma2_batches_the_within_pass(self, monkeypatch):
-        # One within-symbol pass over the grid's distinct rates, then one
-        # bound per rate, each equal to the bound computed on its own and
-        # warning in the same order.
-        passes = []
-        def counting(params, rates):
-            passes.append(len(rates))
-            return _within_integrands(params, rates)
-        monkeypatch.setattr(errortheory, "_within_integrands", counting)
-        _cached_bound.cache_clear()
+        # One bound call over the grid's distinct rates, with one
+        # within-symbol pass over them all; each bound equals the bound
+        # computed on its own, warning in the same order.
+        calls, passes = [], []
+        def counting_bound(params):
+            calls.append(np.size(params.lambda_s))
+            return sync_mse_bound(params)
+        def counting_within(params):
+            passes.append(np.size(params.lambda_s))
+            return _within_integrands(params)
+        monkeypatch.setattr(errortheory, "sync_mse_bound", counting_bound)
+        monkeypatch.setattr(errortheory, "_within_integrands", counting_within)
         # weak links: 47 of the 48 distinct rates warn
         scene, budget, signal = make_scene(GEOMETRY_II), make_budget(power_w=1e-4), make_signal()
         points = GridSpec(20.0, 50.0, 15.0, 45.0, steps_x=4, steps_y=4).points()
@@ -642,8 +727,7 @@ class TestBatchedRates:
         monkeypatch.undo()
         rates = errortheory.los_photon_rate(
             budget, errortheory.anchor_ranges(scene, points), signal.symbol_s).ravel().tolist()
-        assert passes == [len(set(rates))] and passes[0] > _RATE_BLOCK
-        assert not _WITHIN_AHEAD  # emptied again
+        assert calls == passes == [len(set(rates))] and passes[0] > _RATE_BLOCK
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
             want = {lam_s: sync_mse_bound(SyncBoundParams(
@@ -684,26 +768,22 @@ class TestPrunedPasses:
         # form) nor the NaN rate (NaN from its first rows) nor the strong
         # rate, done within the first rows, goes with it.
         rates = [0.01, 0.0, math.nan, 100.0]
-        params = bound_params(lam_b=1.0, length=length, n=n)
+        params = bound_params(lam_s=np.array(rates), lam_b=1.0, length=length, n=n)
         passes = []
         def recording(lam_s, params, factors, e):
             passes.append((np.size(lam_s), len(factors[0])))
             return _within_gap(lam_s, params, factors, e)
         monkeypatch.setattr(errortheory, "_within_gap", recording)
-        rows = _within_integrands(params, rates)
+        values, tails = _sync_mse_bound_detail(params)
         monkeypatch.undo()
         assert passes == {10: [(3, 8), (1, 1)],
                           100: [(3, 8), (1, 91)]}[n]
+        rows = _within_integrands(params)
         assert np.isnan(rows[2]).all() and not np.isnan(rows[[0, 1, 3]]).any()
-        for row, lam_s in zip(rows, rates):
-            assert np.array_equal(row, _within_integrands(params, [lam_s])[0], equal_nan=True)
+        for row, value, tail, lam_s in zip(rows, values.tolist(), tails.tolist(), rates):
+            assert np.array_equal(row, within_rows(params, [lam_s])[0], equal_nan=True)
             one = dataclasses.replace(params, lambda_s=lam_s)
-            _WITHIN_AHEAD[one] = row
-            try:
-                got = _sync_mse_bound_detail(one)
-            finally:
-                _WITHIN_AHEAD.clear()
-            assert np.array_equal(got, _oracle_bound_detail(one), equal_nan=True), lam_s
+            assert np.array_equal((value, tail), _oracle_bound_detail(one), equal_nan=True), lam_s
 
     @pytest.mark.parametrize("length", [8, 16, 64, 256])
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
@@ -719,10 +799,10 @@ class TestPrunedPasses:
                     lambda_s=lam_s, lambda_b=lam_b, length=length,
                     chips_per_symbol=n, symbol_s=1e-6, m_max=m_max,
                 )
-                if _cross_is_zero(params, grid):
+                if _cross_is_zero(lam_s, params, grid):
                     engaged += 1
                     assert _cross_blocks_prove_zero(params, grid), params
-                    assert not _p_cross(params, grid.cross, grid.e_cross).any(), params
+                    assert not _p_cross(lam_s, params, grid.cross, grid.e_cross).any(), params
         assert engaged > 0 or length < 64
 
     def test_cross_threshold_is_one_root_per_grid_and_background(self):
@@ -738,26 +818,30 @@ class TestPrunedPasses:
             below = bound_params(lam_s=threshold * (1.0 - 1e-6), lam_b=lam_b)
             assert _cross_blocks_prove_zero(at, grid) and not _cross_blocks_prove_zero(below, grid)
             for lam_s in np.linspace(0.0, 100.0, 201):
-                _cross_is_zero(bound_params(lam_s=float(lam_s), lam_b=lam_b), grid)
+                _cross_is_zero(float(lam_s), bound_params(lam_b=lam_b), grid)
         assert _cross_zero_from.cache_info().misses == 2
 
-    def test_anchor_sigma2_peak_memory(self):
+    def test_anchor_sigma2_peak_memory(self, monkeypatch):
         # `theory` on a 25 x 25 Geometry III grid at 150 mW: 435 distinct
-        # rates, most below the clip. The traced peak of the bound part,
-        # with the rate-free grid already built, was 1 754 592 bytes at the
-        # least before the within-symbol pass stopped at each rate's last
-        # live row (numpy 2.4.6, x86-64 Linux).
+        # rates, most below the clip, in one bound call. The traced peak of
+        # the bound part, with the rate-free grid already built, was
+        # 1 754 592 bytes at the least before the within-symbol pass stopped
+        # at each rate's last live row (numpy 2.4.6, x86-64 Linux).
         scene, budget, signal = make_scene(GEOMETRY_III), make_budget(power_w=0.15), make_signal()
         points = dataclasses.replace(default_grid(scene), steps_x=25, steps_y=25).points()
         _bound_grid(100, 256, signal.symbol_s, 8, 33)
-        _cached_bound.cache_clear()
+        calls = []
+        def recording(params):
+            calls.append(np.size(params.lambda_s))
+            return sync_mse_bound(params)
+        monkeypatch.setattr(errortheory, "sync_mse_bound", recording)
         tracemalloc.start()
         try:
             anchor_sigma2(scene, points, budget, signal, ClockModel.ideal())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _cached_bound.cache_info().currsize == 435
+        assert calls == [435]
         assert peak <= 1_754_592
 
 
@@ -771,6 +855,15 @@ class TestSyncBoundDomain:
         kwargs = {"lambda_s": 5.0, "lambda_b": 1.0, "symbol_s": 1e-6, field: value}
         with pytest.raises(TheoryError, match=f"^{field} must be finite and"):
             SyncBoundParams(length=64, chips_per_symbol=10, **kwargs)
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf])
+    def test_rejects_a_bad_rate_in_an_array(self, value):
+        with pytest.raises(TheoryError, match=f"^lambda_s must be finite and >= 0, got {value}$"):
+            bound_params(lam_s=np.array([5.0, math.nan, value, -2.0]))
+
+    def test_rejects_a_rate_array_of_two_dimensions(self):
+        with pytest.raises(TheoryError, match="^lambda_s must be a float or a 1-D array"):
+            bound_params(lam_s=np.full((2, 2), 5.0))
 
     def test_m_max_at_half_length_rejected(self):
         bound_params(length=64, m_max=31)
