@@ -13,7 +13,6 @@ from .config import Config, ConfigError, config_hash, load_config, parse_config,
 from .errortheory import (
     ClockModel,
     ErrorBudget,
-    SingularGeometryError,
     SyncBoundParams,
     positioning_mse,
     sync_mse_bound,
@@ -29,7 +28,7 @@ from .montecarlo import (
     run_point,
     sync_mse_empirical,
 )
-from .scene import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
+from .scene import GridSpec, Scene, SceneError, anchor_ranges, default_grid, inside_triangle
 from .sync import correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, TdoaMeasurement, measurement_from_times, solve_position
 
@@ -50,10 +49,10 @@ __all__ = [
     "Scene",
     "SceneError",
     "SignalParams",
-    "SingularGeometryError",
     "SlotOverrunError",
     "SyncBoundParams",
     "TdoaMeasurement",
+    "anchor_ranges",
     "config_hash",
     "correlate",
     "default_grid",
@@ -68,7 +67,6 @@ __all__ = [
     "parse_config",
     "positioning_mse",
     "power_sweep",
-    "ranges",
     "render_frame",
     "run_campaign",
     "run_point",

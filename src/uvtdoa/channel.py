@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scene import SPEED_OF_LIGHT, Scene, ranges
+from .scene import SPEED_OF_LIGHT
 
 PLANCK_CONSTANT = 6.62607015e-34  # J*s
 
@@ -43,17 +43,15 @@ class LinkBudget:
     lambda_clip: float = 100.0
 
     def __post_init__(self):
-        if not self.power_w > 0:
-            raise ChannelError(f"power_w must be > 0, got {self.power_w}")
+        for name in ("power_w", "rx_area_m2", "wavelength_m"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ChannelError(f"{name} must be finite and > 0, got {value}")
         if not 0 < self.divergence_full_angle_rad < np.pi:
             raise ChannelError(
                 f"divergence_full_angle_rad must be in (0, pi), got "
                 f"{self.divergence_full_angle_rad}"
             )
-        if not self.rx_area_m2 > 0:
-            raise ChannelError(f"rx_area_m2 must be > 0, got {self.rx_area_m2}")
-        if not self.wavelength_m > 0:
-            raise ChannelError(f"wavelength_m must be > 0, got {self.wavelength_m}")
         if not 0 < self.detector_efficiency <= 1:
             raise ChannelError(
                 f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
@@ -235,8 +233,8 @@ def sample_photons(
 
 
 def render_frame(
-    scene: Scene,
     params: SignalParams,
+    flight_s,
     lambda_s,
     lambda_b: float,
     clock_offsets_s,
@@ -247,7 +245,7 @@ def render_frame(
 
     Anchor i transmits at i * slot_interval with ``lambda_s[i]`` signal
     photoelectrons per symbol; its pilot reaches the receiver delayed by the
-    clock offset, the flight time, and the shared fractional offset
+    clock offset, the flight time ``flight_s[i]``, and the shared fractional offset
     ``frac_offset_eps_s``. Counts are Poisson with per-chip means from the
     background ``lambda_b`` per symbol plus the prorated pilot overlap,
     independent across chips, drawn photon by photon (see
@@ -256,6 +254,9 @@ def render_frame(
     offsets = np.asarray(clock_offsets_s, dtype=float).reshape(-1)
     if offsets.shape != (3,):
         raise ChannelError("clock_offsets_s must hold one offset per anchor")
+    flights = np.asarray(flight_s, dtype=float).reshape(-1)
+    if flights.shape != (3,):
+        raise ChannelError("flight_s must hold one flight time per anchor")
     lambdas = np.asarray(lambda_s, dtype=float).reshape(-1)
     if lambdas.shape != (3,) or not (lambdas >= 0).all() or not lambda_b >= 0:
         raise ChannelError(
@@ -266,10 +267,9 @@ def render_frame(
     t_chip = params.chip_s
     slot_chips = params.slot_chips
     n_chips = 3 * slot_chips
-    dists = ranges(scene, scene.rx_true)
     arrivals_s = np.empty(3)
     for i in range(3):
-        arrival_s = i * params.slot_interval_s + offsets[i] + dists[i] / scene.c + frac_offset_eps_s
+        arrival_s = i * params.slot_interval_s + offsets[i] + flights[i] + frac_offset_eps_s
         if arrival_s + params.length * params.symbol_s > (i + 1) * params.slot_interval_s:
             raise SlotOverrunError(
                 f"anchor {'ABC'[i]} pilot arriving at {arrival_s:.9f} s spills "

@@ -310,13 +310,16 @@ def _campaign_payload(meta: dict, result) -> dict:
 
 def cmd_theory(cfg: Config, args, out: Path) -> int:
     tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
-    if all(p.singular for p in tmap.points):
+    if tmap.singular.all():
         print("error: geometry matrix singular at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
+    # Python floats: _fmt takes the repr of a float, which numpy scalars spell otherwise
     rows = [
-        [_fmt(p.x), _fmt(p.y), _fmt(p.e_p), _fmt(p.condition_number),
-         int(p.inside), int(p.singular)]
-        for p in tmap.points
+        [_fmt(x), _fmt(y), _fmt(e_p), _fmt(cond), int(inside), int(singular)]
+        for x, y, e_p, cond, inside, singular in zip(
+            tmap.x.tolist(), tmap.y.tolist(), tmap.e_p.tolist(),
+            tmap.condition_number.tolist(), tmap.inside.tolist(), tmap.singular.tolist(),
+        )
     ]
     header = ["x_m", "y_m", "e_p_m", "condition_number", "inside", "singular"]
     summary = {

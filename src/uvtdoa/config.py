@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
 from .montecarlo import CampaignError, CampaignSpec
-from .scene import GridSpec, Scene, SceneError, default_grid, ranges
+from .scene import GridSpec, Scene, SceneError, anchor_ranges, default_grid
 from .sync import SyncError, generate_pilot
 
 
@@ -127,23 +127,21 @@ def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: 
     """Reject a slot that cannot hold every pilot a campaign renders.
 
     Late side: the slot must hold the pilot plus the longest flight time (to
-    the receiver or a grid corner, the farthest grid points), the clock's
-    upper bound and one chip. Early side: the earliest arrival (shortest
-    flight time to the receiver or any grid point, the clock's lower bound
-    and a -1/2 chip fractional offset) may start at most one chip before its
-    slot, the limit ``render_frame`` enforces.
+    the receiver or any grid point; the farthest grid points are corners),
+    the clock's upper bound and one chip. Early side: the earliest arrival
+    (shortest flight time to the receiver or any grid point, the clock's
+    lower bound and a -1/2 chip fractional offset) may start at most one
+    chip before its slot, the limit ``render_frame`` enforces.
     """
-    corners = [(x, y) for x in (grid.x_min, grid.x_max) for y in (grid.y_min, grid.y_max)]
-    flight_s = max(max(ranges(scene, p)) for p in [scene.rx_true, *corners]) / scene.c
+    dists = anchor_ranges(scene, np.vstack([scene.rx_true, grid.points()]))
+    flight_s = float(dists.max()) / scene.c
     need_s = signal.length * signal.symbol_s + flight_s + clock.hi_s + signal.chip_s
     if signal.slot_interval_s < need_s:
         raise ConfigError(
             f"[signal] slot_interval_s = {signal.slot_interval_s!r} is shorter than pilot "
             f"+ longest flight time + clock hi + one chip = {need_s!r} s"
         )
-    points = np.vstack([scene.rx_true, grid.points()])
-    nearest_m = np.linalg.norm(points[:, None, :] - scene.anchors, axis=-1).min()
-    earliest_s = float(nearest_m) / scene.c + clock.lo_s - signal.chip_s / 2.0
+    earliest_s = float(dists.min()) / scene.c + clock.lo_s - signal.chip_s / 2.0
     if earliest_s < -signal.chip_s:
         raise ConfigError(
             f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts a pilot {-earliest_s!r} s "

@@ -24,14 +24,6 @@ class TheoryError(ValueError):
     """Invalid error-theory input."""
 
 
-class SingularGeometryError(TheoryError):
-    """Linearization matrix is numerically singular at the requested point."""
-
-    def __init__(self, message: str, condition_number: float):
-        super().__init__(message)
-        self.condition_number = condition_number
-
-
 class SyncBoundTailWarning(RuntimeWarning):
     """Truncated tail of the sync MSE bound is not negligible."""
 
@@ -581,13 +573,13 @@ CONDITION_LIMIT = 1e8
 class ErrorBudget:
     """Positioning MSE matrix, its scalar error and the geometry's conditioning.
 
-    For one point the fields are a nested tuple and floats; for a batch of
-    points of shape (...) they are arrays of shape (..., 2, 2) and (...).
+    For points of batch shape (...) the fields have shape (..., 2, 2), (...)
+    and (...); one point is the batch of shape ().
     """
 
-    mse_matrix: tuple[tuple[float, float], tuple[float, float]] | np.ndarray
-    e_p: float | np.ndarray
-    condition_number: float | np.ndarray
+    mse_matrix: np.ndarray
+    e_p: np.ndarray
+    condition_number: np.ndarray
 
 
 def _is_singular(cond) -> np.ndarray:
@@ -629,12 +621,11 @@ def positioning_mse(
     propagated through the inverted geometry matrix; the scalar error is the
     square root of the trace.
 
-    ``at`` (default: the scene's receiver) is one point or an array of
-    points of shape (..., 2), and each variance is a scalar or an array of
-    that batch shape (...). All points go through one stacked pass. At one
-    point a singular geometry matrix raises ``SingularGeometryError``; in a
-    batch it gives a NaN MSE and ``e_p`` there, with the matrix's condition
-    number.
+    ``at`` (default: the scene's receiver) is an array of points of shape
+    (..., 2), one point being the batch of shape (), and each variance is a
+    scalar or an array of that batch shape (...). All points go through one
+    stacked pass. A singular geometry matrix (see ``CONDITION_LIMIT``) gives
+    a NaN MSE and ``e_p`` there, with the matrix's condition number.
     """
     sigmas = []
     for name, s2 in (("sigma2_a", sigma2_a), ("sigma2_b", sigma2_b), ("sigma2_c", sigma2_c)):
@@ -647,57 +638,48 @@ def positioning_mse(
     g = g.reshape(-1, 2, 2)
     s_a, s_b, s_c = (np.broadcast_to(s2, batch).reshape(-1) for s2 in sigmas)
     cond = np.linalg.cond(g)
-    singular = _is_singular(cond)
-    if not batch and singular[0]:
-        raise SingularGeometryError(
-            f"geometry matrix is singular at {at if at is not None else scene.rx_true} "
-            f"(condition number {cond[0]:.3e})",
-            condition_number=float(cond[0]),
-        )
     hh = np.empty_like(g)
     hh[:, 0, 0] = s_a + s_b
     hh[:, 0, 1] = hh[:, 1, 0] = -s_b
     hh[:, 1, 1] = s_b + s_c
     hh *= scene.c**2
-    ok = ~singular
+    ok = ~_is_singular(cond)
     g_inv = np.linalg.inv(g[ok])
     m = g_inv @ hh[ok] @ np.swapaxes(g_inv, -1, -2)
     mse = np.full_like(g, np.nan)
     mse[ok] = 0.5 * (m + np.swapaxes(m, -1, -2))  # symmetrize away last-bit asymmetry
     trace = mse[:, 0, 0] + mse[:, 1, 1]
     e_p = np.sqrt(np.where(0.0 > trace, 0.0, trace))  # max(trace, 0.0), NaN kept
-    if not batch:
-        (m00, m01), (m10, m11) = mse[0].tolist()
-        return ErrorBudget(((m00, m01), (m10, m11)), float(e_p[0]), float(cond[0]))
     return ErrorBudget(mse.reshape(batch + (2, 2)), e_p.reshape(batch), cond.reshape(batch))
 
 
-@dataclass(frozen=True)
-class TheoryPoint:
-    """Per-grid-point theoretical error entry."""
+def grid_average(values, inside, inside_only: bool = False) -> float:
+    """Mean of the non-NaN ``values``, over the ``inside`` points only if asked.
 
-    x: float
-    y: float
-    e_p: float
-    condition_number: float
-    singular: bool
-    inside: bool
+    NaN marks a point without a value (a singular geometry, a point without
+    a fix); NaN when no point is left.
+    """
+    values = np.asarray(values, dtype=float)
+    keep = ~np.isnan(values)
+    if inside_only:
+        keep &= np.asarray(inside, dtype=bool)
+    return float(np.mean(values[keep])) if keep.any() else math.nan
 
 
 @dataclass(frozen=True)
 class TheoryMap:
-    """Theoretical error over a receiver grid."""
+    """Theoretical error over P receiver points, as (P,) columns."""
 
-    points: tuple[TheoryPoint, ...]
+    x: np.ndarray
+    y: np.ndarray
+    e_p: np.ndarray  # NaN where the geometry is singular
+    condition_number: np.ndarray
+    singular: np.ndarray
+    inside: np.ndarray
 
     def average_ep(self, inside_only: bool = False) -> float:
         """Mean ``e_p`` over the non-singular points; NaN when there are none."""
-        vals = [
-            p.e_p
-            for p in self.points
-            if not p.singular and (p.inside or not inside_only)
-        ]
-        return float(np.mean(vals)) if vals else float("nan")
+        return grid_average(self.e_p, self.inside, inside_only)
 
 
 def anchor_sigma2(
@@ -734,17 +716,13 @@ def theory_points(
     """Theoretical scalar positioning error at each of an (P, 2) array of points.
 
     One pass over all points: ``anchor_sigma2`` then ``positioning_mse``. A
-    singular geometry matrix is flagged with a NaN ``e_p`` and the matrix's
-    condition number rather than raised.
+    singular geometry matrix is flagged in ``singular``, with a NaN ``e_p``
+    and the matrix's condition number.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     s2 = anchor_sigma2(scene, pts, budget, params, clock)
     err = positioning_mse(scene, s2[:, 0], s2[:, 1], s2[:, 2], at=pts)
-    return TheoryMap(tuple(
-        TheoryPoint(x, y, e_p, cond, singular, inside)
-        for (x, y), e_p, cond, singular, inside in zip(
-            pts.tolist(), err.e_p.tolist(), err.condition_number.tolist(),
-            _is_singular(err.condition_number).tolist(),
-            inside_triangle(scene, pts).tolist(),
-        )
-    ))
+    return TheoryMap(
+        pts[:, 0], pts[:, 1], err.e_p, err.condition_number,
+        _is_singular(err.condition_number), inside_triangle(scene, pts),
+    )

@@ -21,8 +21,8 @@ from .channel import (
     render_frame,
     sample_photons,
 )
-from .errortheory import DEFAULT_M_MAX, ClockModel, theory_points
-from .scene import GridSpec, Scene, anchor_ranges, default_grid, inside_triangle, ranges
+from .errortheory import DEFAULT_M_MAX, ClockModel, grid_average, theory_points
+from .scene import GridSpec, Scene, anchor_ranges, default_grid, inside_triangle
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
@@ -104,20 +104,13 @@ class CampaignResult:
 
     def average_rmse_m(self, inside_only: bool = False) -> float:
         """Mean RMSE over the points that have a fix."""
-        vals = [
-            p.rmse_m
-            for p in self.point_results
-            if not math.isnan(p.rmse_m) and (p.inside or not inside_only)
-        ]
-        return float(np.mean(vals)) if vals else float("nan")
+        return grid_average([p.rmse_m for p in self.point_results],
+                            [p.inside for p in self.point_results], inside_only)
 
     def average_theory_m(self, inside_only: bool = False) -> float:
-        vals = [
-            p.theory_ep_m
-            for p in self.point_results
-            if np.isfinite(p.theory_ep_m) and (p.inside or not inside_only)
-        ]
-        return float(np.mean(vals)) if vals else float("nan")
+        """Mean theoretical error over the non-singular points."""
+        return grid_average([p.theory_ep_m for p in self.point_results],
+                            [p.inside for p in self.point_results], inside_only)
 
 
 def detect(
@@ -132,13 +125,16 @@ def detect(
 ) -> list[tuple[int, int, int]]:
     """Slot-relative start chips of the three pilots, one triple per trial.
 
-    The three links' photon rates come from the expression the theory uses
-    (see ``anchor_sigma2``). Trial t draws from its own substream, in order:
+    The point's three anchor distances give the flight times and the
+    links' photon rates, from the expression the theory uses (see
+    ``anchor_sigma2``). Trial t draws from its own substream, in order:
     the clock offsets (unless ``session_offsets`` gives a session's shared
     offsets), a shared fractional arrival offset, then the frame; the frame
     is then synchronized.
     """
-    lambda_s = los_photon_rate(budget, anchor_ranges(scene, scene.rx_true), params.symbol_s)
+    dists = anchor_ranges(scene, scene.rx_true)
+    lambda_s = los_photon_rate(budget, dists, params.symbol_s)
+    flight_s = dists / scene.c
     t_chip = params.chip_s
     chips = []
     for t in range(trials):
@@ -148,7 +144,7 @@ def detect(
         # Free the frame before the next render: a frame kept alive across
         # it leaves a heap hole that glibc trims and page-faults back in on
         # every trial.
-        frame = render_frame(scene, params, lambda_s, budget.lambda_b, offsets, eps, rng)
+        frame = render_frame(params, flight_s, lambda_s, budget.lambda_b, offsets, eps, rng)
         chips.append(synchronize_frame(frame.counts, params))
         del frame
     return chips
@@ -228,8 +224,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
     else:
         results = [_point_task(t) for t in tasks]
     theory = theory_points(spec.scene, points, spec.budget, spec.signal, spec.clock)
-    for result, point in zip(results, theory.points):
-        result.theory_ep_m = point.e_p
+    for result, e_p in zip(results, theory.e_p.tolist()):
+        result.theory_ep_m = e_p
     return CampaignResult(
         seed=spec.seed,
         trials_per_point=spec.trials_per_point,
@@ -411,7 +407,7 @@ def calibration_offsets(scene: Scene, sessions) -> dict[str, list[float]]:
     for sess in sessions:
         if sess.truth is None:
             continue
-        d = ranges(scene, sess.truth)
+        d = anchor_ranges(scene, sess.truth).tolist()
         cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
         cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
     return cal

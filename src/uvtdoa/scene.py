@@ -98,26 +98,11 @@ class Scene:
         return Scene(self.tx_a, self.tx_b, self.tx_c, p, self.c)
 
 
-def ranges(scene: Scene, p) -> tuple[float, float, float]:
-    """Euclidean distances from ``p`` to anchors A, B, C.
-
-    Plain floats, one square root per anchor: the same bits as
-    ``np.linalg.norm(scene.anchors - p, axis=1)`` at a fraction of its cost.
-    """
-    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
-    x, y = _as_point(p, "p")
-    return (
-        math.sqrt((ax - x) * (ax - x) + (ay - y) * (ay - y)),
-        math.sqrt((bx - x) * (bx - x) + (by - y) * (by - y)),
-        math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y)),
-    )
-
-
 def anchor_ranges(scene: Scene, points) -> np.ndarray:
     """Distances from points of shape (..., 2) to anchors A, B, C, shape (..., 3).
 
-    The same expression as ``ranges``, evaluated elementwise, so the bits
-    match it point by point.
+    One point is the batch of shape (), giving shape (3,). The same bits as
+    ``np.linalg.norm(scene.anchors - p, axis=1)`` point by point.
     """
     pts = _as_points(points, "points")
     x, y = pts[..., 0], pts[..., 1]

@@ -14,11 +14,11 @@ from uvtdoa import (
     CampaignSpec,
     ClockModel,
     SyncBoundParams,
+    anchor_ranges,
     inside_triangle,
     measurement_from_times,
     positioning_mse,
     power_sweep,
-    ranges,
     render_frame,
     run_campaign,
     solve_position,
@@ -61,7 +61,7 @@ def test_criterion_1_zero_noise_solver_exactness():
     for name, geometry in ALL_GEOMETRIES.items():
         scene = make_scene(geometry, rx=tuple(make_scene(geometry).centroid()))
         for p in random_inside_points(scene, 1000, rng):
-            r1, r2, r3 = ranges(scene, p)
+            r1, r2, r3 = anchor_ranges(scene, p).tolist()
             meas = measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c,
                                           chip_s)
             fix = solve_position(scene, meas)
@@ -74,7 +74,7 @@ def test_criterion_1_zero_noise_solver_exactness():
 
 
 def test_criterion_2_poisson_channel_fidelity():
-    from test_channel import chip_aligned_scene, poisson_gof_pvalue
+    from test_channel import chip_aligned_scene, flight_s, poisson_gof_pvalue
 
     t0 = time.perf_counter()
     lam_b = 1.0
@@ -86,8 +86,8 @@ def test_criterion_2_poisson_channel_fidelity():
         draws = []
         frame = 0
         while len(draws) < 10_000:
-            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), lam_b, (0, 0, 0), 0.0,
-                                 (int(lam_s * 10), frame))
+            trace = render_frame(params, flight_s(scene), (lam_s, 0.0, 0.0), lam_b, (0, 0, 0),
+                                 0.0, (int(lam_s * 10), frame))
             sums = trace.counts[40 : 40 + params.pilot_chips].reshape(-1, 4).sum(axis=1)
             draws.extend(sums[on_idx].tolist())
             frame += 1

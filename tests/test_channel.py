@@ -5,11 +5,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from uvtdoa import ChannelError, Scene, SignalParams, SlotOverrunError, los_photon_rate, render_frame
+from uvtdoa import (
+    ChannelError,
+    Scene,
+    SignalParams,
+    SlotOverrunError,
+    anchor_ranges,
+    los_photon_rate,
+    render_frame,
+)
 from uvtdoa.channel import PLANCK_CONSTANT, pilot_rate_profile, sample_photons
 from uvtdoa.scene import SPEED_OF_LIGHT
 
 from conftest import make_budget, make_signal
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("field", ["power_w", "rx_area_m2", "wavelength_m"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -5.0])
+    def test_rejects_unless_finite_and_positive(self, field, value):
+        with pytest.raises(ChannelError, match=f"^{field} must be finite and > 0, got {value}$"):
+            replace(make_budget(), **{field: value})
 
 
 class TestLosPhotonRate:
@@ -67,11 +83,15 @@ def chip_aligned_scene(params, chips=50):
     return Scene(tx_a=(0.0, 0.0), tx_b=(0.0, 1000.0), tx_c=(1000.0, 0.0), rx_true=(d, 0.0))
 
 
+def flight_s(scene):
+    return anchor_ranges(scene, scene.rx_true) / scene.c
+
+
 class TestRenderFrame:
     def test_zero_rates_zero_trace(self):
         params = make_signal(length=16, n=4, slot_s=40e-6)
         scene = chip_aligned_scene(params)
-        trace = render_frame(scene, params, (0.0, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, 1)
+        trace = render_frame(params, flight_s(scene), (0.0, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, 1)
         assert np.all(trace.counts == 0)
         assert len(trace.counts) == 3 * params.slot_chips
 
@@ -88,7 +108,7 @@ class TestRenderFrame:
         n_frames = 10_000
         totals = np.empty(n_frames)
         for k in range(n_frames):
-            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, k)
+            trace = render_frame(params, flight_s(scene), (lam_s, 0.0, 0.0), 0.0, (0, 0, 0), 0.0, k)
             totals[k] = trace.counts[: params.slot_chips].sum()
         mean_expected = length * lam_s
         se = math.sqrt(mean_expected / n_frames)  # Poisson variance = mean
@@ -104,7 +124,7 @@ class TestRenderFrame:
         draws = []
         frame = 0
         while len(draws) < 10_000:
-            trace = render_frame(scene, params, (lam_s, 0.0, 0.0), lam_b, (0, 0, 0), 0.0, frame)
+            trace = render_frame(params, flight_s(scene), (lam_s, 0.0, 0.0), lam_b, (0, 0, 0), 0.0, frame)
             sums = trace.counts[40 : 40 + params.pilot_chips].reshape(-1, n).sum(axis=1)
             draws.extend(sums[on_idx].tolist())
             frame += 1
@@ -115,15 +135,15 @@ class TestRenderFrame:
     def test_determinism(self):
         params = make_signal(length=32, n=4, slot_s=64e-6)
         scene = chip_aligned_scene(params)
-        t1 = render_frame(scene, params, (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
-        t2 = render_frame(scene, params, (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
+        t1 = render_frame(params, flight_s(scene), (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
+        t2 = render_frame(params, flight_s(scene), (5.0, 3.0, 1.0), 1.0, (1e-8, 2e-8, 0), 3e-9, 1234)
         assert np.array_equal(t1.counts, t2.counts)
 
     def test_slot_overrun_rejected(self):
         params = make_signal(length=16, n=4, slot_s=17e-6)
         scene = chip_aligned_scene(params)
         with pytest.raises(SlotOverrunError):
-            render_frame(scene, params, (5.0, 5.0, 5.0), 1.0, (2e-6, 0, 0), 0.0, 1)
+            render_frame(params, flight_s(scene), (5.0, 5.0, 5.0), 1.0, (2e-6, 0, 0), 0.0, 1)
 
     @pytest.mark.parametrize("lambda_s, lambda_b", [
         ((5.0, -1.0, 5.0), 1.0), ((5.0, math.nan, 5.0), 1.0), ((5.0, 5.0), 1.0),
@@ -133,7 +153,14 @@ class TestRenderFrame:
         params = make_signal(length=16, n=4, slot_s=40e-6)
         scene = chip_aligned_scene(params)
         with pytest.raises(ChannelError, match="lambda_s must hold one rate >= 0 per anchor"):
-            render_frame(scene, params, lambda_s, lambda_b, (0, 0, 0), 0.0, 1)
+            render_frame(params, flight_s(scene), lambda_s, lambda_b, (0, 0, 0), 0.0, 1)
+
+
+    @pytest.mark.parametrize("flights", [(1e-7, 1e-7), (1e-7, 1e-7, 1e-7, 1e-7)])
+    def test_flight_times_rejected_unless_three(self, flights):
+        params = make_signal(length=16, n=4, slot_s=40e-6)
+        with pytest.raises(ChannelError, match="flight_s must hold one flight time per anchor"):
+            render_frame(params, flights, (5.0, 5.0, 5.0), 1.0, (0, 0, 0), 0.0, 1)
 
 
 def poisson_gof_pvalue(draws, mean):

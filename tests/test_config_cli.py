@@ -296,12 +296,14 @@ class TestCliTheory:
         tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
         rows = [l for l in (out / "theory_map.csv").read_text().splitlines()
                 if not l.startswith("#") and not l.startswith("x_m")]
-        assert len(rows) == len(tmap.points)
-        for line, point in zip(rows, tmap.points):
+        assert len(rows) == len(tmap.e_p)
+        columns = zip(tmap.x.tolist(), tmap.y.tolist(), tmap.e_p.tolist(),
+                      tmap.condition_number.tolist())
+        for line, (px, py, p_ep, p_cond) in zip(rows, columns):
             x, y, e_p, cond = (float(v) for v in line.split(",")[:4])
-            assert (x, y) == (point.x, point.y)
-            assert e_p == point.e_p
-            assert cond == point.condition_number
+            assert (x, y) == (px, py)
+            assert e_p == p_ep
+            assert cond == p_cond
 
 
 class TestCliSimulate:
@@ -321,9 +323,10 @@ class TestCliSimulate:
         from uvtdoa import load_config, theory_points
         cfg = load_config(config_file)
         tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
-        for point, theory in zip(payload["points"], tmap.points):
-            assert (point["x_m"], point["y_m"]) == (theory.x, theory.y)
-            assert point["theory_ep_m"] == theory.e_p
+        for point, x, y, e_p in zip(payload["points"], tmap.x.tolist(), tmap.y.tolist(),
+                                    tmap.e_p.tolist()):
+            assert (point["x_m"], point["y_m"]) == (x, y)
+            assert point["theory_ep_m"] == e_p
 
     def test_output_bytes_are_pinned(self, config_file, tmp_path):
         # A 2x2 grid, 3 trials, seed 3. A change that moves an output byte
@@ -682,6 +685,16 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("power", ["inf", "1e400", "nan", "0", "-5"])
+    def test_power_not_finite_and_positive_is_exit_3(self, config_file, tmp_path, capsys, power):
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config_file), "--powers-mw", power,
+                     "--out", str(out)]) == 3
+        assert not (out / "sweep.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: power_w must be finite and > 0, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def write_log(path, rows, header=True):

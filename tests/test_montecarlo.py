@@ -8,20 +8,23 @@ import pytest
 from uvtdoa import (
     CampaignSpec,
     ClockModel,
+    anchor_ranges,
     differential_correction,
     measurement_from_times,
     positioning_mse,
     power_sweep,
-    ranges,
     run_campaign,
     run_point,
     solve_position,
     sync_mse_empirical,
+    theory_points,
 )
 from uvtdoa.channel import pilot_rate_profile
-from uvtdoa.errortheory import anchor_sigma2
+from uvtdoa.errortheory import SyncBoundTailWarning, anchor_sigma2
 from uvtdoa.montecarlo import (
     CampaignError,
+    CampaignResult,
+    PointResult,
     detect,
     differential_campaign,
     trial_rng,
@@ -261,6 +264,56 @@ def unblocked_sync_mse(lambda_s, lambda_b, length, n, symbol_rate_hz, trials, se
     return sum_sq / trials
 
 
+def campaign_of(rows):
+    # (inside, rmse_m, theory_ep_m) per point; NaN marks a point without a
+    # fix or with a singular geometry
+    return CampaignResult(seed=0, trials_per_point=1, point_results=[
+        PointResult(x=0.0, y=0.0, inside=inside, rmse_m=rmse, mean_error_m=rmse,
+                    theory_ep_m=theory, solver_failures=0, fixes=[], errors_m=np.empty(0))
+        for inside, rmse, theory in rows
+    ])
+
+
+class TestGridAverages:
+    # The theory map's and the campaign's grid averages: the mean over the
+    # non-NaN values, of the inside points only if asked, NaN over none.
+    def test_theory_map(self):
+        scene = make_scene(GEOMETRY_II)
+        # two inside points, one outside, one so far out that it is singular
+        points = [(36.0, 25.0), (30.0, 20.0), (70.0, 50.0), (4.0e9, 3.9e9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyncBoundTailWarning)
+            tmap, outside, singular = (
+                theory_points(scene, pts, make_budget(power_w=0.15), make_signal(),
+                              ClockModel.uniform(0, 100e-9))
+                for pts in (points, points[2:], points[3:])
+            )
+        assert tmap.inside.tolist() == [True, True, False, False]
+        assert tmap.singular.tolist() == [False, False, False, True]
+        e_p = tmap.e_p.tolist()
+        assert math.isnan(e_p[3])
+        assert tmap.average_ep() == np.mean(e_p[:3])
+        assert tmap.average_ep(inside_only=True) == np.mean(e_p[:2])
+        assert outside.average_ep() == outside.e_p[0] == e_p[2]
+        assert math.isnan(outside.average_ep(inside_only=True))
+        assert math.isnan(singular.average_ep())
+
+    def test_campaign(self):
+        result = campaign_of([(True, 1.1, 2.3), (True, math.nan, 3.7), (True, 4.9, 5.3),
+                              (False, 7.1, math.nan), (False, 11.3, 13.9)])
+        assert result.average_rmse_m() == np.mean([1.1, 4.9, 7.1, 11.3])
+        assert result.average_rmse_m(inside_only=True) == np.mean([1.1, 4.9])
+        assert result.average_theory_m() == np.mean([2.3, 3.7, 5.3, 13.9])
+        assert result.average_theory_m(inside_only=True) == np.mean([2.3, 3.7, 5.3])
+        outside = campaign_of([(False, 7.1, math.nan), (False, math.nan, 13.9)])
+        assert outside.average_rmse_m() == 7.1 and outside.average_theory_m() == 13.9
+        for average in (outside.average_rmse_m, outside.average_theory_m):
+            assert math.isnan(average(inside_only=True))
+        no_fix = campaign_of([(True, math.nan, math.nan)])
+        for average in (no_fix.average_rmse_m, no_fix.average_theory_m):
+            assert math.isnan(average()) and math.isnan(average(inside_only=True))
+
+
 class TestSyncMseEmpirical:
     def test_high_rate_approaches_quantization_variance(self):
         t_c = 1e-8
@@ -322,7 +375,7 @@ def session(t_ba_s, t_cb_s, chip_s=10e-9):
 class TestDifferentialCorrection:
     def test_perfect_calibration_removes_clock_bias(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = ranges(scene, scene.rx_true)
+        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         bias_ba, bias_cb = 80e-9, -40e-9
         sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb)]
         res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, sessions)
@@ -334,7 +387,7 @@ class TestDifferentialCorrection:
 
     def test_missing_pair_warns_and_skips(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = ranges(scene, scene.rx_true)
+        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
         with pytest.warns(UserWarning, match="cb"):
             res = differential_correction(scene, {"ba": [1e-9]}, sessions)
@@ -343,7 +396,7 @@ class TestDifferentialCorrection:
 
     def test_random_selection_is_seeded(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = ranges(scene, scene.rx_true)
+        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
         cal = {"ba": [1e-9, 2e-9, 3e-9], "cb": [0.0]}
         a = differential_correction(scene, cal, sessions, rng=np.random.default_rng(4))
@@ -379,7 +432,7 @@ class TestDifferentialCorrection:
         # range differences past the two-chip clamp, so only a bias taken off
         # the raw times, before the clamp, recovers the truth.
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = ranges(scene, scene.rx_true)
+        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         chip_s = 50e-9
         bias_ba, bias_cb = 20 * chip_s, -20 * chip_s
         sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb, chip_s)]

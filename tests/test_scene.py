@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uvtdoa import GridSpec, Scene, SceneError, default_grid, inside_triangle, ranges
-from uvtdoa.scene import anchor_ranges
+from uvtdoa import GridSpec, Scene, SceneError, anchor_ranges, default_grid, inside_triangle
 
 from conftest import GEOMETRY_I, GEOMETRY_II, GEOMETRY_III, make_scene
 
@@ -17,37 +16,36 @@ def dist_oracle(p, q):
 class TestRanges:
     def test_coincident_point(self):
         scene = Scene(tx_a=(0, 0), tx_b=(2, 0), tx_c=(1, 3), rx_true=(0, 0))
-        r1, _, _ = ranges(scene, (0.0, 0.0))
+        r1, _, _ = anchor_ranges(scene, (0.0, 0.0)).tolist()
         assert r1 == 0.0
 
     def test_perpendicular_bisector(self):
         scene = Scene(tx_a=(0, 0), tx_b=(2, 0), tx_c=(1, 3), rx_true=(1, 5))
-        r1, r2, _ = ranges(scene, (1.0, 5.0))
+        r1, r2, _ = anchor_ranges(scene, (1.0, 5.0)).tolist()
         assert r1 == pytest.approx(math.sqrt(26.0), abs=1e-12)
         assert r2 == pytest.approx(math.sqrt(26.0), abs=1e-12)
 
     def test_experiment_i_point_against_oracle(self):
         scene = make_scene(GEOMETRY_I, rx=(30.2, 20.0))
         p = (30.2, 20.0)
-        r = ranges(scene, p)
+        r = anchor_ranges(scene, p).tolist()
         expected = tuple(dist_oracle(p, q) for q in GEOMETRY_I)
         assert r == pytest.approx(expected, abs=1e-12)
         assert all(v >= 0 for v in r)
 
     def test_same_bits_as_numpy_norm(self):
-        # Seeded points near and far, on all three geometries: the plain-float
-        # distances equal numpy's row norms exactly.
+        # Seeded points near and far, on all three geometries: the distances
+        # equal numpy's row norms exactly, one point at a time and in a batch.
         rng = np.random.default_rng(11)
         for geometry in (GEOMETRY_I, GEOMETRY_II, GEOMETRY_III):
             scene = make_scene(geometry)
             for scale in (1.0, 100.0, 1e4):
                 points = rng.uniform(-scale, scale, size=(200, 2))
-                # and the array form gives the same bits at every point
                 batch = anchor_ranges(scene, points.reshape(10, 20, 2)).reshape(200, 3)
                 for p, row in zip(points, batch):
                     expected = np.linalg.norm(scene.anchors - p, axis=1)
-                    assert ranges(scene, p) == tuple(float(d) for d in expected)
-                    assert ranges(scene, p) == tuple(row.tolist())
+                    assert anchor_ranges(scene, p).tolist() == expected.tolist()
+                    assert row.tolist() == expected.tolist()
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(7)
@@ -65,8 +63,8 @@ class TestRanges:
                 tx_c=rot @ scene.tx_c + shift,
                 rx_true=rot @ np.asarray(scene.rx_true) + shift,
             )
-            assert ranges(moved, rot @ p + shift) == pytest.approx(
-                ranges(scene, p), abs=1e-9
+            assert anchor_ranges(moved, rot @ p + shift).tolist() == pytest.approx(
+                anchor_ranges(scene, p).tolist(), abs=1e-9
             )
 
 
@@ -125,11 +123,10 @@ class TestSceneValidation:
     @pytest.mark.parametrize("p", [(1.0,), (1, 2, 3), 5.0, None, np.zeros(3), (1.0, "x")])
     def test_malformed_point_rejected(self, p):
         with pytest.raises(SceneError, match="2-D point"):
-            ranges(make_scene(), p)
+            anchor_ranges(make_scene(), p)
 
     def test_array_point_accepted_in_any_shape(self):
-        scene = make_scene()
-        assert ranges(scene, np.array([[36.0], [25.0]])) == ranges(scene, (36.0, 25.0))
+        assert make_scene(rx=np.array([[36.0], [25.0]])).rx_true == (36.0, 25.0)
 
     def test_with_receiver(self):
         scene = make_scene()

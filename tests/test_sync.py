@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import uvtdoa.sync
-from uvtdoa import Scene, estimate_start, generate_pilot, ranges, render_frame, synchronize_frame
+from uvtdoa import (
+    Scene,
+    anchor_ranges,
+    estimate_start,
+    generate_pilot,
+    render_frame,
+    synchronize_frame,
+)
 from uvtdoa.channel import pilot_rate_profile, sample_photons
 from uvtdoa.scene import SPEED_OF_LIGHT
 from uvtdoa.sync import (
@@ -356,9 +363,9 @@ class TestArrivalTimes:
         # quantizations) of the geometric truth.
         params = make_signal(length=64, n=20, rate_hz=1e6, slot_s=200e-6)
         scene = Scene(tx_a=(0, 0), tx_b=(75.6, 0), tx_c=(32.2, 76.6), rx_true=(30.0, 22.0))
-        trace = render_frame(scene, params, (80.0, 80.0, 80.0), 0.5, (0, 0, 0), 0.0, 77)
+        flights = (anchor_ranges(scene, scene.rx_true) / SPEED_OF_LIGHT).tolist()
+        trace = render_frame(params, flights, (80.0, 80.0, 80.0), 0.5, (0, 0, 0), 0.0, 77)
         starts = synchronize_frame(trace.counts, params)
-        flights = [r / SPEED_OF_LIGHT for r in ranges(scene, scene.rx_true)]
         for chip, truth in zip(starts, flights):
             assert abs(chip * params.chip_s - truth) <= params.chip_s / 2
         t_ba, t_cb = time_differences(starts, params.chip_s)

@@ -6,10 +6,10 @@ import pytest
 
 from uvtdoa import (
     TdoaMeasurement,
+    anchor_ranges,
     inside_triangle,
     measurement_from_times,
     positioning_mse,
-    ranges,
     solve_position,
 )
 from uvtdoa.scene import SPEED_OF_LIGHT, Scene
@@ -23,7 +23,7 @@ CHIP_S = 10e-9
 
 
 def exact_measurement(scene, p):
-    r1, r2, r3 = ranges(scene, p)
+    r1, r2, r3 = anchor_ranges(scene, p).tolist()
     return measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c, CHIP_S)
 
 
@@ -74,10 +74,10 @@ class TestSolvePosition:
 
     def test_perpendicular_bisector_symmetry(self):
         scene = Scene(tx_a=(-5, 0), tx_b=(5, 0), tx_c=(0, 8), rx_true=(0, 3))
-        r1, r2, r3 = ranges(scene, (0, 3))
+        r1, r2, r3 = anchor_ranges(scene, (0, 3)).tolist()
         m = measurement_from_times(scene, 0.0, (r3 - r2) / scene.c, CHIP_S)
         fix = solve_position(scene, m)
-        r1, r2, _ = ranges(scene, fix.position)
+        r1, r2, _ = anchor_ranges(scene, fix.position).tolist()
         assert abs(r1 - r2) <= 1e-6
 
     def test_one_sigma_clock_perturbation_matches_theory_scale(self):
@@ -86,7 +86,7 @@ class TestSolvePosition:
         scene = make_scene(GEOMETRY_II, rx=tuple(make_scene(GEOMETRY_II).centroid()))
         centroid = scene.centroid()
         sigma = 100e-9 / np.sqrt(12.0)
-        r1, r2, r3 = ranges(scene, centroid)
+        r1, r2, r3 = anchor_ranges(scene, centroid).tolist()
         m = measurement_from_times(
             scene, (r2 - r1) / scene.c + sigma, (r3 - r2) / scene.c + sigma, CHIP_S
         )
@@ -383,7 +383,7 @@ def oracle_cases():
         inside = [p for p in points if inside_triangle(scene, p)]
         outside = [p for p in points if not inside_triangle(scene, p)]
         for p in points:
-            r1, r2, r3 = ranges(scene, p)
+            r1, r2, r3 = anchor_ranges(scene, p).tolist()
             t_ba, t_cb = (r2 - r1) / scene.c, (r3 - r2) / scene.c
             times = [(t_ba, t_cb), (round(t_ba / ORACLE_CHIP_S) * ORACLE_CHIP_S,
                                     round(t_cb / ORACLE_CHIP_S) * ORACLE_CHIP_S)]
