@@ -14,6 +14,7 @@ from .errortheory import (
     ClockModel,
     ErrorBudget,
     SyncBoundParams,
+    TheoryMap,
     positioning_mse,
     sync_mse_bound,
     theory_points,
@@ -52,6 +53,7 @@ __all__ = [
     "SlotOverrunError",
     "SyncBoundParams",
     "TdoaMeasurement",
+    "TheoryMap",
     "anchor_ranges",
     "config_hash",
     "correlate",

@@ -285,31 +285,35 @@ def _finite_or_none(value: float):
 
 
 def _campaign_payload(meta: dict, result) -> dict:
+    theory = result.theory
     return {
         "schema_version": 1,
         **meta,
         "trials_per_point": result.trials_per_point,
         "grid_average_rmse_m": _finite_or_none(result.average_rmse_m()),
-        "theory_average_m": _finite_or_none(result.average_theory_m()),
+        "theory_average_m": _finite_or_none(theory.average_ep()),
         "inside_average_rmse_m": _finite_or_none(result.average_rmse_m(inside_only=True)),
-        "inside_theory_average_m": _finite_or_none(result.average_theory_m(inside_only=True)),
+        "inside_theory_average_m": _finite_or_none(theory.average_ep(inside_only=True)),
         "points": [
             {
-                "x_m": p.x,
-                "y_m": p.y,
-                "inside": p.inside,
+                "x_m": x,
+                "y_m": y,
+                "inside": inside,
                 "rmse_m": _finite_or_none(p.rmse_m),
                 "mean_error_m": _finite_or_none(p.mean_error_m),
-                "theory_ep_m": _finite_or_none(p.theory_ep_m),
+                "theory_ep_m": _finite_or_none(e_p),
                 "solver_failures": p.solver_failures,
             }
-            for p in result.point_results
+            for p, x, y, inside, e_p in zip(
+                result.point_results, theory.x.tolist(), theory.y.tolist(),
+                theory.inside.tolist(), theory.e_p.tolist(),
+            )
         ],
     }
 
 
 def cmd_theory(cfg: Config, args, out: Path) -> int:
-    tmap = theory_points(cfg.scene, cfg.grid.points(), cfg.budget, cfg.signal, cfg.clock)
+    tmap = theory_points(cfg.scene, cfg.receiver_points(), cfg.budget, cfg.signal, cfg.clock)
     if tmap.singular.all():
         print("error: geometry matrix singular at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -334,25 +338,24 @@ def cmd_theory(cfg: Config, args, out: Path) -> int:
 
 
 def cmd_simulate(cfg: Config, args, out: Path) -> int:
-    spec = cfg.campaign_spec()
-    result = run_campaign(spec, workers=args.workers)
+    result = run_campaign(cfg, workers=args.workers)
     meta = _meta(cfg, "simulate")
     _write_json(out / "campaign.json", _campaign_payload(meta, result))
 
     trial_rows = []
     detection_rows = []
     chip_ns = cfg.signal.chip_ns
-    for pi, pres in enumerate(result.point_results):
+    points = zip(result.point_results, result.theory.x.tolist(), result.theory.y.tolist())
+    for pi, (pres, x, y) in enumerate(points):
         for ti, fix in enumerate(pres.fixes):
             trial_rows.append(
-                [pi, ti, _fmt(pres.x), _fmt(pres.y), _fmt(fix.position[0]),
+                [pi, ti, _fmt(x), _fmt(y), _fmt(fix.position[0]),
                  _fmt(fix.position[1]), _fmt(float(pres.errors_m[ti])), int(fix.converged)]
             )
             session = f"p{pi:03d}t{ti:05d}"
             for anchor, chip in zip("ABC", pres.start_chips[ti]):
                 detection_rows.append(
-                    [_fmt(float(ti)), session, anchor, chip, _fmt(chip_ns),
-                     _fmt(pres.x), _fmt(pres.y)]
+                    [_fmt(float(ti)), session, anchor, chip, _fmt(chip_ns), _fmt(x), _fmt(y)]
                 )
     _write_csv(
         out / "trials.csv",
@@ -363,14 +366,14 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
     )
     _write_csv(out / "detections.csv", meta, _LOG_COLUMNS, detection_rows)
     print(f"grid_average_rmse_m = {result.average_rmse_m():.6f}")
-    print(f"theory_average_m = {result.average_theory_m():.6f}")
+    print(f"theory_average_m = {result.theory.average_ep():.6f}")
     print(f"solver_failures = {sum(p.solver_failures for p in result.point_results)}")
     return EXIT_OK
 
 
 def cmd_sweep(cfg: Config, args, out: Path) -> int:
     powers_w = [p * 1e-3 for p in args.powers_mw]
-    entries = power_sweep(cfg.campaign_spec(), powers_w, workers=args.workers)
+    entries = power_sweep(cfg, powers_w, workers=args.workers)
     header = ["power_mw", "sim_average_m", "theory_average_m",
               "sim_average_inside_m", "theory_average_inside_m"]
     rows = [

@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,28 +80,10 @@ _DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class Config:
-    """Validated toolkit configuration in SI units."""
+class Config(CampaignSpec):
+    """Validated toolkit configuration in SI units: a campaign plus its pilot seed."""
 
-    scene: Scene
-    grid: GridSpec
-    budget: LinkBudget
-    signal: SignalParams
-    clock: ClockModel
-    trials_per_point: int
-    seed: int
-    pilot_seed: int
-
-    def campaign_spec(self) -> CampaignSpec:
-        return CampaignSpec(
-            scene=self.scene,
-            budget=self.budget,
-            signal=self.signal,
-            clock=self.clock,
-            grid=self.grid,
-            trials_per_point=self.trials_per_point,
-            seed=self.seed,
-        )
+    pilot_seed: int = field(kw_only=True)
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -240,22 +222,13 @@ def parse_config(text: str) -> Config:
             )
         _check_slot_fits(scene, grid, signal, clock)
         try:
-            spec = CampaignSpec(
+            return Config(
                 scene, budget, signal, clock, grid,
                 **given("campaign", trials_per_point="trials_per_point", seed="seed"),
+                pilot_seed=pilot_seed,
             )
         except CampaignError as exc:
             raise ConfigError(f"[campaign] {exc}") from exc
-        return Config(
-            scene=scene,
-            grid=grid,
-            budget=budget,
-            signal=signal,
-            clock=clock,
-            trials_per_point=spec.trials_per_point,
-            seed=spec.seed,
-            pilot_seed=pilot_seed,
-        )
     except (SceneError, ChannelError, SyncError, TheoryError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -21,8 +21,8 @@ from .channel import (
     render_frame,
     sample_photons,
 )
-from .errortheory import DEFAULT_M_MAX, ClockModel, grid_average, theory_points
-from .scene import GridSpec, Scene, anchor_ranges, default_grid, inside_triangle
+from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryMap, grid_average, theory_points
+from .scene import GridSpec, Scene, anchor_ranges, default_grid
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
 from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
 
@@ -82,12 +82,8 @@ class CampaignSpec:
 class PointResult:
     """Per-receiver-point simulation outcome."""
 
-    x: float
-    y: float
-    inside: bool
     rmse_m: float
     mean_error_m: float
-    theory_ep_m: float
     solver_failures: int
     fixes: list[PositionFix] = field(repr=False)
     errors_m: np.ndarray = field(repr=False)
@@ -96,21 +92,21 @@ class PointResult:
 
 @dataclass
 class CampaignResult:
-    """Aggregated campaign output plus reproduction metadata."""
+    """Aggregated campaign output plus reproduction metadata.
+
+    ``theory`` holds each point's coordinates, ``inside`` flag and
+    theoretical error, in the order of ``point_results``.
+    """
 
     seed: int
     trials_per_point: int
     point_results: list[PointResult]
+    theory: TheoryMap
 
     def average_rmse_m(self, inside_only: bool = False) -> float:
         """Mean RMSE over the points that have a fix."""
-        return grid_average([p.rmse_m for p in self.point_results],
-                            [p.inside for p in self.point_results], inside_only)
-
-    def average_theory_m(self, inside_only: bool = False) -> float:
-        """Mean theoretical error over the non-singular points."""
-        return grid_average([p.theory_ep_m for p in self.point_results],
-                            [p.inside for p in self.point_results], inside_only)
+        return grid_average([p.rmse_m for p in self.point_results], self.theory.inside,
+                            inside_only)
 
 
 def detect(
@@ -174,16 +170,11 @@ def run_point(
     chips = detect(scene, signal, budget, clock, trials, seed, point_index)
     chip_s = signal.chip_s
     fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s) for c in chips]
-    truth = scene.rx_true
-    errors = np.array([math.dist(fix.position, truth) for fix in fixes])
+    errors = np.array([math.dist(fix.position, scene.rx_true) for fix in fixes])
     fixed = errors[~np.isnan(errors)]
     return PointResult(
-        x=truth[0],
-        y=truth[1],
-        inside=inside_triangle(scene, truth),
         rmse_m=_rms(fixed),
         mean_error_m=float(np.mean(fixed)) if fixed.size else math.nan,
-        theory_ep_m=float("nan"),
         solver_failures=sum(not fix.converged for fix in fixes),
         fixes=fixes,
         errors_m=errors,
@@ -209,8 +200,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
 
     Points are independent and may be evaluated by worker processes, at most
     one per point; results are merged in point order so the output does not
-    depend on scheduling. The theoretical error of every point then comes
-    from one ``theory_points`` pass in this process.
+    depend on scheduling. The theory of every point then comes from one
+    ``theory_points`` pass in this process.
     """
     points = spec.receiver_points()
     tasks = [(spec, (float(p[0]), float(p[1])), i) for i, p in enumerate(points)]
@@ -223,13 +214,11 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> CampaignResult:
             results = list(pool.map(_point_task, tasks))
     else:
         results = [_point_task(t) for t in tasks]
-    theory = theory_points(spec.scene, points, spec.budget, spec.signal, spec.clock)
-    for result, e_p in zip(results, theory.e_p.tolist()):
-        result.theory_ep_m = e_p
     return CampaignResult(
         seed=spec.seed,
         trials_per_point=spec.trials_per_point,
         point_results=results,
+        theory=theory_points(spec.scene, points, spec.budget, spec.signal, spec.clock),
     )
 
 
@@ -246,22 +235,22 @@ def power_sweep(spec: CampaignSpec, powers_w, workers: int = 1) -> list[SweepEnt
     """Grid-average simulated and theoretical error versus transmit power.
 
     Each power level reruns the identical campaign (same seed), so a sweep
-    entry matches a standalone campaign at that power.
+    entry matches a standalone campaign at that power. Every power is
+    checked before the first campaign runs.
     """
-    powers = [float(p) for p in powers_w]
-    if not powers:
+    budgets = [spec.budget.with_power(float(p_w)) for p_w in powers_w]
+    if not budgets:
         raise CampaignError("power_sweep needs at least one power level")
     out = []
-    for p_w in powers:
-        sub = replace(spec, budget=spec.budget.with_power(p_w))
-        result = run_campaign(sub, workers=workers)
+    for budget in budgets:
+        result = run_campaign(replace(spec, budget=budget), workers=workers)
         out.append(
             SweepEntry(
-                power_w=p_w,
+                power_w=budget.power_w,
                 sim_average_m=result.average_rmse_m(),
-                theory_average_m=result.average_theory_m(),
+                theory_average_m=result.theory.average_ep(),
                 sim_average_inside_m=result.average_rmse_m(inside_only=True),
-                theory_average_inside_m=result.average_theory_m(inside_only=True),
+                theory_average_inside_m=result.theory.average_ep(inside_only=True),
             )
         )
     return out
@@ -417,8 +406,6 @@ def calibration_offsets(scene: Scene, sessions) -> dict[str, list[float]]:
 class DifferentialPointResult:
     """Per-side RMSE over the fixes (NaN without one) and per-side fix counts."""
 
-    x: float
-    y: float
     uncorrected_rmse_m: float
     corrected_rmse_m: float
     uncorrected_fixes: int
@@ -433,7 +420,8 @@ def differential_campaign(spec: CampaignSpec) -> list[DifferentialPointResult]:
     frame: it estimates the inter-anchor timing biases against the known
     truth, and the remaining ``trials_per_point - 1`` frames are solved with
     and without that correction. Each side's RMSE is taken over its fixes,
-    and its fix count is reported.
+    and its fix count is reported. One result per point, in the order of
+    ``spec.receiver_points()``.
     """
     if spec.trials_per_point < 2:
         # one calibration frame and at least one frame to correct
@@ -457,8 +445,6 @@ def differential_campaign(spec: CampaignSpec) -> list[DifferentialPointResult]:
         cor = np.array([math.dist(f.position, truth) for f in res.corrected if f.converged])
         out.append(
             DifferentialPointResult(
-                x=truth[0],
-                y=truth[1],
                 uncorrected_rmse_m=_rms(unc),
                 corrected_rmse_m=_rms(cor),
                 uncorrected_fixes=len(unc),

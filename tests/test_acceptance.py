@@ -138,7 +138,7 @@ def test_criterion_4_theory_sim_agreement_ideal_clock():
     spec = _campaign(0.1, ClockModel.ideal(), trials=200, seed=4001)
     result = run_campaign(spec, workers=WORKERS)
     sim = result.average_rmse_m(inside_only=True)
-    theory = result.average_theory_m(inside_only=True)
+    theory = result.theory.average_ep(inside_only=True)
     gap = abs(sim - theory) / theory
     elapsed = time.perf_counter() - t0
     ok = gap <= 0.20 and elapsed < 900.0
@@ -172,7 +172,7 @@ def clock_campaign():
 def test_criterion_6_clock_dominated_magnitude(clock_campaign):
     result, elapsed = clock_campaign
     sim = result.average_rmse_m(inside_only=True)
-    theory = result.average_theory_m(inside_only=True)
+    theory = result.theory.average_ep(inside_only=True)
     gap = abs(sim - theory) / theory
     ok = 7.0 <= sim <= 14.0 and 7.0 <= theory <= 14.0 and gap <= 0.30 and elapsed < 900.0
     report(6, "clock-dominated error magnitude", ok,
@@ -186,9 +186,10 @@ def test_outside_triangle_degradation(clock_campaign):
     result, _ = clock_campaign
     def mean_ratio_gap(inside):
         gaps = [
-            abs(p.rmse_m / p.theory_ep_m - 1.0)
-            for p in result.point_results
-            if p.inside == inside and np.isfinite(p.theory_ep_m)
+            abs(p.rmse_m / e_p - 1.0)
+            for p, p_inside, e_p in zip(result.point_results, result.theory.inside.tolist(),
+                                        result.theory.e_p.tolist())
+            if p_inside == inside and np.isfinite(e_p)
         ]
         return float(np.mean(gaps))
     inside_gap = mean_ratio_gap(True)

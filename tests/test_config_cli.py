@@ -347,6 +347,37 @@ class TestCliSimulate:
             "trials.csv": "059632fee2ab49c63c582f1adff75aca84f48068e147512ef8559d2812a24d8d",
         }
 
+    def test_replay_and_diffcal_bytes_are_pinned(self, config_file, tmp_path, capsys):
+        # The detections of the pinned 2x2, 3-trial, seed-3 campaign, replayed
+        # and used as both diffcal logs: files, then each run's stdout and
+        # stderr. Recorded with numpy 2.4.6 on x86-64 Linux.
+        config_file.write_text(
+            CONFIG_TEXT.replace("steps_x = 3\nsteps_y = 3", "steps_x = 2\nsteps_y = 2")
+            .replace("trials_per_point = 4", "trials_per_point = 3").replace("seed = 7", "seed = 3")
+        )
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--out", str(sim)]) == 0
+        capsys.readouterr()
+        log = str(sim / "detections.csv")
+        out = tmp_path / "o"
+        digests = {}
+        for args in (["replay", "--log", log], ["diffcal", "--calibration", log, "--log", log]):
+            assert main([*args, "--config", str(config_file), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            for name, text in (("stdout", captured.out), ("stderr", captured.err)):
+                digests[f"{args[0]}.{name}"] = hashlib.sha256(text.encode()).hexdigest()
+        digests |= {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == {
+            "replay_fixes.csv": "98dea442a216df129d4f980f4a1b59cabda42539b71c100d6918b5f1c1555617",
+            "replay_clusters.csv":
+                "f4d08b5c4e26dbe9dda68938313e45a05ef1c421cb0b4b810743ebdd814cb719",
+            "diffcal_fixes.csv": "da9a2bc694f1e6dfc47ae690c77a917bb84e867d86455a71a54f9310058b6d70",
+            "replay.stdout": "1ed64f31ee868a4e9ce5679710757a3402db93b72b0d8637caf1a1fb5cd65838",
+            "replay.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "diffcal.stdout": "a2acfc332e0ffe743f9131acdc8e7f3e870ebee5f62f46eebeacf0f22ecf0284",
+            "diffcal.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }
+
     # The truncation warnings of the weak links are part of the output.
     @pytest.mark.filterwarnings("default::uvtdoa.errortheory.SyncBoundTailWarning")
     def test_weak_link_bytes_are_pinned(self, tmp_path, capsys):
@@ -695,6 +726,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: power_w must be finite and > 0, got ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bad_power_fails_before_any_campaign(self, config_file, tmp_path, capsys,
+                                                 monkeypatch):
+        import uvtdoa.montecarlo
+        calls = []
+        run_campaign = uvtdoa.montecarlo.run_campaign
+        monkeypatch.setattr(uvtdoa.montecarlo, "run_campaign",
+                            lambda *a, **k: calls.append(a) or run_campaign(*a, **k))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config_file), "--powers-mw", "150,inf",
+                     "--out", str(out)]) == 3
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+        assert capsys.readouterr().err == "error: power_w must be finite and > 0, got inf\n"
 
 
 def write_log(path, rows, header=True):

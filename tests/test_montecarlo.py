@@ -8,6 +8,7 @@ import pytest
 from uvtdoa import (
     CampaignSpec,
     ClockModel,
+    TheoryMap,
     anchor_ranges,
     differential_correction,
     measurement_from_times,
@@ -153,12 +154,14 @@ class TestDeterminism:
             assert [f.converged for f in a.fixes] == [f.converged for f in b.fixes]
             np.testing.assert_array_equal([f.position for f in a.fixes],
                                           [f.position for f in b.fixes])
-            np.testing.assert_array_equal([a.rmse_m, a.theory_ep_m], [b.rmse_m, b.theory_ep_m])
-        *regular, singular = serial.point_results
-        assert math.isnan(singular.theory_ep_m)
-        for p in regular:
-            s2 = anchor_sigma2(spec.scene, (p.x, p.y), spec.budget, spec.signal, spec.clock)
-            assert p.theory_ep_m == positioning_mse(spec.scene, *s2, at=(p.x, p.y)).e_p
+            np.testing.assert_array_equal(a.rmse_m, b.rmse_m)
+        np.testing.assert_array_equal(serial.theory.e_p, parallel.theory.e_p)
+        *regular, singular = zip(serial.theory.x.tolist(), serial.theory.y.tolist(),
+                                 serial.theory.e_p.tolist())
+        assert math.isnan(singular[2])
+        for x, y, e_p in regular:
+            s2 = anchor_sigma2(spec.scene, (x, y), spec.budget, spec.signal, spec.clock)
+            assert e_p == positioning_mse(spec.scene, *s2, at=(x, y)).e_p
 
 
 class TestRunPoint:
@@ -213,7 +216,7 @@ class TestPowerSweep:
         direct = run_campaign(spec)
         assert len(entries) == 1
         assert entries[0].sim_average_m == direct.average_rmse_m()
-        assert entries[0].theory_average_m == direct.average_theory_m()
+        assert entries[0].theory_average_m == direct.theory.average_ep()
 
     def test_empty_powers_rejected(self):
         with pytest.raises(CampaignError):
@@ -265,13 +268,14 @@ def unblocked_sync_mse(lambda_s, lambda_b, length, n, symbol_rate_hz, trials, se
 
 
 def campaign_of(rows):
-    # (inside, rmse_m, theory_ep_m) per point; NaN marks a point without a
-    # fix or with a singular geometry
+    # (inside, rmse_m, e_p) per point; NaN marks a point without a fix or
+    # with a singular geometry
+    inside, rmse, e_p = (np.array(column) for column in zip(*rows))
+    zeros = np.zeros(len(rows))
     return CampaignResult(seed=0, trials_per_point=1, point_results=[
-        PointResult(x=0.0, y=0.0, inside=inside, rmse_m=rmse, mean_error_m=rmse,
-                    theory_ep_m=theory, solver_failures=0, fixes=[], errors_m=np.empty(0))
-        for inside, rmse, theory in rows
-    ])
+        PointResult(rmse_m=r, mean_error_m=r, solver_failures=0, fixes=[], errors_m=np.empty(0))
+        for r in rmse.tolist()
+    ], theory=TheoryMap(zeros, zeros, e_p, zeros, np.isnan(e_p), inside))
 
 
 class TestGridAverages:
@@ -303,14 +307,14 @@ class TestGridAverages:
                               (False, 7.1, math.nan), (False, 11.3, 13.9)])
         assert result.average_rmse_m() == np.mean([1.1, 4.9, 7.1, 11.3])
         assert result.average_rmse_m(inside_only=True) == np.mean([1.1, 4.9])
-        assert result.average_theory_m() == np.mean([2.3, 3.7, 5.3, 13.9])
-        assert result.average_theory_m(inside_only=True) == np.mean([2.3, 3.7, 5.3])
+        assert result.theory.average_ep() == np.mean([2.3, 3.7, 5.3, 13.9])
+        assert result.theory.average_ep(inside_only=True) == np.mean([2.3, 3.7, 5.3])
         outside = campaign_of([(False, 7.1, math.nan), (False, math.nan, 13.9)])
-        assert outside.average_rmse_m() == 7.1 and outside.average_theory_m() == 13.9
-        for average in (outside.average_rmse_m, outside.average_theory_m):
+        assert outside.average_rmse_m() == 7.1 and outside.theory.average_ep() == 13.9
+        for average in (outside.average_rmse_m, outside.theory.average_ep):
             assert math.isnan(average(inside_only=True))
         no_fix = campaign_of([(True, math.nan, math.nan)])
-        for average in (no_fix.average_rmse_m, no_fix.average_theory_m):
+        for average in (no_fix.average_rmse_m, no_fix.theory.average_ep):
             assert math.isnan(average()) and math.isnan(average(inside_only=True))
 
 
@@ -451,6 +455,20 @@ class TestDifferentialCampaign:
         avg_unc = np.mean([r.uncorrected_rmse_m for r in results])
         avg_cor = np.mean([r.corrected_rmse_m for r in results])
         assert avg_cor < avg_unc
+
+    def test_numbers_are_pinned(self):
+        # Each point's (uncorrected RMSE, corrected RMSE, uncorrected fixes,
+        # corrected fixes). A change that moves them changes the random
+        # stream or the solver and must say so. Recorded with numpy 2.4.6 on
+        # x86-64 Linux.
+        spec = small_spec(trials=7, points=((30.0, 25.0), (40.0, 30.0), (36.0, 40.0)))
+        results = differential_campaign(spec)
+        assert [(r.uncorrected_rmse_m, r.corrected_rmse_m, r.uncorrected_fixes,
+                 r.corrected_fixes) for r in results] == [
+            (18.63376656697817, 8.209782610008004, 6, 6),
+            (9.93137084186312, 10.309689303498068, 6, 6),
+            (11.317706877493634, 9.07401449555988, 6, 6),
+        ]
 
     def test_fix_counts_per_side(self):
         # a 0-1 us offset shared by the session leaves frames without a crossing
