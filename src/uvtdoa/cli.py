@@ -25,14 +25,13 @@ from .config import Config, ConfigError, config_hash, load_config
 from .errortheory import TheoryError, theory_points
 from .montecarlo import (
     CampaignError,
-    calibration_offsets,
     check_seed,
     differential_correction,
     power_sweep,
     run_campaign,
 )
 from .sync import SyncError
-from .tdoa import SessionTdoa, measure_and_solve, time_differences
+from .tdoa import SessionTdoa, solve_sessions, time_differences
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -276,8 +275,10 @@ def cluster_stats(fix_points: np.ndarray, truth=None) -> dict:
     return stats
 
 
-def _mean_or_nan(values) -> float:
-    return float(np.mean(values)) if len(values) else math.nan
+def _mean_of_fixes(errors_m: np.ndarray) -> float:
+    """Mean of the non-NaN errors: the sessions with truth and a fix."""
+    fixed = errors_m[~np.isnan(errors_m)]
+    return float(np.mean(fixed)) if fixed.size else math.nan
 
 
 def _finite_or_none(value: float):
@@ -394,19 +395,17 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
     if not sessions:
         print("error: no complete A/B/C sessions in log", file=sys.stderr)
         return EXIT_IO
-    fixes = [measure_and_solve(cfg.scene, s.t_ba_s, s.t_cb_s, s.chip_s) for s in sessions]
+    fixes, errors = solve_sessions(cfg.scene, sessions)
     meta = _meta(cfg, "replay") | {"skipped_lines": skipped, "incomplete_sessions": dropped}
     rows = []
     groups: dict[tuple, list[int]] = {}
-    for idx, (sess, fix) in enumerate(zip(sessions, fixes)):
-        err = ""
-        if sess.truth is not None:
-            err = _fmt(math.dist(fix.position, sess.truth))
+    for idx, (sess, fix, err) in enumerate(zip(sessions, fixes, errors.tolist())):
         rows.append(
             [sess.session,
              _fmt(sess.truth[0]) if sess.truth else "",
              _fmt(sess.truth[1]) if sess.truth else "",
-             _fmt(fix.position[0]), _fmt(fix.position[1]), err, int(fix.converged)]
+             _fmt(fix.position[0]), _fmt(fix.position[1]),
+             _fmt(err) if sess.truth else "", int(fix.converged)]
         )
         key = sess.truth if sess.truth is not None else ("all",)
         groups.setdefault(key, []).append(idx)
@@ -447,8 +446,8 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     if not sessions:
         print("error: no complete A/B/C sessions in measurement log", file=sys.stderr)
         return EXIT_IO
-    cal = calibration_offsets(cfg.scene, cal_sessions)
-    res = differential_correction(cfg.scene, cal, sessions, rng=np.random.default_rng(cfg.seed))
+    res = differential_correction(cfg.scene, cal_sessions, sessions,
+                                  rng=np.random.default_rng(cfg.seed))
     counts = {
         "calibration_skipped_lines": cal_skipped,
         "calibration_incomplete_sessions": cal_dropped,
@@ -456,27 +455,20 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         "incomplete_sessions": dropped,
     }
     meta = _meta(cfg, "diffcal") | {
-        "calibration_sessions": len(cal["ba"]),
-        "skipped_pairs": ",".join(res.skipped_pairs) or "none",
+        "calibration_sessions": res.calibration_sessions,
+        "skipped_pairs": "ba,cb" if res.calibration_sessions == 0 else "none",
     } | counts
     rows = []
-    unc_errs, cor_errs = [], []
-    for sess, unc, cor in zip(sessions, res.uncorrected, res.corrected):
-        unc_err = cor_err = ""
-        if sess.truth is not None:
-            unc_err_v = math.dist(unc.position, sess.truth)
-            cor_err_v = math.dist(cor.position, sess.truth)
-            if unc.converged:
-                unc_errs.append(unc_err_v)
-            if cor.converged:
-                cor_errs.append(cor_err_v)
-            unc_err, cor_err = _fmt(unc_err_v), _fmt(cor_err_v)
+    for sess, unc, unc_err, cor, cor_err in zip(
+        sessions, res.uncorrected, res.uncorrected_errors_m.tolist(),
+        res.corrected, res.corrected_errors_m.tolist(),
+    ):
         rows.append(
             [sess.session,
              _fmt(sess.truth[0]) if sess.truth else "",
              _fmt(sess.truth[1]) if sess.truth else "",
-             _fmt(unc.position[0]), _fmt(unc.position[1]), unc_err,
-             _fmt(cor.position[0]), _fmt(cor.position[1]), cor_err]
+             _fmt(unc.position[0]), _fmt(unc.position[1]), _fmt(unc_err) if sess.truth else "",
+             _fmt(cor.position[0]), _fmt(cor.position[1]), _fmt(cor_err) if sess.truth else ""]
         )
     _write_csv(
         out / "diffcal_fixes.csv", meta,
@@ -485,9 +477,8 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         rows,
     )
     if any(sess.truth is not None for sess in sessions):
-        # averages over the sessions with truth that have a fix
-        print(f"uncorrected_average_error_m = {_mean_or_nan(unc_errs):.6f}")
-        print(f"corrected_average_error_m = {_mean_or_nan(cor_errs):.6f}")
+        print(f"uncorrected_average_error_m = {_mean_of_fixes(res.uncorrected_errors_m):.6f}")
+        print(f"corrected_average_error_m = {_mean_of_fixes(res.corrected_errors_m):.6f}")
     print(f"sessions = {len(sessions)}")
     for key, value in counts.items():
         print(f"{key} = {value}")

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelError, LinkBudget, SignalParams
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryError
 from .montecarlo import CampaignError, CampaignSpec
-from .scene import GridSpec, Scene, SceneError, anchor_ranges, default_grid
+from .scene import SPEED_OF_LIGHT, GridSpec, Scene, SceneError, anchor_ranges, default_grid
 from .sync import SyncError, generate_pilot
 
 
@@ -81,9 +81,14 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class Config(CampaignSpec):
-    """Validated toolkit configuration in SI units: a campaign plus its pilot seed."""
+    """Validated toolkit configuration in SI units: a campaign on its grid plus its pilot seed."""
 
     pilot_seed: int = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.points is not None:  # config_sha256 records the grid, not points
+            raise ConfigError("a Config takes its points from [grid], not a points list")
+        super().__post_init__()
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -116,14 +121,14 @@ def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: 
     chip before its slot, the limit ``render_frame`` enforces.
     """
     dists = anchor_ranges(scene, np.vstack([scene.rx_true, grid.points()]))
-    flight_s = float(dists.max()) / scene.c
+    flight_s = float(dists.max()) / SPEED_OF_LIGHT
     need_s = signal.length * signal.symbol_s + flight_s + clock.hi_s + signal.chip_s
     if signal.slot_interval_s < need_s:
         raise ConfigError(
             f"[signal] slot_interval_s = {signal.slot_interval_s!r} is shorter than pilot "
             f"+ longest flight time + clock hi + one chip = {need_s!r} s"
         )
-    earliest_s = float(dists.min()) / scene.c + clock.lo_s - signal.chip_s / 2.0
+    earliest_s = float(dists.min()) / SPEED_OF_LIGHT + clock.lo_s - signal.chip_s / 2.0
     if earliest_s < -signal.chip_s:
         raise ConfigError(
             f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts a pilot {-earliest_s!r} s "

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import LinkBudget, SignalParams, los_photon_rate
-from .scene import Scene, anchor_ranges, inside_triangle
+from .scene import SPEED_OF_LIGHT, Scene, anchor_ranges, inside_triangle
 
 
 class TheoryError(ValueError):
@@ -642,7 +642,7 @@ def positioning_mse(
     hh[:, 0, 0] = s_a + s_b
     hh[:, 0, 1] = hh[:, 1, 0] = -s_b
     hh[:, 1, 1] = s_b + s_c
-    hh *= scene.c**2
+    hh *= SPEED_OF_LIGHT**2
     ok = ~_is_singular(cond)
     g_inv = np.linalg.inv(g[ok])
     m = g_inv @ hh[ok] @ np.swapaxes(g_inv, -1, -2)

@@ -22,9 +22,9 @@ from .channel import (
     sample_photons,
 )
 from .errortheory import DEFAULT_M_MAX, ClockModel, TheoryMap, grid_average, theory_points
-from .scene import GridSpec, Scene, anchor_ranges, default_grid
+from .scene import SPEED_OF_LIGHT, GridSpec, Scene, anchor_ranges, default_grid
 from .sync import ROW_BLOCK, correlate, estimate_start, generate_pilot, synchronize_frame
-from .tdoa import PositionFix, SessionTdoa, measure_and_solve, time_differences
+from .tdoa import PositionFix, SessionTdoa, solve_sessions, time_differences
 
 
 class CampaignError(ValueError):
@@ -130,7 +130,7 @@ def detect(
     """
     dists = anchor_ranges(scene, scene.rx_true)
     lambda_s = los_photon_rate(budget, dists, params.symbol_s)
-    flight_s = dists / scene.c
+    flight_s = dists / SPEED_OF_LIGHT
     t_chip = params.chip_s
     chips = []
     for t in range(trials):
@@ -144,6 +144,12 @@ def detect(
         chips.append(synchronize_frame(frame.counts, params))
         del frame
     return chips
+
+
+def _sessions(chips, chip_s: float, truth) -> list[SessionTdoa]:
+    """One session at ``truth`` per start-chip triple."""
+    return [SessionTdoa(f"t{t}", *time_differences(c, chip_s), chip_s, truth)
+            for t, c in enumerate(chips)]
 
 
 def _rms(errors: np.ndarray) -> float:
@@ -168,9 +174,7 @@ def run_point(
     fixes, and are NaN when there is none.
     """
     chips = detect(scene, signal, budget, clock, trials, seed, point_index)
-    chip_s = signal.chip_s
-    fixes = [measure_and_solve(scene, *time_differences(c, chip_s), chip_s) for c in chips]
-    errors = np.array([math.dist(fix.position, scene.rx_true) for fix in fixes])
+    fixes, errors = solve_sessions(scene, _sessions(chips, signal.chip_s, scene.rx_true))
     fixed = errors[~np.isnan(errors)]
     return PointResult(
         rmse_m=_rms(fixed),
@@ -329,77 +333,59 @@ def sync_mse_empirical(
 
 @dataclass
 class CorrectionResult:
-    """Side-by-side fixes with and without differential clock correction."""
+    """Each side's fixes and errors (see ``solve_sessions``), and the number
+    of calibration sessions with truth, each one bias estimate per pair."""
 
-    corrected: list[PositionFix]
     uncorrected: list[PositionFix]
-    applied_ba_s: float | None
-    applied_cb_s: float | None
-    skipped_pairs: tuple[str, ...]
+    uncorrected_errors_m: np.ndarray
+    corrected: list[PositionFix]
+    corrected_errors_m: np.ndarray
+    calibration_sessions: int
 
 
 def differential_correction(
     scene: Scene,
-    estimates_per_anchor_pair: dict,
+    calibration_sessions,
     sessions,
     rng: np.random.Generator | None = None,
 ) -> CorrectionResult:
     """Subtract calibrated inter-anchor timing biases before solving.
 
-    ``estimates_per_anchor_pair`` maps pair labels "ba" and "cb" to lists of
-    timing-bias estimates in seconds; one estimate per pair is selected
-    (randomly when an rng is given, else the first) and subtracted from every
-    session's raw time differences. Pairs without calibration are skipped
-    with a warning and left uncorrected. Each session is measured (clamped)
-    and solved on its own chip duration, before and after the correction, so
-    a bias past the clamp's two-chip slack is still removed.
+    Each calibration session with known truth estimates the B-A and C-B
+    timing biases: its measured time differences minus the geometric ones
+    at its truth. One estimate per pair is selected (the B-A one, then the
+    C-B one, randomly when an rng is given, else the first session's) and
+    taken off every session's raw time differences by ``solve_sessions``.
+    Without a calibration session with truth, each pair warns and is left
+    uncorrected.
     """
-    selected: dict[str, float | None] = {}
-    skipped = []
-    for pair in ("ba", "cb"):
-        cal = list(estimates_per_anchor_pair.get(pair, ()))
-        if not cal:
+    estimates = []
+    for sess in calibration_sessions:
+        if sess.truth is not None:
+            d = anchor_ranges(scene, sess.truth).tolist()
+            estimates.append((sess.t_ba_s - (d[1] - d[0]) / SPEED_OF_LIGHT,
+                              sess.t_cb_s - (d[2] - d[1]) / SPEED_OF_LIGHT))
+    bias_ba = bias_cb = 0.0
+    if not estimates:
+        for pair in ("ba", "cb"):
             warnings.warn(
                 f"no calibration estimates for pair {pair!r}; correction skipped",
                 stacklevel=2,
             )
-            skipped.append(pair)
-            selected[pair] = None
-        elif rng is not None:
-            selected[pair] = float(cal[int(rng.integers(len(cal)))])
-        else:
-            selected[pair] = float(cal[0])
-    corrected = []
-    uncorrected = []
-    bias_ba, bias_cb = selected["ba"] or 0.0, selected["cb"] or 0.0
-    for sess in sessions:
-        uncorrected.append(measure_and_solve(scene, sess.t_ba_s, sess.t_cb_s, sess.chip_s))
-        corrected.append(
-            measure_and_solve(scene, sess.t_ba_s - bias_ba, sess.t_cb_s - bias_cb, sess.chip_s)
-        )
+    elif rng is None:
+        bias_ba, bias_cb = estimates[0]
+    else:
+        bias_ba = estimates[int(rng.integers(len(estimates)))][0]
+        bias_cb = estimates[int(rng.integers(len(estimates)))][1]
+    uncorrected, uncorrected_errors = solve_sessions(scene, sessions)
+    corrected, corrected_errors = solve_sessions(scene, sessions, bias_ba, bias_cb)
     return CorrectionResult(
-        corrected=corrected,
         uncorrected=uncorrected,
-        applied_ba_s=selected["ba"],
-        applied_cb_s=selected["cb"],
-        skipped_pairs=tuple(skipped),
+        uncorrected_errors_m=uncorrected_errors,
+        corrected=corrected,
+        corrected_errors_m=corrected_errors,
+        calibration_sessions=len(estimates),
     )
-
-
-def calibration_offsets(scene: Scene, sessions) -> dict[str, list[float]]:
-    """Timing-bias estimates per anchor pair from sessions with known truth.
-
-    Each estimate is a measured time difference minus the geometric one at
-    the session's truth; sessions without truth are passed over.
-    """
-    cal: dict[str, list[float]] = {"ba": [], "cb": []}
-    for sess in sessions:
-        if sess.truth is None:
-            continue
-        d = anchor_ranges(scene, sess.truth).tolist()
-        cal["ba"].append(sess.t_ba_s - (d[1] - d[0]) / scene.c)
-        cal["cb"].append(sess.t_cb_s - (d[2] - d[1]) / scene.c)
-    return cal
 
 
 @dataclass
@@ -434,15 +420,10 @@ def differential_campaign(spec: CampaignSpec) -> list[DifferentialPointResult]:
             scene, spec.signal, spec.budget, spec.clock, spec.trials_per_point, spec.seed,
             index, session_offsets,
         )
-        truth = scene.rx_true
-        chip_s = spec.signal.chip_s
-        sessions = [
-            SessionTdoa(f"t{t}", *time_differences(c, chip_s), chip_s, truth)
-            for t, c in enumerate(chips)
-        ]
-        res = differential_correction(scene, calibration_offsets(scene, sessions[:1]), sessions[1:])
-        unc = np.array([math.dist(f.position, truth) for f in res.uncorrected if f.converged])
-        cor = np.array([math.dist(f.position, truth) for f in res.corrected if f.converged])
+        sessions = _sessions(chips, spec.signal.chip_s, scene.rx_true)
+        res = differential_correction(scene, sessions[:1], sessions[1:])
+        unc = res.uncorrected_errors_m[~np.isnan(res.uncorrected_errors_m)]
+        cor = res.corrected_errors_m[~np.isnan(res.corrected_errors_m)]
         out.append(
             DifferentialPointResult(
                 uncorrected_rmse_m=_rms(unc),

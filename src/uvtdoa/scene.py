@@ -67,7 +67,6 @@ class Scene:
     tx_b: tuple[float, float]
     tx_c: tuple[float, float]
     rx_true: tuple[float, float] | None = None
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         object.__setattr__(self, "tx_a", _as_point(self.tx_a, "tx_a"))
@@ -75,8 +74,6 @@ class Scene:
         object.__setattr__(self, "tx_c", _as_point(self.tx_c, "tx_c"))
         rx = self.centroid() if self.rx_true is None else self.rx_true
         object.__setattr__(self, "rx_true", _as_point(rx, "rx_true"))
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise SceneError(f"propagation speed must be positive, got {self.c}")
         area = triangle_area(self.tx_a, self.tx_b, self.tx_c)
         if area <= MIN_TRIANGLE_AREA_M2:
             raise SceneError(
@@ -95,7 +92,7 @@ class Scene:
 
     def with_receiver(self, p) -> "Scene":
         """Copy of this scene with the true receiver moved to ``p``."""
-        return Scene(self.tx_a, self.tx_b, self.tx_c, p, self.c)
+        return Scene(self.tx_a, self.tx_b, self.tx_c, p)
 
 
 def anchor_ranges(scene: Scene, points) -> np.ndarray:

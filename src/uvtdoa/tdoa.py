@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scene import Scene
+import numpy as np
+
+from .scene import SPEED_OF_LIGHT, Scene
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def measurement_from_times(
     of flight, since clock error and chip quantisation can legitimately push
     a measurement past the geometric bound; a clamp flags the measurement.
     """
-    c = scene.c
+    c = SPEED_OF_LIGHT
     tol = 2.0 * c * chip_s
     r21 = c * float(t_ba_s)
     r32 = c * float(t_cb_s)
@@ -162,7 +164,19 @@ def solve_position(scene: Scene, meas: TdoaMeasurement) -> PositionFix:
     return PositionFix(min(crossings, key=lambda p: math.hypot(p[0] - x0, p[1] - y0)), True)
 
 
-def measure_and_solve(scene: Scene, t_ba_s: float, t_cb_s: float, chip_s: float) -> PositionFix:
-    """Position fix from time differences taken on ``chip_s`` chips: the one
-    measurement (``measurement_from_times``) and solve every command uses."""
-    return solve_position(scene, measurement_from_times(scene, t_ba_s, t_cb_s, chip_s))
+def solve_sessions(
+    scene: Scene, sessions, bias_ba_s: float = 0.0, bias_cb_s: float = 0.0
+) -> tuple[list[PositionFix], np.ndarray]:
+    """Each session's fix on its own chips, and the fix's distance to the
+    session's truth: NaN where the truth is unknown or there is no fix.
+
+    The biases come off the raw time differences before the one clamp of
+    ``measurement_from_times``, so a bias past its slack is still removed.
+    """
+    fixes, errors = [], []
+    for sess in sessions:
+        t_ba, t_cb = sess.t_ba_s - bias_ba_s, sess.t_cb_s - bias_cb_s
+        fix = solve_position(scene, measurement_from_times(scene, t_ba, t_cb, sess.chip_s))
+        fixes.append(fix)
+        errors.append(math.nan if sess.truth is None else math.dist(fix.position, sess.truth))
+    return fixes, np.array(errors)

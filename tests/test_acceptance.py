@@ -27,7 +27,7 @@ from uvtdoa import (
 )
 from uvtdoa.cli import main
 from uvtdoa.montecarlo import differential_campaign, run_point, trial_rng
-from uvtdoa.scene import Scene
+from uvtdoa.scene import SPEED_OF_LIGHT, Scene
 from uvtdoa.sync import correlate, generate_pilot
 
 from conftest import ALL_GEOMETRIES, GEOMETRY_II, make_budget, make_scene, make_signal
@@ -62,8 +62,9 @@ def test_criterion_1_zero_noise_solver_exactness():
         scene = make_scene(geometry, rx=tuple(make_scene(geometry).centroid()))
         for p in random_inside_points(scene, 1000, rng):
             r1, r2, r3 = anchor_ranges(scene, p).tolist()
-            meas = measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c,
-                                          chip_s)
+            meas = measurement_from_times(
+                scene, (r2 - r1) / SPEED_OF_LIGHT, (r3 - r2) / SPEED_OF_LIGHT, chip_s
+            )
             fix = solve_position(scene, meas)
             err = float(np.linalg.norm(np.asarray(fix.position) - p))
             worst = max(worst, err)

@@ -84,7 +84,7 @@ def chip_aligned_scene(params, chips=50):
 
 
 def flight_s(scene):
-    return anchor_ranges(scene, scene.rx_true) / scene.c
+    return anchor_ranges(scene, scene.rx_true) / SPEED_OF_LIGHT
 
 
 class TestRenderFrame:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from uvtdoa.cli import (
     parse_replay_log,
     sessions_from_records,
 )
+from uvtdoa.scene import SPEED_OF_LIGHT
 
 CONFIG_TEXT = """
 [scene]
@@ -95,6 +97,14 @@ class TestConfigParsing:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    def test_config_takes_its_points_from_the_grid_only(self):
+        # serialize_config, and so config_sha256, records the grid and not a
+        # point list: a Config with points would run under another
+        # campaign's hash
+        cfg = parse_config(CONFIG_TEXT)
+        with pytest.raises(ConfigError, match="points"):
+            replace(cfg, points=((30.0, 25.0),))
 
     def test_default_grid_when_section_omitted(self):
         text = CONFIG_TEXT.replace(
@@ -377,6 +387,43 @@ class TestCliSimulate:
             "diffcal.stdout": "a2acfc332e0ffe743f9131acdc8e7f3e870ebee5f62f46eebeacf0f22ecf0284",
             "diffcal.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         }
+
+    def test_diffcal_without_calibration_truth_is_pinned(self, config_file, tmp_path, capsys):
+        # The pinned 2x2, 3-trial, seed-3 campaign's detections as the
+        # measurement log, and again with the truth columns blanked as the
+        # calibration log: neither pair gets an estimate, so each warns once
+        # and the corrected fixes are the uncorrected ones. Recorded with
+        # numpy 2.4.6 on x86-64 Linux.
+        config_file.write_text(
+            CONFIG_TEXT.replace("steps_x = 3\nsteps_y = 3", "steps_x = 2\nsteps_y = 2")
+            .replace("trials_per_point = 4", "trials_per_point = 3").replace("seed = 7", "seed = 3")
+        )
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--out", str(sim)]) == 0
+        capsys.readouterr()
+        log = sim / "detections.csv"
+        cal = tmp_path / "cal.csv"
+        cal.write_text("".join(
+            (line if line[:1] in "#t" else line.rsplit(",", 2)[0] + ",,") + "\n"
+            for line in log.read_text().splitlines()
+        ))
+        out = tmp_path / "o"
+        assert main(["diffcal", "--calibration", str(cal), "--log", str(log),
+                     "--config", str(config_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: no calibration estimates for pair 'ba'; correction skipped\n"
+            "warning: no calibration estimates for pair 'cb'; correction skipped\n"
+        )
+        fixes = out / "diffcal_fixes.csv"
+        assert hashlib.sha256(fixes.read_bytes()).hexdigest() == (
+            "722ac3f7e4dbcb42746462938b6bbf8a7ba78cfd8f49f40ec425a03b0f7e6119")
+        meta = read_meta(fixes)
+        assert (meta["calibration_sessions"], meta["skipped_pairs"]) == ("0", "ba,cb")
+        rows = read_rows(fixes)
+        assert len(rows) == 12
+        for row in rows:
+            assert (row["corrected_x_m"], row["corrected_y_m"], row["corrected_error_m"]) == (
+                row["uncorrected_x_m"], row["uncorrected_y_m"], row["uncorrected_error_m"])
 
     # The truncation warnings of the weak links are part of the output.
     @pytest.mark.filterwarnings("default::uvtdoa.errortheory.SyncBoundTailWarning")
@@ -760,8 +807,9 @@ def synthetic_log_rows(scene, points, chip_ns=50.0, sessions_per_point=1, offset
         base = 1000
         chips = {
             "A": base,
-            "B": base + (d[1] - d[0]) / scene.c / chip_s + offset_chips[0],
-            "C": base + (d[2] - d[0]) / scene.c / chip_s + offset_chips[0] + offset_chips[1],
+            "B": base + (d[1] - d[0]) / SPEED_OF_LIGHT / chip_s + offset_chips[0],
+            "C": base + (d[2] - d[0]) / SPEED_OF_LIGHT / chip_s
+            + offset_chips[0] + offset_chips[1],
         }
         for _ in range(sessions_per_point):
             for anchor in "ABC":
@@ -788,7 +836,7 @@ class TestCliReplay:
                 continue
             parts = line.split(",")
             err = float(parts[5])
-            assert err < scene.c * 50e-9  # within one chip of flight distance
+            assert err < SPEED_OF_LIGHT * 50e-9  # within one chip of flight distance
 
     def test_malformed_lines_skipped_and_counted(self, config_file, tmp_path):
         from conftest import make_scene
@@ -1174,7 +1222,6 @@ class TestCliProvenance:
 
     @pytest.mark.parametrize("seed_args, seed", [([], 7), (["--seed", "11"], 11)])
     def test_csv_and_json_headers_agree(self, config_file, tmp_path, seed_args, seed):
-        from dataclasses import replace
         from uvtdoa import load_config
         # the hash is of the config as run, so it covers a --seed override
         want = {

@@ -32,7 +32,7 @@ from uvtdoa.montecarlo import (
 )
 from uvtdoa.scene import SPEED_OF_LIGHT
 from uvtdoa.sync import ROW_BLOCK, generate_pilot
-from uvtdoa.tdoa import SessionTdoa
+from uvtdoa.tdoa import SessionTdoa, solve_sessions
 
 from conftest import GEOMETRY_II, make_budget, make_scene, make_signal
 
@@ -372,41 +372,72 @@ class TestSyncMseEmpirical:
             sync_mse_empirical(length=64, seed=1, **kwargs)
 
 
-def session(t_ba_s, t_cb_s, chip_s=10e-9):
-    return SessionTdoa("s", t_ba_s, t_cb_s, chip_s, None)
+def session(t_ba_s, t_cb_s, chip_s=10e-9, truth=None):
+    return SessionTdoa("s", t_ba_s, t_cb_s, chip_s, truth)
+
+
+def biased_session(scene, truth, bias_ba, bias_cb, chip_s=10e-9):
+    """A session at ``truth`` whose time differences carry the two biases."""
+    r1, r2, r3 = anchor_ranges(scene, truth).tolist()
+    t_ba, t_cb = (r2 - r1) / SPEED_OF_LIGHT, (r3 - r2) / SPEED_OF_LIGHT
+    return session(t_ba + bias_ba, t_cb + bias_cb, chip_s, truth)
+
+
+def yielded_biases(scene, cal):
+    """The B-A and C-B timing biases a calibration session with truth yields."""
+    r1, r2, r3 = anchor_ranges(scene, cal.truth).tolist()
+    return cal.t_ba_s - (r2 - r1) / SPEED_OF_LIGHT, cal.t_cb_s - (r3 - r2) / SPEED_OF_LIGHT
+
+
+# Calibration sessions sit at another point than the measured receiver, so
+# an estimate must come from the geometry at the calibration truth.
+CAL_TRUTH = (30.0, 30.0)
 
 
 class TestDifferentialCorrection:
     def test_perfect_calibration_removes_clock_bias(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         bias_ba, bias_cb = 80e-9, -40e-9
-        sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb)]
-        res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, sessions)
+        cal = biased_session(scene, CAL_TRUTH, bias_ba, bias_cb)
+        sessions = [biased_session(scene, scene.rx_true, bias_ba, bias_cb)]
+        res = differential_correction(scene, [cal], sessions)
         truth = np.asarray(scene.rx_true)
         corrected_err = np.linalg.norm(np.asarray(res.corrected[0].position) - truth)
         uncorrected_err = np.linalg.norm(np.asarray(res.uncorrected[0].position) - truth)
         assert corrected_err < 1e-6
         assert uncorrected_err > 5.0
+        assert (res.corrected_errors_m[0], res.uncorrected_errors_m[0]) == (
+            corrected_err, uncorrected_err)
+        assert res.calibration_sessions == 1
 
-    def test_missing_pair_warns_and_skips(self):
+    def test_no_calibration_truth_warns_for_both_pairs(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
-        sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
-        with pytest.warns(UserWarning, match="cb"):
-            res = differential_correction(scene, {"ba": [1e-9]}, sessions)
-        assert res.skipped_pairs == ("cb",)
-        assert res.applied_cb_s is None
+        cal = biased_session(scene, CAL_TRUTH, 1e-9, 1e-9)
+        cal = session(cal.t_ba_s, cal.t_cb_s)  # the truth is unknown
+        sessions = [biased_session(scene, scene.rx_true, 10e-9, 5e-9), session(0.0, 0.0)]
+        with pytest.warns(UserWarning) as record:
+            res = differential_correction(scene, [cal], sessions, rng=np.random.default_rng(4))
+        assert [str(w.message) for w in record] == [
+            f"no calibration estimates for pair {pair!r}; correction skipped"
+            for pair in ("ba", "cb")
+        ]
+        assert res.calibration_sessions == 0
+        assert res.corrected == res.uncorrected
+        np.testing.assert_array_equal(res.corrected_errors_m, res.uncorrected_errors_m)
+        assert np.isnan(res.corrected_errors_m[1])  # no truth, no error
 
     def test_random_selection_is_seeded(self):
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
-        sessions = [session((r2 - r1) / scene.c, (r3 - r2) / scene.c)]
-        cal = {"ba": [1e-9, 2e-9, 3e-9], "cb": [0.0]}
-        a = differential_correction(scene, cal, sessions, rng=np.random.default_rng(4))
-        b = differential_correction(scene, cal, sessions, rng=np.random.default_rng(4))
-        assert a.applied_ba_s == b.applied_ba_s
-
+        cals = [biased_session(scene, CAL_TRUTH, k * 1e-9, -k * 1e-9) for k in (1, 2, 3)]
+        sessions = [biased_session(scene, scene.rx_true, 2e-9, -2e-9)]
+        a = differential_correction(scene, cals, sessions, rng=np.random.default_rng(4))
+        b = differential_correction(scene, cals, sessions, rng=np.random.default_rng(4))
+        assert a.corrected == b.corrected
+        # one draw picks the B-A estimate, the next the C-B one
+        pick = np.random.default_rng(4)
+        bias_ba = yielded_biases(scene, cals[int(pick.integers(3))])[0]
+        bias_cb = yielded_biases(scene, cals[int(pick.integers(3))])[1]
+        assert a.corrected == solve_sessions(scene, sessions, bias_ba, bias_cb)[0]
 
     def test_corrected_measurements_use_the_chip_tolerance(self):
         # 50 ns chips give a 2-chip slack of 30 m, 10 ns chips one of 6 m.
@@ -416,16 +447,17 @@ class TestDifferentialCorrection:
         # 10 ns chips, are kept, clamped and clamped.
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
         ab = float(np.linalg.norm(scene.anchors[1] - scene.anchors[0]))
-        bias_ba = -20.0 / scene.c
+        cal = biased_session(scene, CAL_TRUTH, -20.0 / SPEED_OF_LIGHT, 0.0)
+        bias_ba, bias_cb = yielded_biases(scene, cal)
         sessions = [
-            session((ab + past) / scene.c + bias_ba, -30.0 / scene.c, chip_s)
+            session((ab + past) / SPEED_OF_LIGHT + bias_ba, -30.0 / SPEED_OF_LIGHT, chip_s)
             for past, chip_s in ((10.0, 50e-9), (40.0, 50e-9), (10.0, 10e-9))
         ]
-        res = differential_correction(scene, {"ba": [bias_ba], "cb": [0.0]}, sessions)
+        res = differential_correction(scene, [cal], sessions)
         clamped = []
         for sess, fix in zip(sessions, res.corrected):
             expected = measurement_from_times(
-                scene, sess.t_ba_s - bias_ba, sess.t_cb_s, sess.chip_s
+                scene, sess.t_ba_s - bias_ba, sess.t_cb_s - bias_cb, sess.chip_s
             )
             clamped.append(expected.clamped)
             assert fix == solve_position(scene, expected)
@@ -436,13 +468,13 @@ class TestDifferentialCorrection:
         # range differences past the two-chip clamp, so only a bias taken off
         # the raw times, before the clamp, recovers the truth.
         scene = make_scene(GEOMETRY_II, rx=(36.0, 25.0))
-        r1, r2, r3 = anchor_ranges(scene, scene.rx_true).tolist()
         chip_s = 50e-9
         bias_ba, bias_cb = 20 * chip_s, -20 * chip_s
-        sessions = [session((r2 - r1) / scene.c + bias_ba, (r3 - r2) / scene.c + bias_cb, chip_s)]
+        cal = biased_session(scene, CAL_TRUTH, bias_ba, bias_cb, chip_s)
+        sessions = [biased_session(scene, scene.rx_true, bias_ba, bias_cb, chip_s)]
         raw = measurement_from_times(scene, sessions[0].t_ba_s, sessions[0].t_cb_s, chip_s)
         assert raw.clamped
-        res = differential_correction(scene, {"ba": [bias_ba], "cb": [bias_cb]}, sessions)
+        res = differential_correction(scene, [cal], sessions)
         assert not res.uncorrected[0].converged
         assert res.corrected[0].converged
         assert np.linalg.norm(np.asarray(res.corrected[0].position) - scene.rx_true) < 1e-6

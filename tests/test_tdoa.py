@@ -24,7 +24,9 @@ CHIP_S = 10e-9
 
 def exact_measurement(scene, p):
     r1, r2, r3 = anchor_ranges(scene, p).tolist()
-    return measurement_from_times(scene, (r2 - r1) / scene.c, (r3 - r2) / scene.c, CHIP_S)
+    return measurement_from_times(
+        scene, (r2 - r1) / SPEED_OF_LIGHT, (r3 - r2) / SPEED_OF_LIGHT, CHIP_S
+    )
 
 
 def random_inside_points(scene, count, rng):
@@ -53,8 +55,8 @@ class TestMeasurementFromTimes:
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
         t_chip = 1e-8
-        tol = 2.0 * scene.c * t_chip
-        t_ba = (ab + 3.0 * scene.c * t_chip) / scene.c  # three chips past the bound
+        tol = 2.0 * SPEED_OF_LIGHT * t_chip
+        t_ba = (ab + 3.0 * SPEED_OF_LIGHT * t_chip) / SPEED_OF_LIGHT  # three chips past the bound
         m = measurement_from_times(scene, t_ba, 0.0, t_chip)
         assert m.clamped
         assert m.r21_m == pytest.approx(ab + tol, rel=1e-12)
@@ -75,7 +77,7 @@ class TestSolvePosition:
     def test_perpendicular_bisector_symmetry(self):
         scene = Scene(tx_a=(-5, 0), tx_b=(5, 0), tx_c=(0, 8), rx_true=(0, 3))
         r1, r2, r3 = anchor_ranges(scene, (0, 3)).tolist()
-        m = measurement_from_times(scene, 0.0, (r3 - r2) / scene.c, CHIP_S)
+        m = measurement_from_times(scene, 0.0, (r3 - r2) / SPEED_OF_LIGHT, CHIP_S)
         fix = solve_position(scene, m)
         r1, r2, _ = anchor_ranges(scene, fix.position).tolist()
         assert abs(r1 - r2) <= 1e-6
@@ -88,7 +90,7 @@ class TestSolvePosition:
         sigma = 100e-9 / np.sqrt(12.0)
         r1, r2, r3 = anchor_ranges(scene, centroid).tolist()
         m = measurement_from_times(
-            scene, (r2 - r1) / scene.c + sigma, (r3 - r2) / scene.c + sigma, CHIP_S
+            scene, (r2 - r1) / SPEED_OF_LIGHT + sigma, (r3 - r2) / SPEED_OF_LIGHT + sigma, CHIP_S
         )
         fix = solve_position(scene, m)
         err = np.linalg.norm(np.asarray(fix.position) - np.asarray(centroid))
@@ -146,7 +148,7 @@ class TestSolvePosition:
     def test_nonconverged_flag_on_infeasible(self):
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
-        m = measurement_from_times(scene, ab * 2 / scene.c, 0.0, CHIP_S)
+        m = measurement_from_times(scene, ab * 2 / SPEED_OF_LIGHT, 0.0, CHIP_S)
         fix = solve_position(scene, m)
         assert m.clamped
         # the clamped bound still lies outside the feasible set, so the
@@ -159,7 +161,7 @@ class TestSolvePosition:
         # asymptote ray, so no point would be a fix; the solver says outage
         scene = make_scene(GEOMETRY_II)
         ab = float(np.linalg.norm(np.asarray(scene.tx_b) - np.asarray(scene.tx_a)))
-        m = measurement_from_times(scene, (ab + 5000.0) / scene.c, -1e-6, CHIP_S)
+        m = measurement_from_times(scene, (ab + 5000.0) / SPEED_OF_LIGHT, -1e-6, CHIP_S)
         fix = solve_position(scene, m)
         assert fix == PositionFix(NO_FIX, False)
 
@@ -176,29 +178,33 @@ class TestDefaultInit:
 
 
 class TestFeasibilityBound:
-    # |AB| = 5 and |BC| = 10 exactly, c = 1 makes the range difference the
-    # time argument itself, and 0.25 s chips give a slack of exactly 0.5, so
-    # the bound is hit to the last bit
-    scene = Scene(tx_a=(0.0, 0.0), tx_b=(3.0, 4.0), tx_c=(9.0, -4.0), rx_true=(4.0, 0.0), c=1.0)
-    chip_s = 0.25
+    # Times in units of T = 2**-28 s and lengths in units of the flight U of
+    # one T: |AB| = 5 U and |BC| = 10 U exactly, and T / 4 chips give a
+    # slack of exactly U / 2. Every product below is exact, so the bound is
+    # hit to the last bit.
+    T = 2.0**-28
+    U = SPEED_OF_LIGHT * T
+    scene = Scene(tx_a=(0.0, 0.0), tx_b=(3 * U, 4 * U), tx_c=(9 * U, -4 * U), rx_true=(4 * U, 0.0))
+    chip_s = T / 4
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_exactly_at_bound_is_kept(self, sign):
-        m = measurement_from_times(self.scene, sign * 5.5, sign * 10.5, self.chip_s)
-        assert (m.r21_m, m.r32_m, m.clamped) == (sign * 5.5, sign * 10.5, False)
+        t_ba, t_cb = sign * 5.5 * self.T, sign * 10.5 * self.T
+        m = measurement_from_times(self.scene, t_ba, t_cb, self.chip_s)
+        assert (m.r21_m, m.r32_m, m.clamped) == (sign * 5.5 * self.U, sign * 10.5 * self.U, False)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("pair", ["ba", "cb"])
     def test_one_ulp_past_bound_is_clamped(self, sign, pair):
-        past_ba = math.nextafter(sign * 5.5, sign * math.inf)
-        past_cb = math.nextafter(sign * 10.5, sign * math.inf)
+        past_ba = math.nextafter(sign * 5.5 * self.T, sign * math.inf)
+        past_cb = math.nextafter(sign * 10.5 * self.T, sign * math.inf)
         t_ba, t_cb = (past_ba, 0.0) if pair == "ba" else (0.0, past_cb)
         m = measurement_from_times(self.scene, t_ba, t_cb, self.chip_s)
         assert m.clamped
         if pair == "ba":
-            assert (m.r21_m, m.r32_m) == (sign * 5.5, 0.0)
+            assert (m.r21_m, m.r32_m) == (sign * 5.5 * self.U, 0.0)
         else:
-            assert (m.r21_m, m.r32_m) == (0.0, sign * 10.5)
+            assert (m.r21_m, m.r32_m) == (0.0, sign * 10.5 * self.U)
 
 
 # --- Oracle: the iterative numpy solver (branch-crossing starts, damped
@@ -384,7 +390,7 @@ def oracle_cases():
         outside = [p for p in points if not inside_triangle(scene, p)]
         for p in points:
             r1, r2, r3 = anchor_ranges(scene, p).tolist()
-            t_ba, t_cb = (r2 - r1) / scene.c, (r3 - r2) / scene.c
+            t_ba, t_cb = (r2 - r1) / SPEED_OF_LIGHT, (r3 - r2) / SPEED_OF_LIGHT
             times = [(t_ba, t_cb), (round(t_ba / ORACLE_CHIP_S) * ORACLE_CHIP_S,
                                     round(t_cb / ORACLE_CHIP_S) * ORACLE_CHIP_S)]
             if p in (inside[0], outside[0]):
