@@ -118,13 +118,14 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
     """Parse a detection log; returns (records, skipped_line_count).
 
     Malformed lines (including a non-finite timestamp or truth coordinate and
-    a non-finite or non-positive chip duration) and timestamp regressions
-    within a session are skipped and counted. An empty or
+    a non-finite or non-positive chip duration), timestamp regressions
+    within a session and repeats of an anchor within a session (its first
+    detection stands) are skipped and counted. An empty or
     headerless-and-empty file raises ReplayError.
     """
     records: list[ReplayRecord] = []
     skipped = 0
-    last_ts: dict[str, float] = {}
+    last: dict[str, tuple[float, str]] = {}  # per session: last timestamp, anchors so far
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -156,10 +157,13 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
         except ValueError:
             skipped += 1
             continue
-        if session in last_ts and ts < last_ts[session]:
-            skipped += 1  # timestamps must be monotone within a session
+        last_ts, anchors = last.get(session, (ts, ""))
+        if ts < last_ts or anchor in anchors:
+            # timestamps must be monotone within a session, and its first
+            # detection of an anchor stands
+            skipped += 1
             continue
-        last_ts[session] = ts
+        last[session] = (ts, anchors + anchor)
         records.append(ReplayRecord(ts, session, anchor, chip, chip_ns, truth))
     if not records:
         raise ReplayError(f"log {path} contains no usable detection records")

@@ -343,6 +343,7 @@ class _BoundGrid(NamedTuple):
     cross: tuple  # _cross_factors over m = 1..m_max and k = -n..n-1
     shift_mk: np.ndarray  # cross-symbol offsets (2m*n + k) * Tc in seconds, (m_max, 2n, 1)
     cross_max: tuple | None  # _cross_maxima: per-(m, k) maxima of N, A and B, (m_max * 2n,)
+    e2_max: np.ndarray  # per-(m, k) maxima of the squared cross timing errors, (m_max * 2n,)
     key: tuple  # the arguments of _bound_grid that built it
 
 
@@ -367,10 +368,60 @@ def _cross_maxima(neg_2m, x, y, z, var_f, e, big_l: int):
     return tuple(np.concatenate(f) for f in zip(*maxima))
 
 
+def _legval(x, c):
+    """Legendre series ``c`` (2 or more terms, low degree first) at ``x``, by Clenshaw."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], for 2 or more points.
+
+    numpy.polynomial.legendre.leggauss step for step, float for float
+    (numpy 2.4's Clenshaw form, ``c1 * ((nd - 1) / nd)``), without importing
+    numpy.polynomial, which costs a few ms in the first bound of a process:
+    the eigenvalues of the symmetric companion matrix of L_n, one Newton
+    step, then weights from L_n' and L_{n-1}, symmetrised and normalised to
+    a sum of 2. The companion matrix's last-column term vanishes for L_n
+    (its lower coefficients are 0), and L_n's derivative series, 2i + 1 at
+    the degrees i of the other parity, is exact in floats, as numpy's
+    ``legder`` computes it.
+    """
+    n = points
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    top = mat.reshape(-1)[1::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(mat)
+
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    i = np.arange(n)
+    dy = _legval(x, c)
+    df = _legval(x, np.where(i % 2 == (n - 1) % 2, 2.0 * i + 1.0, 0.0))
+    x -= dy / df
+
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) -> _BoundGrid:
     t_c = symbol_s / n
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = _leggauss(points)
     eps = nodes * (t_c / 2.0)  # quadrature nodes in (-Tc/2, Tc/2)
     e = eps / symbol_s
 
@@ -387,13 +438,16 @@ def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) ->
         return np.broadcast_to(a, (len(a), 2 * n, points)).reshape(len(a), -1)
 
     neg_2m, *block = _cross_factors(m, k_c, e_c, n, big_l)
+    shift_mk = (2.0 * m * n + k_c) * t_c
     grid = _BoundGrid(
         weights, eps, e[None, :], _within_factors(k, e[None, :], n), e_k**2,
-        rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), (2.0 * m * n + k_c) * t_c,
-        _cross_maxima(neg_2m, *block, e_c, big_l), (n, big_l, symbol_s, m_max, points),
+        rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), shift_mk,
+        _cross_maxima(neg_2m, *block, e_c, big_l),
+        ((shift_mk - eps) ** 2).max(axis=-1).ravel(),  # the pass's own terms, (shift - eps)**2
+        (n, big_l, symbol_s, m_max, points),
     )
     for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk,
-                *(grid.cross_max or ())):
+                *(grid.cross_max or ()), grid.e2_max):
         arr.setflags(write=False)  # shared by every call with the same grid
     return grid
 
@@ -422,14 +476,67 @@ def _cross_zero_from(n: int, big_l: int, symbol_s: float, m_max: int, points: in
     return float(roots.max()) * (1.0 + _SKIP_MARGIN)
 
 
-def _cross_is_zero(lam_s: float, params: SyncBoundParams, g: _BoundGrid) -> bool:
-    """True when every cross-symbol probability at ``lam_s`` is provably exactly 0.0.
+def _cross_is_zero(lam_s, params: SyncBoundParams, g: _BoundGrid):
+    """True where every cross-symbol probability at a rate is provably exactly 0.0.
 
-    That is, from the grid's threshold rate on (see ``_cross_zero_from``).
-    Never true at lam_s = 0 (every root is > 0), on a grid without maxima,
-    or for a NaN rate, which fails the comparison.
+    That is, from the grid's threshold rate on (see ``_cross_zero_from``);
+    a bool for a float rate, a bool array for an array of rates. Never true
+    at lam_s = 0 (every root is > 0), on a grid without maxima, or for a
+    NaN rate, which fails the comparison.
     """
     return lam_s >= _cross_zero_from(*g.key, params.lambda_b)
+
+
+# The skip test of a cross-symbol pass asks its threshold to be at least
+# this, far above the subnormals: see _cross_is_negligible.
+_NEGLIGIBLE_FLOOR = 2.0**-1000
+
+
+def _cross_is_negligible(lam_s: float, params: SyncBoundParams, g: _BoundGrid,
+                         integrand: np.ndarray) -> bool:
+    """True when the cross-symbol pass at ``lam_s`` provably leaves ``integrand`` unchanged.
+
+    ``integrand`` is the rate's within-symbol integrand x_q at the Q nodes.
+    The pass adds 2 S_q to it, S_q the float sum over the M = m_max * 2n
+    blocks (m, k) of the terms e^2 * normal_cdf(z) at node q, and
+    x_q + 2 S_q rounds back to x_q > 0 when 2 S_q <= x_q * 2**-54, which is
+    under half an ulp of x_q (as in ``_within_integrands``).
+
+    Every cell's gap z is at most its block's bound z_b = lam_s N_max /
+    sqrt(lam_s A_max + lam_b B_max) (see ``_cross_maxima``). Both are
+    computed to within ~1e-14 (see ``_SKIP_MARGIN``), so z_b moved toward 0
+    by ``_SKIP_MARGIN`` is above every computed cell gap; it is used here
+    squared, z_b^2 = lam_s^2 N_max^2 / (lam_s A_max + lam_b B_max), with no
+    cancellation. For z <= -1, normal_cdf(z) < exp(-z^2/2) / (|z| sqrt(2 pi))
+    < 0.4 exp(-z^2/2), and each cell's e^2 is at most ``e2_max`` of its
+    block, the same floats. So with B = sum over blocks of e2_max
+    exp(-z_b^2/2), the exact sum of a node's terms is under 0.4 B, and the
+    test is: every z_b <= -1 and 2 B <= x_min * 2**-54, x_min the smallest
+    x_q. B is the same at every node, so testing node by node decides the
+    same. The factor 0.4 covers the rounding: a few ulps in erfc, in each
+    product and in B, and (M - 1) 2**-53 relative in a float sum of M
+    terms >= 0 (M < 2**40 on any grid that fits in memory). Subnormal terms
+    and parts of B round by an absolute 2**-1074 per operation instead, a
+    few per block; asking x_min * 2**-54 >= ``_NEGLIGIBLE_FLOOR`` keeps
+    their total under 2**-30 of it. B is first bounded with each block's
+    exp replaced by the largest, which often proves the skip alone.
+
+    Never true at lam_s = 0 or NaN, for a NaN lam_b, or on a grid without
+    maxima.
+    """
+    if g.cross_max is None or not lam_s > 0:
+        return False
+    n_max, a_max, b_max = g.cross_max
+    q = lam_s * a_max  # becomes -z_b^2 / 2, moved toward 0 by the margin
+    q += params.lambda_b * b_max
+    np.divide(n_max * n_max, q, out=q)
+    q *= -0.5 * (lam_s * (1.0 - _SKIP_MARGIN)) ** 2
+    q_max, threshold = q.max(), integrand.min() * _ROUND_AWAY
+    if not (q_max <= -0.5 and threshold >= _NEGLIGIBLE_FLOOR):
+        return False
+    if 2.0 * g.e2_max.sum() * math.exp(q_max) <= threshold:
+        return True
+    return bool(2.0 * np.dot(g.e2_max, np.exp(q, out=q)) <= threshold)
 
 
 # Gap cells per within-symbol pass, in full-width rate rows: a pass holds at
@@ -528,8 +635,11 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple:
 
     Floats for a float rate, arrays for an array. The within-symbol rows of
     all the rates come from one ``_within_integrands`` call, which spreads
-    the numpy erfc's fixed per-call cost; the cross-symbol pass runs one
-    rate at a time.
+    the numpy erfc's fixed per-call cost, and the bounds of all the rates
+    from one weighted sum over them; then each rate below the grid's
+    threshold (see ``_cross_zero_from``) that ``_cross_is_negligible`` does
+    not clear runs its own cross-symbol pass. A pass that runs and a pass
+    that is skipped leave the same bound; a skipped pass leaves a tail of 0.
     """
     g = _bound_grid(
         params.chips_per_symbol, params.length, params.symbol_s,
@@ -544,21 +654,22 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple:
     else:
         rows = _within_integrands(params)
 
+    # Averaging over the fractional offset, the density 1/Tc over a Tc-wide
+    # interval cancels the interval half-width against the node scaling.
+    value, tail_value = 0.5 * np.sum(g.weights * rows, axis=1), np.zeros(len(rates))
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
-    # probability underflows to 0.0 the block adds exactly nothing, so the
-    # pass is skipped from the grid's threshold rate on. Averaging
-    # over the fractional offset, the density 1/Tc over a Tc-wide interval
-    # cancels the interval half-width against the node scaling.
-    value, tail_value = np.empty(len(rates)), np.zeros(len(rates))
-    for i, (lam_s, integrand) in enumerate(zip(rates.tolist(), rows)):
-        if (not _cross_is_zero(lam_s, params, g)
+    # probability underflows to 0.0 the block adds exactly nothing, so only
+    # the rates below the grid's threshold rate (and NaN) can run the pass.
+    for i in np.flatnonzero(~_cross_is_zero(rates, params, g)).tolist():
+        lam_s, integrand = rates[i].item(), rows[i]
+        if (not _cross_is_negligible(lam_s, params, g, integrand)
                 and (pmk := _p_cross(lam_s, params, g.cross, g.e_cross)).any()):
             terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
             terms *= pmk.reshape(terms.shape)
             integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))
             tail = 2.0 * np.sum(terms[-1], axis=0)
             tail_value[i] = 0.5 * np.sum(g.weights * tail)
-        value[i] = 0.5 * np.sum(g.weights * integrand)
+            value[i] = 0.5 * np.sum(g.weights * integrand)
     tail_fraction = np.divide(tail_value, value, out=np.zeros_like(value), where=value > 0)
     if np.ndim(params.lambda_s):
         return value, tail_fraction

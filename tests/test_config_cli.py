@@ -852,6 +852,27 @@ class TestCliReplay:
         meta = read_meta(out / "replay_fixes.csv")
         assert meta["skipped_lines"] == "2"
 
+    def test_repeated_anchor_keeps_the_first_detection(self, config_file, tmp_path, capsys):
+        # A, B, C, then A again 4000 chips later in the same session: the
+        # session is solved on the first A, and the repeat is a skipped line.
+        from conftest import make_scene
+        rows = synthetic_log_rows(make_scene(), [(36.0, 25.0), (30.0, 40.0)])
+        repeat = rows[0].split(",")
+        repeat[0], repeat[3] = "0.5", str(int(repeat[3]) + 4000)
+        fixes = {}
+        for name, log_rows in (("clean", rows), ("repeated", [*rows[:3], ",".join(repeat),
+                                                               *rows[3:]])):
+            write_log(tmp_path / f"{name}.csv", log_rows)
+            out = tmp_path / name
+            assert main(["replay", "--config", str(config_file), "--log",
+                         str(tmp_path / f"{name}.csv"), "--out", str(out)]) == 0
+            assert read_meta(out / "replay_fixes.csv")["skipped_lines"] == str(
+                int(name == "repeated"))
+            assert f"lines_skipped = {int(name == 'repeated')}" in capsys.readouterr().out
+            fixes[name] = read_rows(out / "replay_fixes.csv")
+        assert fixes["repeated"] == fixes["clean"]
+        assert [row["converged"] for row in fixes["clean"]] == ["1", "1"]
+
     def test_empty_log_is_io_error(self, config_file, tmp_path):
         log = tmp_path / "empty.csv"
         write_log(log, [])
@@ -1073,6 +1094,34 @@ class TestCliDiffcal:
             assert float(parts[8]) < 1e-6  # corrected error
             assert float(parts[5]) > 1.0  # uncorrected error
 
+    def test_repeated_anchor_skipped_in_both_logs(self, config_file, tmp_path):
+        # A repeated anchor in a session of either log is a skipped line,
+        # and the session keeps its first detection of that anchor.
+        from conftest import make_scene
+        scene, truth = make_scene(), (36.0, 25.0)
+        meas_rows = synthetic_log_rows(scene, [truth] * 3, offset_chips=(2, 1))
+        cal_rows = [r.replace("s0000", "cal0")
+                    for r in synthetic_log_rows(scene, [truth], offset_chips=(2, 1))]
+        def repeated(rows, i):
+            parts = rows[i].split(",")
+            parts[3] = str(int(parts[3]) - 300)
+            return [*rows, ",".join(parts)]
+        fixes = {}
+        for name, logs in (("clean", (cal_rows, meas_rows)),
+                           ("repeated", (repeated(cal_rows, 1), repeated(meas_rows, 5)))):
+            for stem, log_rows in zip(("cal", "meas"), logs):
+                write_log(tmp_path / f"{name}-{stem}.csv", log_rows)
+            out = tmp_path / name
+            assert main(["diffcal", "--config", str(config_file),
+                         "--calibration", str(tmp_path / f"{name}-cal.csv"),
+                         "--log", str(tmp_path / f"{name}-meas.csv"), "--out", str(out)]) == 0
+            meta = read_meta(out / "diffcal_fixes.csv")
+            skipped = str(int(name == "repeated"))
+            assert (meta["calibration_skipped_lines"], meta["skipped_lines"]) == (skipped, skipped)
+            fixes[name] = read_rows(out / "diffcal_fixes.csv")
+        assert fixes["repeated"] == fixes["clean"]
+        assert all(float(row["corrected_error_m"]) < 1e-6 for row in fixes["clean"])
+
     def test_averages_over_fixes(self, config_file, tmp_path, capsys):
         from conftest import make_scene
         scene = make_scene()
@@ -1293,6 +1342,30 @@ def test_runtime_needs_no_scipy(config_file, tmp_path):
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "theory" / "theory_map.csv").exists()
     assert (tmp_path / "replay" / "replay_fixes.csv").exists()
+
+
+# Runs `theory` in a fresh process and reports any numpy.polynomial module
+# loaded by then: the bound's quadrature rule is built without it.
+NO_POLYNOMIAL_SCRIPT = """
+import sys
+import uvtdoa.cli
+cfg, out = sys.argv[1:]
+assert uvtdoa.cli.main(["theory", "--config", cfg, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+assert not loaded, loaded
+"""
+
+
+def test_theory_loads_no_numpy_polynomial(config_file, tmp_path):
+    import uvtdoa
+    src = str(Path(uvtdoa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_POLYNOMIAL_SCRIPT, str(config_file), str(tmp_path / "theory")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "theory" / "theory_map.csv").exists()
 
 
 def test_cli_import_loads_no_process_pool():

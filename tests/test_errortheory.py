@@ -31,9 +31,11 @@ from uvtdoa.errortheory import (
     TheoryError,
     _bound_grid,
     _cross_factors,
+    _cross_is_negligible,
     _cross_is_zero,
     _cross_zero_from,
     _erfc,
+    _leggauss,
     _p_cross,
     _round_away_below,
     _sync_mse_bound_detail,
@@ -498,6 +500,16 @@ def _oracle_bound_detail(params):
     return value, tail_fraction
 
 
+def matches_oracle(got, want):
+    # The bound bit for bit, and its tail fraction too, except where the
+    # cross-symbol pass was skipped as unable to move the bound: there the
+    # tail reads 0, and the oracle's is under 2**-54.
+    (value, tail), (want_value, want_tail) = got, want
+    if tail == 0.0 and want_tail != 0.0:
+        return value == want_value and want_tail < 2.0**-54
+    return np.array_equal(got, want, equal_nan=True)
+
+
 SWEEP_RATES_S = [float(v) for v in np.logspace(-2, 3, 40)] + [0.0]
 
 
@@ -514,7 +526,8 @@ class TestSyncBoundExactness:
                     lambda_s=lam_s, lambda_b=lam_b, length=length,
                     chips_per_symbol=n, symbol_s=t_s, m_max=m_max,
                 )
-                assert _sync_mse_bound_detail(params) == _oracle_bound_detail(params), params
+                assert matches_oracle(_sync_mse_bound_detail(params),
+                                      _oracle_bound_detail(params)), params
                 cases += 1
         assert cases == {8: 1, 16: 1, 64: 3, 256: 3}[length] * 41 * 4 * 2
 
@@ -778,7 +791,7 @@ class TestPrunedPasses:
         for row, value, tail, lam_s in zip(rows, values.tolist(), tails.tolist(), rates):
             assert np.array_equal(row, within_rows(params, [lam_s])[0], equal_nan=True)
             one = dataclasses.replace(params, lambda_s=lam_s)
-            assert np.array_equal((value, tail), _oracle_bound_detail(one), equal_nan=True), lam_s
+            assert matches_oracle((value, tail), _oracle_bound_detail(one)), lam_s
 
     @pytest.mark.parametrize("length", [8, 16, 64, 256])
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
@@ -838,6 +851,110 @@ class TestPrunedPasses:
             tracemalloc.stop()
         assert calls == [435]
         assert peak <= 1_754_592
+
+
+def grid_rates(power_w, steps=6):
+    # The distinct link rates of a Geometry III grid at a transmit power.
+    scene, budget, signal = make_scene(GEOMETRY_III), make_budget(power_w=power_w), make_signal()
+    points = dataclasses.replace(default_grid(scene), steps_x=steps, steps_y=steps).points()
+    rates = errortheory.los_photon_rate(
+        budget, errortheory.anchor_ranges(scene, points), signal.symbol_s).ravel().tolist()
+    return np.array(list(dict.fromkeys(rates)))
+
+
+class TestNegligibleCrossPass:
+    @pytest.mark.parametrize("length", [64, 256])
+    def test_skipped_pass_leaves_the_bound_of_a_forced_one(self, length, monkeypatch):
+        # Weak links of a Geometry III grid from 1 to 30 mW: each bound whose
+        # cross-symbol pass the proof skips equals, bit for bit, the bound
+        # with the pass run, and the pass's tail is under 2**-54 there.
+        skipped_total = 0
+        for power_w in (1e-3, 3e-3, 1e-2, 3e-2):
+            params = bound_params(lam_s=grid_rates(power_w), lam_b=1.0, length=length)
+            skipped = []
+            def recording(lam_s, params, g, integrand):
+                negligible = _cross_is_negligible(lam_s, params, g, integrand)
+                if negligible:
+                    skipped.append(lam_s)
+                return negligible
+            monkeypatch.setattr(errortheory, "_cross_is_negligible", recording)
+            values, tails = _sync_mse_bound_detail(params)
+            monkeypatch.setattr(errortheory, "_cross_is_negligible", lambda *args: False)
+            forced, forced_tails = _sync_mse_bound_detail(params)
+            monkeypatch.undo()
+            assert np.array_equal(values, forced), power_w
+            was_skipped = np.isin(params.lambda_s, skipped)
+            assert np.all(tails[was_skipped] == 0.0)
+            assert np.all(forced_tails[was_skipped] < 2.0**-54)
+            assert np.array_equal(tails[~was_skipped], forced_tails[~was_skipped])
+            skipped_total += len(skipped)
+            if power_w >= 1e-2 and length == 256:
+                assert skipped, power_w
+        assert skipped_total > 0
+
+    @pytest.mark.parametrize("length", [8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_skip_never_fires_where_the_pass_moves_a_node(self, length, n):
+        # Over the oracle sweep, wherever the proof skips a pass, adding the
+        # pass to the within-symbol integrand leaves every node unchanged.
+        fired = 0
+        for m_max in (m for m in (1, 8, 22) if 2 * m < length):
+            for t_s in (1e-6, 0.33e-6):
+                grid = _bound_grid(n, length, t_s, m_max, 33)
+                for lam_s, lam_b in itertools.product(SWEEP_RATES_S, (0.0, 0.5, 1.0, 5.0)):
+                    params = SyncBoundParams(
+                        lambda_s=lam_s, lambda_b=lam_b, length=length,
+                        chips_per_symbol=n, symbol_s=t_s, m_max=m_max,
+                    )
+                    row = grid.eps**2 if n == 1 else within_rows(params, [lam_s])[0]
+                    if _cross_is_zero(lam_s, params, grid) or not _cross_is_negligible(
+                            lam_s, params, grid, row):
+                        continue
+                    fired += 1
+                    pmk = _p_cross(lam_s, params, grid.cross, grid.e_cross)
+                    terms = (grid.shift_mk - grid.eps) ** 2 * pmk.reshape(m_max, 2 * n, -1)
+                    assert np.array_equal(row + 2.0 * np.sum(terms, axis=(0, 1)), row), params
+        # with one chip per symbol the middle node's integrand is 0: no skip
+        assert fired > 0 or length < 64 or n == 1
+
+    def test_proof_never_fires_at_rate_zero_nan_or_without_maxima(self):
+        grid = _bound_grid(100, 256, 1e-6, 8, 33)
+        row = within_rows(bound_params(lam_b=1.0), [20.0])[0]
+        assert _cross_is_negligible(20.0, bound_params(lam_b=1.0), grid, row)
+        for lam_s, lam_b in ((0.0, 1.0), (math.nan, 1.0), (20.0, math.nan)):
+            assert not _cross_is_negligible(lam_s, bound_params(lam_b=lam_b), grid, row)
+        assert not _cross_is_negligible(20.0, bound_params(lam_b=1.0), grid, row * 2.0**-1000)
+        degenerate = _bound_grid(100, 64, 1e-6, 22, 33)
+        params = bound_params(lam_s=1e3, lam_b=1.0, length=64, m_max=22)
+        assert degenerate.cross_max is None
+        assert not _cross_is_negligible(1e3, params, degenerate, within_rows(params, [1e3])[0])
+
+    def test_strong_links_pay_for_no_cross_pass(self, monkeypatch):
+        # `theory` at 150 mW on a 25 x 25 Geometry III grid: every rate is
+        # at or above its grid's threshold, so neither the cross-symbol pass
+        # nor the proof that would skip it runs.
+        calls = {"_p_cross": 0, "_cross_is_negligible": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(errortheory, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(errortheory, name, counting)
+        scene, budget, signal = make_scene(GEOMETRY_III), make_budget(power_w=0.15), make_signal()
+        points = dataclasses.replace(default_grid(scene), steps_x=25, steps_y=25).points()
+        tmap = theory_points(scene, points, budget, signal, ClockModel.uniform(0, 100e-9))
+        assert not np.isnan(tmap.e_p).all()
+        assert calls == {"_p_cross": 0, "_cross_is_negligible": 0}
+
+
+class TestQuadrature:
+    def test_nodes_and_weights_equal_numpy_leggauss(self):
+        # The installed numpy's own rule, float for float, for every rule
+        # size a bound accepts up to 200 points.
+        for points in range(8, 201):
+            nodes, weights = _leggauss(points)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(points)
+            assert np.array_equal(nodes, want_nodes), points
+            assert np.array_equal(weights, want_weights), points
 
 
 class TestSyncBoundDomain:
