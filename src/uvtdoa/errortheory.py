@@ -383,12 +383,14 @@ def _legval(x, c):
 def _leggauss(points: int):
     """Gauss-Legendre nodes and weights on [-1, 1], for 2 or more points.
 
-    numpy.polynomial.legendre.leggauss step for step, float for float
-    (numpy 2.4's Clenshaw form, ``c1 * ((nd - 1) / nd)``), without importing
-    numpy.polynomial, which costs a few ms in the first bound of a process:
-    the eigenvalues of the symmetric companion matrix of L_n, one Newton
-    step, then weights from L_n' and L_{n-1}, symmetrised and normalised to
-    a sum of 2. The companion matrix's last-column term vanishes for L_n
+    numpy 2.4's ``numpy.polynomial.legendre.leggauss`` step for step, with
+    its Clenshaw form ``c1 * ((nd - 1) / nd)``, so the same floats as that
+    numpy's rule; a numpy that rounds ``(c1 * (nd - 1)) / nd`` instead has
+    weights up to ~1e-11 relative away. It does not import
+    numpy.polynomial, which costs a few ms in the first bound of a process.
+    The steps: the eigenvalues of the symmetric companion matrix of L_n,
+    one Newton step, then weights from L_n' and L_{n-1}, symmetrised and
+    normalised to a sum of 2. The companion matrix's last-column term vanishes for L_n
     (its lower coefficients are 0), and L_n's derivative series, 2i + 1 at
     the degrees i of the other parity, is exact in floats, as numpy's
     ``legder`` computes it.
@@ -518,8 +520,7 @@ def _cross_is_negligible(lam_s: float, params: SyncBoundParams, g: _BoundGrid,
     terms >= 0 (M < 2**40 on any grid that fits in memory). Subnormal terms
     and parts of B round by an absolute 2**-1074 per operation instead, a
     few per block; asking x_min * 2**-54 >= ``_NEGLIGIBLE_FLOOR`` keeps
-    their total under 2**-30 of it. B is first bounded with each block's
-    exp replaced by the largest, which often proves the skip alone.
+    their total under 2**-30 of it.
 
     Never true at lam_s = 0 or NaN, for a NaN lam_b, or on a grid without
     maxima.
@@ -531,11 +532,9 @@ def _cross_is_negligible(lam_s: float, params: SyncBoundParams, g: _BoundGrid,
     q += params.lambda_b * b_max
     np.divide(n_max * n_max, q, out=q)
     q *= -0.5 * (lam_s * (1.0 - _SKIP_MARGIN)) ** 2
-    q_max, threshold = q.max(), integrand.min() * _ROUND_AWAY
-    if not (q_max <= -0.5 and threshold >= _NEGLIGIBLE_FLOOR):
+    threshold = integrand.min() * _ROUND_AWAY
+    if not (q.max() <= -0.5 and threshold >= _NEGLIGIBLE_FLOOR):
         return False
-    if 2.0 * g.e2_max.sum() * math.exp(q_max) <= threshold:
-        return True
     return bool(2.0 * np.dot(g.e2_max, np.exp(q, out=q)) <= threshold)
 
 

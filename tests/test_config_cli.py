@@ -1345,13 +1345,18 @@ def test_runtime_needs_no_scipy(config_file, tmp_path):
 
 
 # Runs `theory` in a fresh process and reports any numpy.polynomial module
-# loaded by then: the bound's quadrature rule is built without it.
+# it loaded: the bound's quadrature rule is built without it. Modules that
+# `import numpy` loads itself (numpy 1.x imports numpy.polynomial eagerly)
+# are not the command's.
 NO_POLYNOMIAL_SCRIPT = """
 import sys
 import uvtdoa.cli
+def polynomial():
+    return {m for m in sys.modules if m.startswith("numpy.polynomial")}
+before = polynomial()
 cfg, out = sys.argv[1:]
 assert uvtdoa.cli.main(["theory", "--config", cfg, "--out", out]) == 0
-loaded = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+loaded = sorted(polynomial() - before)
 assert not loaded, loaded
 """
 
