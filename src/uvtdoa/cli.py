@@ -14,8 +14,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ class ReplayError(Exception):
     """Unusable replay log."""
 
 
-@dataclass(frozen=True)
-class ReplayRecord:
+class ReplayRecord(NamedTuple):
     """One pilot detection from an experiment log."""
 
     timestamp_s: float
@@ -57,6 +57,7 @@ class ReplayRecord:
 
 _LOG_COLUMNS = ["timestamp_s", "session", "anchor", "arrival_chip", "chip_ns",
                 "truth_x_m", "truth_y_m"]
+_ANCHORS = frozenset("ABC")
 
 
 def _meta(cfg: Config, tool: str) -> dict:
@@ -107,11 +108,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+def _is_ignored(line: str) -> bool:
+    """A blank line, a comment or a header row: neither a record nor a skip."""
+    line = line.strip()
+    return not line or line[0] == "#" or line.split(",", 1)[0].rstrip() == _LOG_COLUMNS[0]
 
 
 def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
@@ -121,42 +121,49 @@ def parse_replay_log(path) -> tuple[list[ReplayRecord], int]:
     a non-finite or non-positive chip duration), timestamp regressions
     within a session and repeats of an anchor within a session (its first
     detection stands) are skipped and counted. An empty or
-    headerless-and-empty file raises ReplayError.
+    headerless-and-empty file raises ReplayError. A leading byte-order mark
+    is not part of the first line.
     """
     records: list[ReplayRecord] = []
     skipped = 0
     last: dict[str, tuple[float, str]] = {}  # per session: last timestamp, anchors so far
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ReplayError(f"cannot read log {path}: {exc}") from exc
+    inf = math.inf
     for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts[0] == _LOG_COLUMNS[0]:  # header row
-            continue
-        if len(parts) not in (5, 7):
-            skipped += 1
-            continue
+        # float and int skip the whitespace around a field themselves, all
+        # but U+001F, which str.strip also removes. Blank, comment and header
+        # lines parse as no record; they are told from skips only then.
+        parts = line.split(",")
+        if "\x1f" in line:
+            parts = [p.strip() for p in parts]
+        n = len(parts)
         try:
-            ts = _finite_float(parts[0])
-            session = parts[1]
-            anchor = parts[2].upper()
-            if anchor not in ("A", "B", "C"):
-                raise ValueError(f"bad anchor {parts[2]!r}")
+            if n != 7 and n != 5:
+                raise ValueError("wrong column count")
+            ts = float(parts[0])
+            anchor = parts[2]
+            if anchor not in _ANCHORS:
+                anchor = anchor.strip().upper()
+                if anchor not in _ANCHORS:
+                    raise ValueError("bad anchor")
             chip = int(parts[3])
-            chip_ns = _finite_float(parts[4])
-            if chip_ns <= 0.0:
-                raise ValueError(f"non-positive chip duration {parts[4]!r}")
+            chip_ns = float(parts[4])
             truth = None
-            if len(parts) == 7 and parts[5] != "" and parts[6] != "":
-                truth = (_finite_float(parts[5]), _finite_float(parts[6]))
+            if n == 7 and parts[5].strip() and parts[6].strip():
+                truth = (float(parts[5]), float(parts[6]))
+                if not (-inf < truth[0] < inf and -inf < truth[1] < inf):
+                    raise ValueError("non-finite truth")
+            if not (-inf < ts < inf and 0.0 < chip_ns < inf):
+                raise ValueError("non-finite timestamp, or chip duration not finite and > 0")
         except ValueError:
-            skipped += 1
+            if not _is_ignored(line):
+                skipped += 1
             continue
+        session = parts[1].strip()
         last_ts, anchors = last.get(session, (ts, ""))
         if ts < last_ts or anchor in anchors:
             # timestamps must be monotone within a session, and its first
@@ -174,27 +181,25 @@ def sessions_from_records(records) -> tuple[list[SessionTdoa], int]:
     """Group detections into per-session TDOA inputs; sessions missing an
     anchor are dropped and counted."""
     by_session: dict[str, dict[str, ReplayRecord]] = {}
-    order: list[str] = []
     for rec in records:
-        if rec.session not in by_session:
-            by_session[rec.session] = {}
-            order.append(rec.session)
-        by_session[rec.session][rec.anchor] = rec
+        group = by_session.get(rec.session)
+        if group is None:
+            by_session[rec.session] = group = {}
+        group[rec.anchor] = rec
     out = []
     dropped = 0
-    for name in order:
-        group = by_session[name]
-        if set(group) != {"A", "B", "C"}:
+    for name, group in by_session.items():
+        if group.keys() != _ANCHORS:
             dropped += 1
             continue
-        chip_ns = group["A"].chip_ns
-        if any(abs(group[k].chip_ns - chip_ns) > 1e-12 for k in "BC"):
+        a, b, c = group["A"], group["B"], group["C"]
+        chip_ns = a.chip_ns
+        if abs(b.chip_ns - chip_ns) > 1e-12 or abs(c.chip_ns - chip_ns) > 1e-12:
             dropped += 1
             continue
         chip_s = chip_ns / 1e9
-        chips = [group[k].arrival_chip for k in "ABC"]
-        truth = group["A"].truth or group["B"].truth or group["C"].truth
-        out.append(SessionTdoa(name, *time_differences(chips, chip_s), chip_s, truth))
+        t_ba, t_cb = time_differences((a.arrival_chip, b.arrival_chip, c.arrival_chip), chip_s)
+        out.append(SessionTdoa(name, t_ba, t_cb, chip_s, a.truth or b.truth or c.truth))
     return out, dropped
 
 
@@ -205,19 +210,48 @@ _PAIR_BLOCK = 1 << 16
 def _farthest_pair(points: np.ndarray) -> tuple[int, int]:
     """First maximum, in row-major order, of the pairwise squared distances.
 
-    Scans blocks of rows, so memory stays O(N) instead of N x N. The first
-    block holding the overall maximum (or a NaN, as argmax counts it) wins.
+    Scans blocks of rows through two reused buffers, so memory stays O(N)
+    instead of N x N. The first block holding the overall maximum (or a NaN,
+    as argmax counts it) wins.
     """
     n = len(points)
     x, y = points[:, 0], points[:, 1]
     rows = max(1, _PAIR_BLOCK // n)
+    dx, dy = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
     block_max = []
     for r0 in range(0, n, rows):
-        d2 = (x[r0:r0 + rows, None] - x) ** 2 + (y[r0:r0 + rows, None] - y) ** 2
-        flat = int(np.argmax(d2))
-        block_max.append((d2.flat[flat], r0 * n + flat))
+        bx, by = dx[:n - r0], dy[:n - r0]  # the last block may be short
+        np.subtract(x[r0:r0 + rows, None], x, out=bx)
+        np.subtract(y[r0:r0 + rows, None], y, out=by)
+        np.multiply(bx, bx, out=bx)
+        np.multiply(by, by, out=by)
+        np.add(bx, by, out=bx)
+        flat = int(bx.argmax())
+        block_max.append((bx.flat[flat], r0 * n + flat))
     _, at = block_max[int(np.argmax([v for v, _ in block_max]))]
     return divmod(at, n)
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: the expression ``np.linalg.norm``
+    evaluates for real input, so the same bits, without its per-call checks."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def _norm(d: np.ndarray) -> float:
+    """``float(np.linalg.norm(d))`` of a real vector, which is this dot product."""
+    return math.sqrt(d.dot(d))
+
+
+def _mean_norm(d: np.ndarray) -> float:
+    """``float(np.mean(np.linalg.norm(d, axis=-1)))``: the same sum divided by
+    the same count."""
+    return float(np.add.reduce(_norms(d))) / len(d)
+
+
+def _mean_rows(points: np.ndarray) -> np.ndarray:
+    """``points.mean(axis=0)``: the same sum divided by the same count."""
+    return np.add.reduce(points, axis=0) / len(points)
 
 
 def _split_two_clusters(points: np.ndarray):
@@ -226,14 +260,14 @@ def _split_two_clusters(points: np.ndarray):
     centers = np.array([points[i], points[j]], dtype=float)
     labels = np.zeros(len(points), dtype=int)
     for iteration in range(10):
-        dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
-        new_labels = np.argmin(dists, axis=1)
-        if iteration > 0 and np.array_equal(new_labels, labels):
+        new_labels = _norms(points[:, None, :] - centers).argmin(axis=1)
+        if iteration > 0 and (new_labels == labels).all():
             break
         labels = new_labels
         for kk in (0, 1):
-            if np.any(labels == kk):
-                centers[kk] = points[labels == kk].mean(axis=0)
+            members = points[labels == kk]
+            if len(members):
+                centers[kk] = _mean_rows(members)
     return labels, centers
 
 
@@ -247,35 +281,34 @@ def cluster_stats(fix_points: np.ndarray, truth=None) -> dict:
 
     An empty cloud has NaN mean and spread and no cluster.
     """
-    if not len(fix_points):
+    n = len(fix_points)
+    if not n:
         stats = {"n_fixes": 0, "mean_x_m": math.nan, "mean_y_m": math.nan,
                  "spread_m": math.nan, "n_clusters": 0}
         if truth is not None:
             stats["mean_to_truth_m"] = math.nan
         return stats
-    center = fix_points.mean(axis=0)
-    spread = float(np.mean(np.linalg.norm(fix_points - center, axis=1)))
+    center = _mean_rows(fix_points)
+    spread = _mean_norm(fix_points - center)
     n_clusters = 1
-    if len(fix_points) >= 4:
+    if n >= 4:
         labels, centers = _split_two_clusters(fix_points)
         sizes = np.bincount(labels, minlength=2)
         if sizes.min() >= 2:
-            intra = max(
-                float(np.mean(np.linalg.norm(fix_points[labels == kk] - centers[kk], axis=1)))
-                for kk in (0, 1)
-            )
-            sep = float(np.linalg.norm(centers[0] - centers[1]))
+            intra = max(_mean_norm(fix_points[labels == kk] - centers[kk]) for kk in (0, 1))
+            sep = _norm(centers[0] - centers[1])
             if sep > CLUSTER_SEPARATION_FACTOR * max(intra, 1e-9):
                 n_clusters = 2
+    mean_x, mean_y = center.tolist()
     stats = {
-        "n_fixes": int(len(fix_points)),
-        "mean_x_m": float(center[0]),
-        "mean_y_m": float(center[1]),
+        "n_fixes": n,
+        "mean_x_m": mean_x,
+        "mean_y_m": mean_y,
         "spread_m": spread,
         "n_clusters": n_clusters,
     }
     if truth is not None:
-        stats["mean_to_truth_m"] = float(np.linalg.norm(center - np.asarray(truth)))
+        stats["mean_to_truth_m"] = _norm(center - np.asarray(truth))
     return stats
 
 
@@ -401,35 +434,37 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
         return EXIT_IO
     fixes, errors = solve_sessions(cfg.scene, sessions)
     meta = _meta(cfg, "replay") | {"skipped_lines": skipped, "incomplete_sessions": dropped}
+    # Replay cells are floats, so each is its repr (see _fmt).
     rows = []
-    groups: dict[tuple, list[int]] = {}
-    for idx, (sess, fix, err) in enumerate(zip(sessions, fixes, errors.tolist())):
-        rows.append(
-            [sess.session,
-             _fmt(sess.truth[0]) if sess.truth else "",
-             _fmt(sess.truth[1]) if sess.truth else "",
-             _fmt(fix.position[0]), _fmt(fix.position[1]),
-             _fmt(err) if sess.truth else "", int(fix.converged)]
-        )
-        key = sess.truth if sess.truth is not None else ("all",)
-        groups.setdefault(key, []).append(idx)
+    groups: dict[tuple | None, list] = {}  # truth (None where unknown) -> its fixes
+    for sess, fix, err in zip(sessions, fixes, errors.tolist()):
+        x, y = fix.position
+        truth = sess.truth
+        if truth is None:
+            rows.append([sess.session, "", "", repr(x), repr(y), "", int(fix.converged)])
+        else:
+            rows.append([sess.session, repr(truth[0]), repr(truth[1]), repr(x), repr(y),
+                         repr(err), int(fix.converged)])
+        groups.setdefault(truth, []).append(fix)
     _write_csv(
         out / "replay_fixes.csv", meta,
         ["session", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "error_m", "converged"],
         rows,
     )
     cluster_rows = []
-    for key, idxs in groups.items():
-        pts = np.array([fixes[i].position for i in idxs if fixes[i].converged]).reshape(-1, 2)
-        truth = None if key == ("all",) else key
+    for truth, group in groups.items():
+        pts = np.array([fix.position for fix in group if fix.converged]).reshape(-1, 2)
         stats = cluster_stats(pts, truth)
+        if truth is None:
+            truth_cells = ["", ""]
+            to_truth = ""
+        else:
+            truth_cells = [repr(truth[0]), repr(truth[1])]
+            to_truth = repr(stats["mean_to_truth_m"])
         cluster_rows.append(
-            [_fmt(truth[0]) if truth else "", _fmt(truth[1]) if truth else "",
-             stats["n_fixes"], len(idxs) - stats["n_fixes"],
-             _fmt(stats["mean_x_m"]), _fmt(stats["mean_y_m"]),
-             _fmt(stats["spread_m"]),
-             _fmt(stats.get("mean_to_truth_m", "")) if truth else "",
-             stats["n_clusters"]]
+            [*truth_cells, stats["n_fixes"], len(group) - stats["n_fixes"],
+             repr(stats["mean_x_m"]), repr(stats["mean_y_m"]), repr(stats["spread_m"]),
+             to_truth, stats["n_clusters"]]
         )
     _write_csv(
         out / "replay_clusters.csv", meta,
@@ -467,13 +502,12 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         sessions, res.uncorrected, res.uncorrected_errors_m.tolist(),
         res.corrected, res.corrected_errors_m.tolist(),
     ):
-        rows.append(
-            [sess.session,
-             _fmt(sess.truth[0]) if sess.truth else "",
-             _fmt(sess.truth[1]) if sess.truth else "",
-             _fmt(unc.position[0]), _fmt(unc.position[1]), _fmt(unc_err) if sess.truth else "",
-             _fmt(cor.position[0]), _fmt(cor.position[1]), _fmt(cor_err) if sess.truth else ""]
-        )
+        (ux, uy), (cx, cy) = unc.position, cor.position
+        if sess.truth is None:
+            rows.append([sess.session, "", "", repr(ux), repr(uy), "", repr(cx), repr(cy), ""])
+        else:
+            rows.append([sess.session, repr(sess.truth[0]), repr(sess.truth[1]), repr(ux),
+                         repr(uy), repr(unc_err), repr(cx), repr(cy), repr(cor_err)])
     _write_csv(
         out / "diffcal_fixes.csv", meta,
         ["session", "truth_x_m", "truth_y_m", "uncorrected_x_m", "uncorrected_y_m",

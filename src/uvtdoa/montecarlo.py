@@ -359,12 +359,13 @@ def differential_correction(
     Without a calibration session with truth, each pair warns and is left
     uncorrected.
     """
-    estimates = []
-    for sess in calibration_sessions:
-        if sess.truth is not None:
-            d = anchor_ranges(scene, sess.truth).tolist()
-            estimates.append((sess.t_ba_s - (d[1] - d[0]) / SPEED_OF_LIGHT,
-                              sess.t_cb_s - (d[2] - d[1]) / SPEED_OF_LIGHT))
+    known = [sess for sess in calibration_sessions if sess.truth is not None]
+    # one anchor_ranges call for every truth: the same bits as one per truth
+    ranges = anchor_ranges(scene, [sess.truth for sess in known]).tolist() if known else []
+    estimates = [
+        (sess.t_ba_s - (d[1] - d[0]) / SPEED_OF_LIGHT, sess.t_cb_s - (d[2] - d[1]) / SPEED_OF_LIGHT)
+        for sess, d in zip(known, ranges)
+    ]
     bias_ba = bias_cb = 0.0
     if not estimates:
         for pair in ("ba", "cb"):

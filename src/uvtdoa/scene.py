@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,12 @@ class Scene:
     def anchors(self) -> np.ndarray:
         """Anchor coordinates as a (3, 2) array in A, B, C order."""
         return np.array([self.tx_a, self.tx_b, self.tx_c], dtype=float)
+
+    @cached_property
+    def separations(self) -> tuple[float, float]:
+        """Anchor separations |B - A| and |C - B|, worked out once per scene."""
+        (ax, ay), (bx, by), (cx, cy) = self.tx_a, self.tx_b, self.tx_c
+        return math.hypot(bx - ax, by - ay), math.hypot(cx - bx, cy - by)
 
     def centroid(self) -> tuple[float, float]:
         (ax, ay), (bx, by), (cx, cy) = self.tx_a, self.tx_b, self.tx_c

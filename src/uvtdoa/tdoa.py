@@ -8,15 +8,14 @@ cheaper than an array call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .scene import SPEED_OF_LIGHT, Scene
 
 
-@dataclass(frozen=True)
-class TdoaMeasurement:
+class TdoaMeasurement(NamedTuple):
     """Range differences between anchor pairs B-A and C-B, and whether either
     was clamped into the feasible interval."""
 
@@ -25,8 +24,7 @@ class TdoaMeasurement:
     clamped: bool
 
 
-@dataclass
-class SessionTdoa:
+class SessionTdoa(NamedTuple):
     """Time differences of one A/B/C detection session.
 
     ``chip_s`` is the chip duration the arrivals were quantised to; ``truth``
@@ -64,9 +62,9 @@ def measurement_from_times(
     r21 = c * float(t_ba_s)
     r32 = c * float(t_cb_s)
     clamped = False
-    (ax, ay), (bx, by), (cx, cy) = scene.tx_a, scene.tx_b, scene.tx_c
-    bound_ba = math.hypot(bx - ax, by - ay) + tol
-    bound_cb = math.hypot(cx - bx, cy - by) + tol
+    sep_ba, sep_cb = scene.separations
+    bound_ba = sep_ba + tol
+    bound_cb = sep_cb + tol
     if abs(r21) > bound_ba:
         r21 = math.copysign(bound_ba, r21)
         clamped = True
@@ -80,8 +78,7 @@ def measurement_from_times(
 NO_FIX = (math.nan, math.nan)
 
 
-@dataclass(frozen=True)
-class PositionFix:
+class PositionFix(NamedTuple):
     """Solver output: the branch crossing, or ``NO_FIX`` on outage.
 
     ``converged`` means the measurement has a fix.
@@ -160,6 +157,8 @@ def solve_position(scene: Scene, meas: TdoaMeasurement) -> PositionFix:
     crossings = _branch_intersections(anchors, meas.r21_m, meas.r32_m)
     if not crossings:
         return PositionFix(NO_FIX, False)
+    if len(crossings) == 1:
+        return PositionFix(crossings[0], True)
     x0, y0 = scene.centroid()
     return PositionFix(min(crossings, key=lambda p: math.hypot(p[0] - x0, p[1] - y0)), True)
 

@@ -730,6 +730,12 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config") and "Traceback" not in err
 
+    def test_config_with_byte_order_mark_loads(self, config_file, tmp_path):
+        from uvtdoa import load_config
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        assert config_hash(load_config(path)) == config_hash(load_config(config_file))
+
     @pytest.mark.parametrize("command, flag", [("replay", "--log"), ("diffcal", "--calibration"),
                                                ("diffcal", "--log")])
     def test_non_utf8_log_is_exit_4(self, config_file, tmp_path, capsys, command, flag):
@@ -817,6 +823,43 @@ def synthetic_log_rows(scene, points, chip_ns=50.0, sessions_per_point=1, offset
                     f"{sid}.0,s{sid:04d},{anchor},{int(round(chips[anchor]))},{chip_ns!r},{x!r},{y!r}"
                 )
             sid += 1
+    return rows
+
+
+def rough_log_rows(scene):
+    """A log with skipped lines and groups that reach the two-means split.
+
+    Truth (36, 25): four sessions within a chip of their exact arrivals,
+    four whose B-A difference is a chip short (a second cluster), and one
+    whose A pilot was misdetected a symbol early (an outage). Five sessions
+    without truth at four points, and one clean session at (30, 40). Then a
+    repeated anchor, a timestamp regression and one line of each malformed
+    kind.
+    """
+    truth, other = (36.0, 25.0), (30.0, 40.0)
+    offsets = [(0, 0), (0, 1), (0, 0), (0, 1), (-1, 0), (-1, 0), (-1, 0), (-1, -1), (20, 0)]
+    sessions = [synthetic_log_rows(scene, [truth], offset_chips=off) for off in offsets]
+    for p in (truth, other, (45.0, 30.0), (28.0, 22.0), other):
+        sessions.append([r.rsplit(",", 2)[0] + ",," for r in synthetic_log_rows(scene, [p])])
+    sessions.append(synthetic_log_rows(scene, [other]))
+    rows = []
+    for k, session in enumerate(sessions):
+        for j, row in enumerate(session):
+            parts = row.split(",")
+            parts[0], parts[1] = repr(k + 0.25 * j), f"s{k:02d}"
+            rows.append(",".join(parts))
+    repeat = rows[3].split(",")  # s01's A again, 40 chips later
+    repeat[0], repeat[3] = "1.9", str(int(repeat[3]) + 40)
+    regression = rows[7].split(",")  # s02's B, stamped before s02's A
+    regression[0] = "1.95"
+    rows[7:7] = [
+        ",".join(repeat),
+        ",".join(regression),
+        "0.5,bad0,A,1000,50.0,1.0",  # six columns
+        "0.6,bad1,D,1000,50.0,,",  # unknown anchor
+        "0.7,bad2,B,10x0,50.0,,",  # non-integer arrival chip
+        "t0.8,bad3,C,1000,50.0,,",  # non-numeric timestamp
+    ]
     return rows
 
 
@@ -991,6 +1034,93 @@ class TestCliReplay:
             body = (out / name).read_text().lower()
             assert "nan" not in body and "inf" not in body, name
 
+    def test_rough_log_bytes_are_pinned(self, config_file, tmp_path, capsys):
+        # The rough log replayed and used as both diffcal logs: files, then
+        # each run's stdout and stderr. Its skipped lines and its two-cluster
+        # group reach the parser's error paths, the farthest-pair scan and the
+        # two-means split. Recorded with numpy 2.4.6 on x86-64 Linux.
+        from conftest import make_scene
+        log = tmp_path / "rough.csv"
+        write_log(log, rough_log_rows(make_scene()))
+        out = tmp_path / "o"
+        digests = {}
+        for args in (["replay", "--log", str(log)],
+                     ["diffcal", "--calibration", str(log), "--log", str(log)]):
+            assert main([*args, "--config", str(config_file), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            for name, text in (("stdout", captured.out), ("stderr", captured.err)):
+                digests[f"{args[0]}.{name}"] = hashlib.sha256(text.encode()).hexdigest()
+        digests |= {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == {
+            "replay_fixes.csv": "080721e1bdc058126da7441be16c76498a4eb91e1730cc2d41313dab2fd85bc4",
+            "replay_clusters.csv":
+                "bb49f44d00f39ce50c410d7ed3492e345c7e8c70a7492ae2e2c823c94d642287",
+            "diffcal_fixes.csv":
+                "8c78a8e4eabf35ed7d6396e4dc5a8d584f3394ff0ce07e3884c4ac208c2c3140",
+            "replay.stdout": "9baaebca2548a07102a8bd037159cfcd4605fe4bea244e2561e6c0010d227b40",
+            "replay.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "diffcal.stdout": "06ce96ce1a15d804c5d17188d7d7c4f294498c5b18fc19dc74fb568611c2184f",
+            "diffcal.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }
+        clusters = read_rows(out / "replay_clusters.csv")
+        assert [(r["truth_x_m"], r["n_fixes"], r["outages"], r["n_clusters"])
+                for r in clusters] == [("36.0", "8", "1", "2"), ("", "5", "0", "2"),
+                                       ("30.0", "1", "0", "1")]
+
+    def test_parser_edge_cases(self, tmp_path):
+        # What the parser keeps and skips, field by field.
+        rows = [
+            "# a comment, with, commas, in, it",
+            "  # an indented comment",
+            "",
+            "   ",
+            " 0.0 , s0 , a , 100 , 50.0 , 1.5 , 2.5 ",  # whitespace around each field
+            "0.1,s0,B,+12,50.0,1.5,2.5",
+            "0.2,s0,C, 12 ,50.0,1.5,2.5",
+            "timestamp_s,session,anchor,arrival_chip,chip_ns,truth_x_m,truth_y_m",
+            "timestamp_s ,session",  # a short header still is one
+            "1.0,s1,A,1_000,50.0",  # five columns: no truth
+            "1.1,s1,B,1000,50.0,3.0,",  # half-empty truth pair: no truth
+            "1.2,s1,C,1000,50.0, ,4.0",
+            "1.3,s2,A,1000,50.0,x,",  # the half pair is not parsed
+            "1.4,s2,B,1000,50.0,1.0,x",  # skipped: bad truth coordinate
+            "1.5,s2,B,1000,50.0,1.0",  # skipped: six columns
+            "1.6,s2,B,1000,50.0,1.0,2.0,3.0",  # skipped: eight columns
+            "1.7,s2,B,1.5,50.0,,",  # skipped: arrival chip not an integer
+            "1.8,s2,B,1000,50 .0,,",  # skipped: chip duration not a number
+            "1.9,s2,AB,1000,50.0,,",  # skipped: unknown anchor
+            "timestamp_s_x,s2,B,1000,50.0,,",  # skipped: not the header
+            "1_0.5,s3,A,7,1e1,,",
+            "11.0,s3,B,\x1f8\x1f,\x1f1e1,\x1f,",  # U+001F is whitespace to str.strip
+        ]
+        log = tmp_path / "log.csv"
+        write_log(log, rows, header=False)
+        records, skipped = parse_replay_log(log)
+        assert skipped == 7
+        assert [(r.timestamp_s, r.session, r.anchor, r.arrival_chip, r.chip_ns, r.truth)
+                for r in records] == [
+            (0.0, "s0", "A", 100, 50.0, (1.5, 2.5)),
+            (0.1, "s0", "B", 12, 50.0, (1.5, 2.5)),
+            (0.2, "s0", "C", 12, 50.0, (1.5, 2.5)),
+            (1.0, "s1", "A", 1000, 50.0, None),
+            (1.1, "s1", "B", 1000, 50.0, None),
+            (1.2, "s1", "C", 1000, 50.0, None),
+            (1.3, "s2", "A", 1000, 50.0, None),
+            (10.5, "s3", "A", 7, 10.0, None),
+            (11.0, "s3", "B", 8, 10.0, None),
+        ]
+        assert all(type(r.arrival_chip) is int for r in records)
+
+    def test_log_with_byte_order_mark(self, config_file, tmp_path, capsys):
+        # A log saved with a UTF-8 byte-order mark: its header is a header.
+        from conftest import make_scene
+        log = tmp_path / "log.csv"
+        write_log(log, synthetic_log_rows(make_scene(), [(36.0, 25.0)]))
+        log.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+        assert main(["replay", "--config", str(config_file), "--log", str(log),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "sessions_replayed = 1\nlines_skipped = 0\n"
+
 
 class TestClusterStats:
     def test_single_cluster(self):
@@ -1007,6 +1137,18 @@ class TestClusterStats:
             rng.normal((30, 30), 0.3, size=(15, 2)),
         ])
         assert cluster_stats(pts)["n_clusters"] == 2
+
+    def test_stats_equal_linalg_oracle(self):
+        # The norms and means are numpy's own expressions, so every value
+        # keeps its bits. A vector's norm is a dot product: summing its
+        # squares instead moved the last bit of about 8 % of random
+        # 2-vectors on x86-64 with numpy 2.4.6, and of mean_to_truth_m here.
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            for k, pts in enumerate(_clouds(seed)):
+                truth = None if k % 4 == 0 else tuple(rng.normal((36, 25), 3.0).tolist())
+                got = cluster_stats(pts, truth)
+                assert repr(got) == repr(_linalg_cluster_stats(pts, truth))
 
 
 def _dense_split_two_clusters(points):
@@ -1036,6 +1178,24 @@ def _clouds(seed):
         pts[n // 2:] = pts[: n - n // 2]  # every point duplicated
         yield pts
         yield np.vstack([rng.normal(0, 0.3, (n // 2, 2)), rng.normal(30, 0.3, (n - n // 2, 2))])
+
+
+def _linalg_cluster_stats(fix_points, truth):
+    # cluster_stats as it was with np.linalg.norm and np.mean: the oracle.
+    center = fix_points.mean(axis=0)
+    stats = {"n_fixes": len(fix_points), "mean_x_m": float(center[0]),
+             "mean_y_m": float(center[1]),
+             "spread_m": float(np.mean(np.linalg.norm(fix_points - center, axis=1))),
+             "n_clusters": 1}
+    labels, centers = _dense_split_two_clusters(fix_points)
+    if np.bincount(labels, minlength=2).min() >= 2:
+        intra = max(float(np.mean(np.linalg.norm(fix_points[labels == kk] - centers[kk],
+                                                 axis=1))) for kk in (0, 1))
+        if float(np.linalg.norm(centers[0] - centers[1])) > 3.0 * max(intra, 1e-9):
+            stats["n_clusters"] = 2
+    if truth is not None:
+        stats["mean_to_truth_m"] = float(np.linalg.norm(center - np.asarray(truth)))
+    return stats
 
 
 class TestClusterSplitBlocks:
