@@ -77,6 +77,8 @@ def _meta(cfg: Config, tool: str) -> dict:
 
 
 def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
+    """``# key = value`` lines of ``meta``, then the rows: csv spells a Python
+    float cell as its ``str``, its ``repr`` (a numpy scalar's can differ)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"# {key} = {value}\n")
@@ -93,19 +95,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_table(out: Path, stem: str, fmt: str, meta: dict, header: list[str], rows,
                  key: str, **summary) -> None:
-    """Write ``<stem>.csv``, or ``<stem>.json`` with the rows under ``key`` and the summary."""
+    """Write ``<stem>.csv``, or ``<stem>.json`` with the rows under ``key`` and the summary.
+
+    A JSON float cell is the string its CSV cell holds, its ``repr``, so
+    NaN and infinities stay valid JSON.
+    """
     if fmt == "json":
-        _write_json(out / f"{stem}.json",
-                    {"meta": meta, key: [dict(zip(header, r)) for r in rows], **summary})
+        rows = [{h: repr(v) if isinstance(v, float) else v for h, v in zip(header, r)}
+                for r in rows]
+        _write_json(out / f"{stem}.json", {"meta": meta, key: rows, **summary})
     else:
         _write_csv(out / f"{stem}.csv", meta, header, rows)
-
-
-def _fmt(value) -> str:
-    """Full-precision, round-trippable float formatting for CSV cells."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _is_ignored(line: str) -> bool:
@@ -203,33 +203,40 @@ def sessions_from_records(records) -> tuple[list[SessionTdoa], int]:
     return out, dropped
 
 
-# Pairwise distances are scanned this many (row, column) pairs at a time.
+# Pairwise distances are scanned about this many (row, column) pairs at a time.
 _PAIR_BLOCK = 1 << 16
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[int, int]:
     """First maximum, in row-major order, of the pairwise squared distances.
 
-    Scans blocks of rows through two reused buffers, so memory stays O(N)
-    instead of N x N. The first block holding the overall maximum (or a NaN,
-    as argmax counts it) wins.
+    Scans the upper triangle with its diagonal, j >= i, in blocks of rows
+    through two reused buffers, so memory stays O(N). d(i, j) = d(j, i) bit
+    for bit and (j, i) precedes (i, j) for j < i, so the full matrix's first
+    maximum (or first NaN, as argmax counts it) lies there, (0, 0) when all
+    distances are 0. The first block holding the overall maximum wins.
     """
     n = len(points)
     x, y = points[:, 0], points[:, 1]
-    rows = max(1, _PAIR_BLOCK // n)
-    dx, dy = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
+    size = min(max(n, _PAIR_BLOCK), n * n)
+    buf_x, buf_y = np.empty(size), np.empty(size)
     block_max = []
-    for r0 in range(0, n, rows):
-        bx, by = dx[:n - r0], dy[:n - r0]  # the last block may be short
-        np.subtract(x[r0:r0 + rows, None], x, out=bx)
-        np.subtract(y[r0:r0 + rows, None], y, out=by)
+    r0 = 0
+    while r0 < n:
+        width = n - r0
+        r1 = min(n, r0 + max(1, _PAIR_BLOCK // width))
+        bx = buf_x[:(r1 - r0) * width].reshape(r1 - r0, width)
+        by = buf_y[:bx.size].reshape(bx.shape)
+        np.subtract(x[r0:r1, None], x[r0:], out=bx)
+        np.subtract(y[r0:r1, None], y[r0:], out=by)
         np.multiply(bx, bx, out=bx)
         np.multiply(by, by, out=by)
         np.add(bx, by, out=bx)
         flat = int(bx.argmax())
-        block_max.append((bx.flat[flat], r0 * n + flat))
-    _, at = block_max[int(np.argmax([v for v, _ in block_max]))]
-    return divmod(at, n)
+        i, j = divmod(flat, width)
+        block_max.append((bx.flat[flat], (r0 + i, r0 + j)))
+        r0 = r1
+    return block_max[int(np.argmax([v for v, _ in block_max]))][1]
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -355,9 +362,8 @@ def cmd_theory(cfg: Config, args, out: Path) -> int:
     if tmap.singular.all():
         print("error: geometry matrix singular at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
-    # Python floats: _fmt takes the repr of a float, which numpy scalars spell otherwise
     rows = [
-        [_fmt(x), _fmt(y), _fmt(e_p), _fmt(cond), int(inside), int(singular)]
+        [x, y, e_p, cond, int(inside), int(singular)]
         for x, y, e_p, cond, inside, singular in zip(
             tmap.x.tolist(), tmap.y.tolist(), tmap.e_p.tolist(),
             tmap.condition_number.tolist(), tmap.inside.tolist(), tmap.singular.tolist(),
@@ -385,16 +391,11 @@ def cmd_simulate(cfg: Config, args, out: Path) -> int:
     chip_ns = cfg.signal.chip_ns
     points = zip(result.point_results, result.theory.x.tolist(), result.theory.y.tolist())
     for pi, (pres, x, y) in enumerate(points):
-        for ti, fix in enumerate(pres.fixes):
-            trial_rows.append(
-                [pi, ti, _fmt(x), _fmt(y), _fmt(fix.position[0]),
-                 _fmt(fix.position[1]), _fmt(float(pres.errors_m[ti])), int(fix.converged)]
-            )
+        for ti, (fix, err) in enumerate(zip(pres.fixes, pres.errors_m.tolist())):
+            trial_rows.append([pi, ti, x, y, *fix.position, err, int(fix.converged)])
             session = f"p{pi:03d}t{ti:05d}"
             for anchor, chip in zip("ABC", pres.start_chips[ti]):
-                detection_rows.append(
-                    [_fmt(float(ti)), session, anchor, chip, _fmt(chip_ns), _fmt(x), _fmt(y)]
-                )
+                detection_rows.append([float(ti), session, anchor, chip, chip_ns, x, y])
     _write_csv(
         out / "trials.csv",
         meta,
@@ -415,8 +416,8 @@ def cmd_sweep(cfg: Config, args, out: Path) -> int:
     header = ["power_mw", "sim_average_m", "theory_average_m",
               "sim_average_inside_m", "theory_average_inside_m"]
     rows = [
-        [_fmt(e.power_w * 1e3), _fmt(e.sim_average_m), _fmt(e.theory_average_m),
-         _fmt(e.sim_average_inside_m), _fmt(e.theory_average_inside_m)]
+        [e.power_w * 1e3, e.sim_average_m, e.theory_average_m,
+         e.sim_average_inside_m, e.theory_average_inside_m]
         for e in entries
     ]
     _write_table(out, "sweep", args.format, _meta(cfg, "sweep"), header, rows, "entries")
@@ -434,17 +435,15 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
         return EXIT_IO
     fixes, errors = solve_sessions(cfg.scene, sessions)
     meta = _meta(cfg, "replay") | {"skipped_lines": skipped, "incomplete_sessions": dropped}
-    # Replay cells are floats, so each is its repr (see _fmt).
     rows = []
     groups: dict[tuple | None, list] = {}  # truth (None where unknown) -> its fixes
     for sess, fix, err in zip(sessions, fixes, errors.tolist()):
         x, y = fix.position
         truth = sess.truth
         if truth is None:
-            rows.append([sess.session, "", "", repr(x), repr(y), "", int(fix.converged)])
+            rows.append([sess.session, "", "", x, y, "", int(fix.converged)])
         else:
-            rows.append([sess.session, repr(truth[0]), repr(truth[1]), repr(x), repr(y),
-                         repr(err), int(fix.converged)])
+            rows.append([sess.session, *truth, x, y, err, int(fix.converged)])
         groups.setdefault(truth, []).append(fix)
     _write_csv(
         out / "replay_fixes.csv", meta,
@@ -455,16 +454,11 @@ def cmd_replay(cfg: Config, args, out: Path) -> int:
     for truth, group in groups.items():
         pts = np.array([fix.position for fix in group if fix.converged]).reshape(-1, 2)
         stats = cluster_stats(pts, truth)
-        if truth is None:
-            truth_cells = ["", ""]
-            to_truth = ""
-        else:
-            truth_cells = [repr(truth[0]), repr(truth[1])]
-            to_truth = repr(stats["mean_to_truth_m"])
+        truth_cells = ["", ""] if truth is None else truth
         cluster_rows.append(
             [*truth_cells, stats["n_fixes"], len(group) - stats["n_fixes"],
-             repr(stats["mean_x_m"]), repr(stats["mean_y_m"]), repr(stats["spread_m"]),
-             to_truth, stats["n_clusters"]]
+             stats["mean_x_m"], stats["mean_y_m"], stats["spread_m"],
+             stats.get("mean_to_truth_m", ""), stats["n_clusters"]]
         )
     _write_csv(
         out / "replay_clusters.csv", meta,
@@ -504,10 +498,9 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
     ):
         (ux, uy), (cx, cy) = unc.position, cor.position
         if sess.truth is None:
-            rows.append([sess.session, "", "", repr(ux), repr(uy), "", repr(cx), repr(cy), ""])
+            rows.append([sess.session, "", "", ux, uy, "", cx, cy, ""])
         else:
-            rows.append([sess.session, repr(sess.truth[0]), repr(sess.truth[1]), repr(ux),
-                         repr(uy), repr(unc_err), repr(cx), repr(cy), repr(cor_err)])
+            rows.append([sess.session, *sess.truth, ux, uy, unc_err, cx, cy, cor_err])
     _write_csv(
         out / "diffcal_fixes.csv", meta,
         ["session", "truth_x_m", "truth_y_m", "uncorrected_x_m", "uncorrected_y_m",

@@ -279,14 +279,12 @@ def _p_cross(lam_s: float, params: SyncBoundParams, factors, e):
     """
     lam_b, big_l = params.lambda_b, params.length
     neg_2m, x, y, z, var_f = factors
-    # In place on two full-size buffers: fresh large arrays cost page faults.
     num = neg_2m * 0.5 * lam_s * x
     num -= big_l * 0.5 * lam_s * y
     num -= 0.5 * lam_s * z
     if lam_s == 0:
         return np.full(num.shape, 0.5)
-    var = 2.0 * (0.5 * lam_s + lam_b) * var_f
-    var += e * lam_s
+    var = 2.0 * (0.5 * lam_s + lam_b) * var_f + e * lam_s
     ok = var > 0
     limit = None
     if not ok.all():
@@ -330,8 +328,8 @@ def sync_mse_bound(params: SyncBoundParams) -> float | np.ndarray:
 class _BoundGrid(NamedTuple):
     """Everything in the sync-MSE bound that does not depend on the rates.
 
-    The cross-symbol factors are laid out as (m_max or 1, 2n * Q) rows, so
-    each rate-dependent pass runs over long contiguous inner loops.
+    Each factor keeps its broadcast shape over (m, k, node), with length 1
+    along an axis it does not vary on.
     """
 
     weights: np.ndarray  # Gauss-Legendre weights over the fractional offset, (Q,)
@@ -339,8 +337,8 @@ class _BoundGrid(NamedTuple):
     e_within: np.ndarray  # the same in symbols, (1, Q)
     within: tuple  # _within_factors over k = 1..n-1
     e_k2: np.ndarray  # squared timing errors of the within-symbol offsets, (n-1, Q)
-    e_cross: np.ndarray  # fractional offsets in symbols, (1, 2n * Q)
-    cross: tuple  # _cross_factors over m = 1..m_max and k = -n..n-1
+    e_cross: np.ndarray  # the same, (1, 1, Q)
+    cross: tuple  # _cross_factors: -2m (m, 1, 1), x, z (1, 2n, Q), y (1, 1, Q), var (m, 2n, 1)
     shift_mk: np.ndarray  # cross-symbol offsets (2m*n + k) * Tc in seconds, (m_max, 2n, 1)
     cross_max: tuple | None  # _cross_maxima: per-(m, k) maxima of N, A and B, (m_max * 2n,)
     e2_max: np.ndarray  # per-(m, k) maxima of the squared cross timing errors, (m_max * 2n,)
@@ -354,18 +352,26 @@ def _cross_maxima(neg_2m, x, y, z, var_f, e, big_l: int):
     N = (-2m*x - L*y - z) / 2, A = var_f + e and B = 2*var_f. In a block of
     Q nodes where N < 0 and A, B >= 0, every cell's gap is therefore at most
     lam_s*N_max / sqrt(lam_s*A_max + lam_b*B_max). Returns (N_max, A_max,
-    B_max), or None when some cell has no such bound (N >= 0, A <= 0 or
-    B < 0). Takes the factors unbroadcast and works one m at a time, so no
-    full-size temporary is made.
+    B_max), each (m_max * 2n,), or None when some cell has no such bound
+    (N >= 0, A <= 0 or B < 0).
+
+    Closed form on the end nodes e[0] and e[-1], with a node scan's float
+    operations. B does not depend on e, and A = var_f + e rises with e in
+    floats too (rounding is monotone): A's extremes are the scan's. N is
+    linear in e with slope (L - 4m - 2)/2: where that is not 0, the end
+    node's exact N exceeds the next node's by far more than the ~1e-14
+    relative rounding of each, so the maximum is the scan's; where it is
+    0, N is constant and the scan's maximum may exceed the ends' by a few
+    ulps (at most 3 for n <= 4096, L <= 65535, Q <= 200). ``_SKIP_MARGIN``
+    covers that, and N stays far from 0 where the bound exists, so the
+    sign test on the ends decides as the scan's.
     """
-    maxima = []
-    for i in range(len(neg_2m)):
-        num = 0.5 * (neg_2m[i] * x - big_l * y - z)
-        a, b = var_f[i] + e, 2.0 * var_f[i]
-        if np.any(num >= 0) or np.any(a <= 0) or np.any(b < 0):
-            return None
-        maxima.append([f.max(axis=-1).ravel() for f in (num, a, b)])
-    return tuple(np.concatenate(f) for f in zip(*maxima))
+    ends = [0, -1]
+    num = 0.5 * (neg_2m * x[..., ends] - big_l * y[..., ends] - z[..., ends])
+    a, b = var_f + e[..., ends], 2.0 * var_f
+    if np.any(num >= 0) or np.any(a <= 0) or np.any(b < 0):
+        return None
+    return tuple(f.max(axis=-1).ravel() for f in (num, a, b))
 
 
 def _legval(x, c):
@@ -435,17 +441,12 @@ def _bound_grid(n: int, big_l: int, symbol_s: float, m_max: int, points: int) ->
     m = np.arange(1, m_max + 1, dtype=float)[:, None, None]
     k_c = np.arange(-n, n, dtype=float)[None, :, None]
     e_c = e[None, None, :]
-
-    def rows(a):
-        return np.broadcast_to(a, (len(a), 2 * n, points)).reshape(len(a), -1)
-
-    neg_2m, *block = _cross_factors(m, k_c, e_c, n, big_l)
+    cross = _cross_factors(m, k_c, e_c, n, big_l)
     shift_mk = (2.0 * m * n + k_c) * t_c
     grid = _BoundGrid(
         weights, eps, e[None, :], _within_factors(k, e[None, :], n), e_k**2,
-        rows(e_c), (neg_2m.reshape(-1, 1), *map(rows, block)), shift_mk,
-        _cross_maxima(neg_2m, *block, e_c, big_l),
-        ((shift_mk - eps) ** 2).max(axis=-1).ravel(),  # the pass's own terms, (shift - eps)**2
+        e_c, cross, shift_mk, _cross_maxima(*cross, e_c, big_l),
+        ((shift_mk - eps[[0, -1]]) ** 2).max(axis=-1).ravel(),  # shift - eps > 0 falls with eps
         (n, big_l, symbol_s, m_max, points),
     )
     for arr in (*grid[:3], *grid.within, grid.e_k2, grid.e_cross, *grid.cross, grid.shift_mk,

@@ -600,6 +600,47 @@ class TestCliSweep:
         assert payload["meta"]["tool"] == "uvtdoa sweep"
 
 
+# Floats whose spelling a formatter can get wrong: signs, subnormals, the
+# switch to exponent notation and a sum that is not its decimal.
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+def table_rows(path):
+    """Header and data rows of an output CSV, as the strings in its cells."""
+    rows = list(csv.reader(l for l in path.read_text().splitlines() if not l.startswith("#")))
+    return rows[0], rows[1:]
+
+
+class TestReportCells:
+    def test_float_cells_are_their_repr(self, tmp_path):
+        from uvtdoa.cli import _write_table
+
+        header = [f"f{i}" for i in range(len(ODD_FLOATS))] + ["count", "flag"]
+        rows = [[*ODD_FLOATS, 3, 0], [*ODD_FLOATS[::-1], -1, 1]]
+        for fmt in ("csv", "json"):
+            _write_table(tmp_path, "cells", fmt, {"tool": "test"}, header, rows, "rows")
+        got_header, got = table_rows(tmp_path / "cells.csv")
+        want = [[repr(v) if isinstance(v, float) else str(v) for v in r] for r in rows]
+        assert got_header == header and got == want
+        payload = json.loads((tmp_path / "cells.json").read_text())
+        assert payload["rows"] == [
+            {h: repr(v) if isinstance(v, float) else v for h, v in zip(header, r)} for r in rows
+        ]
+        assert all(type(r["count"]) is int and type(r["flag"]) is int for r in payload["rows"])
+
+    @pytest.mark.parametrize("command, key", [(["theory"], "points"),
+                                              (["sweep", "--powers-mw", "30,150"], "entries")])
+    def test_json_rows_equal_csv_rows(self, config_file, tmp_path, command, key):
+        stem = {"points": "theory_map", "entries": "sweep"}[key]
+        for fmt in ("csv", "json"):
+            assert main([*command, "--config", str(config_file), "--out", str(tmp_path),
+                         "--format", fmt]) == 0
+        header, rows = table_rows(tmp_path / f"{stem}.csv")
+        payload = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert [list(r) for r in payload[key]] == [header] * len(rows)
+        assert [[str(v) for v in r.values()] for r in payload[key]] == rows
+
+
 class TestCliExitCodes:
     def test_slot_too_short_for_clock_is_config_error(self, tmp_path, capsys):
         # 64 us pilot + ~0.3 us flight + 5 us clock bound does not fit a
@@ -1178,6 +1219,10 @@ def _clouds(seed):
         pts[n // 2:] = pts[: n - n // 2]  # every point duplicated
         yield pts
         yield np.vstack([rng.normal(0, 0.3, (n // 2, 2)), rng.normal(30, 0.3, (n - n // 2, 2))])
+        yield np.full((n, 2), 4.5)  # every distance 0
+        pts = rng.normal(size=(n, 2))
+        pts[(n * 2) // 3, seed % 2] = math.nan  # a NaN row and column
+        yield pts
 
 
 def _linalg_cluster_stats(fix_points, truth):
@@ -1208,7 +1253,21 @@ class TestClusterSplitBlocks:
             labels, centers = cli._split_two_clusters(pts)
             want_labels, want_centers = _dense_split_two_clusters(pts)
             assert np.array_equal(labels, want_labels)
-            assert np.array_equal(centers, want_centers)
+            assert np.array_equal(centers, want_centers, equal_nan=True)  # NaN clouds: NaN centres
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+    def test_farthest_pair_equals_dense_argmax(self, monkeypatch, block):
+        # The upper-triangle scan gives the full matrix's first maximum in
+        # row-major order: (0, 0) when every distance is 0, and the first
+        # NaN when a point has one.
+        from uvtdoa import cli
+
+        monkeypatch.setattr(cli, "_PAIR_BLOCK", block)
+        for seed in (0, 1):
+            for pts in _clouds(seed):
+                d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+                want = np.unravel_index(np.argmax(d2), d2.shape)
+                assert cli._farthest_pair(pts) == tuple(int(v) for v in want)
 
     def test_seed_pair_is_first_maximum(self):
         from uvtdoa.cli import _farthest_pair

@@ -192,7 +192,7 @@ class TestMisdetectCrossSymbol:
         assert grid.cross[0].ravel().tolist() == (-2.0 * m).ravel().tolist()
         chips = np.rint(grid.shift_mk[..., 0] / params.chip_s)
         assert np.array_equal(chips, 2 * m * n + np.arange(-n, n)[None, :])
-        assert grid.e_cross.shape == (1, 2 * n * params.eps_quadrature_points)
+        assert grid.e_cross.shape == (1, 1, params.eps_quadrature_points)
 
 
 class TestSyncMseBound:
@@ -945,6 +945,99 @@ class TestNegligibleCrossPass:
         tmap = theory_points(scene, points, budget, signal, ClockModel.uniform(0, 100e-9))
         assert not np.isnan(tmap.e_p).all()
         assert calls == {"_p_cross": 0, "_cross_is_negligible": 0}
+
+
+def _node_scan_maxima(neg_2m, x, y, z, var_f, e, big_l):
+    # _cross_maxima as a scan of every node, one m at a time: the reference
+    # for its closed form on the end nodes.
+    maxima = []
+    for i in range(len(neg_2m)):
+        num = 0.5 * (neg_2m[i] * x - big_l * y - z)
+        a, b = var_f[i] + e, 2.0 * var_f[i]
+        if np.any(num >= 0) or np.any(a <= 0) or np.any(b < 0):
+            return None
+        maxima.append([f.max(axis=-1).ravel() for f in (num, a, b)])
+    return tuple(np.concatenate(f) for f in zip(*maxima))
+
+
+def _grid_arrays(grid):
+    # Every array the cached grid holds.
+    for field in grid:
+        for item in (field if isinstance(field, tuple) else (field,)):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+# The closed-form sweep: every m_max with 2 m_max < L on each pilot length.
+CLOSED_FORM_GRIDS = [
+    (n, length, m_max)
+    for n in (1, 2, 7, 20, 100) for length in (8, 16, 34, 64, 256)
+    for m_max in (1, 3, 8, 15, 22, 31) if 2 * m_max < length
+]
+CLOSED_FORM_RATES = [0.0, 0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 20.0, 50.0, 100.0, math.nan]
+
+
+class TestBoundGridShapes:
+    @pytest.mark.parametrize("m_max, cache_limit", [(8, 250_000), (22, 400_000)])
+    def test_grid_memory(self, m_max, cache_limit):
+        # The rate-free grid keeps each factor at its broadcast shape: no
+        # cached array is as large as the (m, k, node) grid of cells.
+        n, length, points = 100, 256, 33
+        _leggauss(points)  # numpy's first eigvalsh call allocates once
+        tracemalloc.start()
+        try:
+            grid = _bound_grid.__wrapped__(n, length, 1e-6, m_max, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = list(_grid_arrays(grid))
+        assert all(a.size < m_max * 2 * n * points for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= cache_limit
+        if m_max == 8:
+            assert peak <= 500_000
+
+    @pytest.mark.parametrize("n, length, m_max", CLOSED_FORM_GRIDS)
+    def test_closed_form_maxima_equal_the_node_scan(self, n, length, m_max):
+        # A, B and the squared errors' maxima are the scan's exactly; N's
+        # differ by a few ulps at most, where it is constant over a block.
+        for points in (8, 33):
+            grid = _bound_grid(n, length, 1e-6, m_max, points)
+            assert np.array_equal(grid.e2_max,
+                                  ((grid.shift_mk - grid.eps) ** 2).max(axis=-1).ravel())
+            want = _node_scan_maxima(*grid.cross, grid.e_cross, length)
+            if want is None:
+                assert grid.cross_max is None
+                continue
+            n_max, a_max, b_max = grid.cross_max
+            assert np.array_equal(a_max, want[1]) and np.array_equal(b_max, want[2])
+            assert np.all(np.abs(n_max - want[0]) <= 4 * np.spacing(np.abs(want[0])))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 100])
+    def test_closed_form_leaves_every_bound(self, n, monkeypatch):
+        # Bounds and tail fractions with the closed-form maxima equal, bit
+        # for bit, those with the node scan's, over the whole sweep.
+        def detail():
+            out = []
+            with np.errstate(invalid="ignore"):
+                for (_, length, m_max), lam_b in itertools.product(
+                        (g for g in CLOSED_FORM_GRIDS if g[0] == n), (0.0, 0.5, 1.0, 3.0)):
+                    params = SyncBoundParams(
+                        lambda_s=np.array(CLOSED_FORM_RATES), lambda_b=lam_b, length=length,
+                        chips_per_symbol=n, symbol_s=1e-6, m_max=m_max,
+                    )
+                    out.append([a.tobytes() for a in _sync_mse_bound_detail(params)])
+            return out
+
+        got = detail()
+        try:
+            _bound_grid.cache_clear()
+            _cross_zero_from.cache_clear()
+            monkeypatch.setattr(errortheory, "_cross_maxima", _node_scan_maxima)
+            assert detail() == got
+        finally:
+            monkeypatch.undo()
+            _bound_grid.cache_clear()
+            _cross_zero_from.cache_clear()
 
 
 def _legval_has_the_numpy_2_4_form():
