@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelError
 from .config import Config, ConfigError, config_hash, load_config
-from .errortheory import TheoryError, theory_points
+from .errortheory import TheoryError, grid_average, theory_points
 from .montecarlo import (
     CampaignError,
     check_seed,
@@ -319,12 +319,6 @@ def cluster_stats(fix_points: np.ndarray, truth=None) -> dict:
     return stats
 
 
-def _mean_of_fixes(errors_m: np.ndarray) -> float:
-    """Mean of the non-NaN errors: the sessions with truth and a fix."""
-    fixed = errors_m[~np.isnan(errors_m)]
-    return float(np.mean(fixed)) if fixed.size else math.nan
-
-
 def _finite_or_none(value: float):
     return float(value) if np.isfinite(value) else None
 
@@ -508,8 +502,8 @@ def cmd_diffcal(cfg: Config, args, out: Path) -> int:
         rows,
     )
     if any(sess.truth is not None for sess in sessions):
-        print(f"uncorrected_average_error_m = {_mean_of_fixes(res.uncorrected_errors_m):.6f}")
-        print(f"corrected_average_error_m = {_mean_of_fixes(res.corrected_errors_m):.6f}")
+        print(f"uncorrected_average_error_m = {grid_average(res.uncorrected_errors_m):.6f}")
+        print(f"corrected_average_error_m = {grid_average(res.corrected_errors_m):.6f}")
     print(f"sessions = {len(sessions)}")
     for key, value in counts.items():
         print(f"{key} = {value}")

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,56 +28,65 @@ class ConfigError(ValueError):
     """Malformed configuration file."""
 
 
-# section -> key -> (kind, required). Kinds: float, int, pair, str.
-_SCHEMA = {
-    "scene": {
-        "tx_a_m": ("pair", True),
-        "tx_b_m": ("pair", True),
-        "tx_c_m": ("pair", True),
-        "rx_true_m": ("pair", False),
-    },
-    "grid": {
-        "x_min_m": ("float", False),
-        "x_max_m": ("float", False),
-        "y_min_m": ("float", False),
-        "y_max_m": ("float", False),
-        "steps_x": ("int", False),
-        "steps_y": ("int", False),
-    },
-    "budget": {
-        "power_w": ("float", True),
-        "rx_area_m2": ("float", True),
-        "divergence_full_angle_deg": ("float", True),
-        "wavelength_m": ("float", True),
-        "detector_efficiency": ("float", False),
-        "lambda_b_per_symbol": ("float", False),
-        "lambda_clip_per_symbol": ("float", False),
-    },
-    "signal": {
-        "sequence_length": ("int", True),
-        "symbol_rate_hz": ("float", True),
-        "chips_per_symbol": ("int", True),
-        "slot_interval_s": ("float", True),
-        "pilot_seed": ("int", False),
-    },
-    "clock": {
-        "distribution": ("str", True),
-        "lo_ns": ("float", False),
-        "hi_ns": ("float", False),
-    },
-    "campaign": {
-        "trials_per_point": ("int", False),
-        "seed": ("int", False),
-    },
-}
+class _Key(NamedTuple):
+    section: str
+    key: str
+    kind: str  # float, int, pair or str
+    required: bool
+    value: Callable  # Config -> the key's value in file units; None: not written
+    default: object = None  # only where the key configures no dataclass field directly
 
-# Defaults of the optional keys that configure no dataclass field directly;
-# every other optional key left out takes its field's default.
-_DEFAULTS = {
-    ("signal", "pilot_seed"): 1,
-    ("clock", "lo_ns"): 0.0,
-    ("clock", "hi_ns"): 0.0,
-}
+
+# Every key of the config file, in file order. parse_config checks and
+# defaults keys by these rows; serialize_config writes one line per row, so
+# every key the file can set is in the canonical text behind config_sha256.
+_KEYS = (
+    _Key("scene", "tx_a_m", "pair", True, attrgetter("scene.tx_a")),
+    _Key("scene", "tx_b_m", "pair", True, attrgetter("scene.tx_b")),
+    _Key("scene", "tx_c_m", "pair", True, attrgetter("scene.tx_c")),
+    _Key("scene", "rx_true_m", "pair", False, attrgetter("scene.rx_true")),
+    _Key("grid", "x_min_m", "float", False, attrgetter("grid.x_min")),
+    _Key("grid", "x_max_m", "float", False, attrgetter("grid.x_max")),
+    _Key("grid", "y_min_m", "float", False, attrgetter("grid.y_min")),
+    _Key("grid", "y_max_m", "float", False, attrgetter("grid.y_max")),
+    _Key("grid", "steps_x", "int", False, attrgetter("grid.steps_x")),
+    _Key("grid", "steps_y", "int", False, attrgetter("grid.steps_y")),
+    _Key("budget", "power_w", "float", True, attrgetter("budget.power_w")),
+    _Key("budget", "rx_area_m2", "float", True, attrgetter("budget.rx_area_m2")),
+    _Key("budget", "divergence_full_angle_deg", "float", True,
+         lambda c: _degrees(c.budget.divergence_full_angle_rad)),
+    _Key("budget", "wavelength_m", "float", True, attrgetter("budget.wavelength_m")),
+    _Key("budget", "detector_efficiency", "float", False, attrgetter("budget.detector_efficiency")),
+    _Key("budget", "lambda_b_per_symbol", "float", False, attrgetter("budget.lambda_b")),
+    _Key("budget", "lambda_clip_per_symbol", "float", False, attrgetter("budget.lambda_clip")),
+    _Key("signal", "sequence_length", "int", True, attrgetter("signal.length")),
+    _Key("signal", "symbol_rate_hz", "float", True, attrgetter("signal.symbol_rate_hz")),
+    _Key("signal", "chips_per_symbol", "int", True, attrgetter("signal.chips_per_symbol")),
+    _Key("signal", "slot_interval_s", "float", True, attrgetter("signal.slot_interval_s")),
+    _Key("signal", "pilot_seed", "int", False, attrgetter("pilot_seed"), 1),
+    _Key("clock", "distribution", "str", True, attrgetter("clock.distribution")),
+    _Key("clock", "lo_ns", "float", False,
+         lambda c: c.clock.lo_s * 1e9 if c.clock.distribution == "uniform" else None, 0.0),
+    _Key("clock", "hi_ns", "float", False,
+         lambda c: c.clock.hi_s * 1e9 if c.clock.distribution == "uniform" else None, 0.0),
+    _Key("campaign", "trials_per_point", "int", False, attrgetter("trials_per_point")),
+    _Key("campaign", "seed", "int", False, attrgetter("seed")),
+)
+_ROWS = {(row.section, row.key): row for row in _KEYS}
+_SECTIONS = {row.section for row in _KEYS}
+
+
+def _degrees(rad: float) -> float:
+    """The degree value nearest ``math.degrees(rad)`` that ``math.radians`` maps to ``rad``.
+
+    ``math.radians`` is monotone, so stepping one ulp at a time toward ``rad``
+    finds it; an angle that no degree value maps to keeps ``math.degrees(rad)``.
+    """
+    deg = near = math.degrees(rad)
+    up = math.radians(deg) < rad
+    while math.radians(near) < rad if up else math.radians(near) > rad:
+        near = math.nextafter(near, math.inf if up else -math.inf)
+    return near if math.radians(near) == rad else deg
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,9 @@ def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: 
     the clock's upper bound and one chip. Early side: the earliest arrival
     (shortest flight time to the receiver or any grid point, the clock's
     lower bound and a -1/2 chip fractional offset) may start at most one
-    chip before its slot, the limit ``render_frame`` enforces.
+    chip before its slot, the limit ``render_frame`` enforces. Anchor A's
+    slot opens the frame, so a pilot whose first symbol is on may not start
+    before it at all: ``pilot_rate_profile`` has no chip there.
     """
     dists = anchor_ranges(scene, np.vstack([scene.rx_true, grid.points()]))
     flight_s = float(dists.max()) / SPEED_OF_LIGHT
@@ -128,11 +140,16 @@ def _check_slot_fits(scene: Scene, grid: GridSpec, signal: SignalParams, clock: 
             f"[signal] slot_interval_s = {signal.slot_interval_s!r} is shorter than pilot "
             f"+ longest flight time + clock hi + one chip = {need_s!r} s"
         )
-    earliest_s = float(dists.min()) / SPEED_OF_LIGHT + clock.lo_s - signal.chip_s / 2.0
-    if earliest_s < -signal.chip_s:
+    earliest_s = (dists.min(axis=0) / SPEED_OF_LIGHT + clock.lo_s - signal.chip_s / 2.0).tolist()
+    if min(earliest_s) < -signal.chip_s:
         raise ConfigError(
-            f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts a pilot {-earliest_s!r} s "
+            f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts a pilot {-min(earliest_s)!r} s "
             f"before its slot, more than one chip ({signal.chip_s!r} s)"
+        )
+    if signal.sequence[0] and earliest_s[0] < 0:
+        raise ConfigError(
+            f"[clock] lo_ns = {clock.lo_s * 1e9!r} starts anchor A's pilot, whose first "
+            f"symbol is on, {-earliest_s[0]!r} s before the frame's first chip"
         )
 
 
@@ -147,19 +164,18 @@ def parse_config(text: str) -> Config:
 
     values: dict[tuple[str, str], object] = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _ROWS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind, _ = _SCHEMA[section][key]
-            values[(section, key)] = _parse_value(kind, raw, f"[{section}] {key}")
-    for section, keys in _SCHEMA.items():
-        for key, (_, required) in keys.items():
-            if required and (section, key) not in values:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    for loc, default in _DEFAULTS.items():
-        values.setdefault(loc, default)
+            kind = _ROWS[section, key].kind
+            values[section, key] = _parse_value(kind, raw, f"[{section}] {key}")
+    for row in _KEYS:
+        if row.required and (row.section, row.key) not in values:
+            raise ConfigError(f"missing required key {row.key!r} in section [{row.section}]")
+        if row.default is not None:
+            values.setdefault((row.section, row.key), row.default)
 
     def get(section, key):
         return values.get((section, key))
@@ -179,7 +195,7 @@ def parse_config(text: str) -> Config:
         explicit = [get("grid", k) for k in grid_keys]
         steps = given("grid", steps_x="steps_x", steps_y="steps_y")
         if all(v is not None for v in explicit):
-            grid = GridSpec(*[float(v) for v in explicit], **steps)
+            grid = GridSpec(*explicit, **steps)
         elif any(v is not None for v in explicit):
             raise ConfigError(
                 "[grid] must define all of x_min_m/x_max_m/y_min_m/y_max_m or none"
@@ -219,7 +235,7 @@ def parse_config(text: str) -> Config:
             clock = ClockModel.uniform(
                 get("clock", "lo_ns") / 1e9, get("clock", "hi_ns") / 1e9
             )
-        elif dist in ("none", "ideal"):
+        elif dist == "none":
             clock = ClockModel.ideal()
         else:
             raise ConfigError(
@@ -248,46 +264,22 @@ def load_config(path) -> Config:
 
 
 def serialize_config(cfg: Config) -> str:
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg."""
-    out = io.StringIO()
-    deg = math.degrees(cfg.budget.divergence_full_angle_rad)
-    out.write("[scene]\n")
-    for key, val in (
-        ("tx_a_m", cfg.scene.tx_a),
-        ("tx_b_m", cfg.scene.tx_b),
-        ("tx_c_m", cfg.scene.tx_c),
-        ("rx_true_m", cfg.scene.rx_true),
-    ):
-        out.write(f"{key} = {val[0]!r}, {val[1]!r}\n")
-    out.write("\n[grid]\n")
-    out.write(f"x_min_m = {cfg.grid.x_min!r}\nx_max_m = {cfg.grid.x_max!r}\n")
-    out.write(f"y_min_m = {cfg.grid.y_min!r}\ny_max_m = {cfg.grid.y_max!r}\n")
-    out.write(f"steps_x = {cfg.grid.steps_x}\nsteps_y = {cfg.grid.steps_y}\n")
-    out.write("\n[budget]\n")
-    out.write(f"power_w = {cfg.budget.power_w!r}\n")
-    out.write(f"rx_area_m2 = {cfg.budget.rx_area_m2!r}\n")
-    out.write(f"divergence_full_angle_deg = {deg!r}\n")
-    out.write(f"wavelength_m = {cfg.budget.wavelength_m!r}\n")
-    out.write(f"detector_efficiency = {cfg.budget.detector_efficiency!r}\n")
-    out.write(f"lambda_b_per_symbol = {cfg.budget.lambda_b!r}\n")
-    out.write(f"lambda_clip_per_symbol = {cfg.budget.lambda_clip!r}\n")
-    out.write("\n[signal]\n")
-    out.write(f"sequence_length = {cfg.signal.length}\n")
-    out.write(f"symbol_rate_hz = {cfg.signal.symbol_rate_hz!r}\n")
-    out.write(f"chips_per_symbol = {cfg.signal.chips_per_symbol}\n")
-    out.write(f"slot_interval_s = {cfg.signal.slot_interval_s!r}\n")
-    out.write(f"pilot_seed = {cfg.pilot_seed}\n")
-    out.write("\n[clock]\n")
-    if cfg.clock.distribution == "uniform":
-        out.write("distribution = uniform\n")
-        out.write(f"lo_ns = {cfg.clock.lo_s * 1e9!r}\n")
-        out.write(f"hi_ns = {cfg.clock.hi_s * 1e9!r}\n")
-    else:
-        out.write("distribution = none\n")
-    out.write("\n[campaign]\n")
-    out.write(f"trials_per_point = {cfg.trials_per_point}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    return out.getvalue()
+    """Canonical text form, every key written; parse(serialize(cfg)) reproduces cfg."""
+    lines = []
+    section = None
+    for row in _KEYS:
+        value = row.value(cfg)
+        if value is None:
+            continue
+        if row.section != section:
+            section = row.section
+            lines += ["", f"[{section}]"]
+        if row.kind == "pair":
+            value = f"{value[0]!r}, {value[1]!r}"
+        elif row.kind == "float":
+            value = repr(value)
+        lines.append(f"{row.key} = {value}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def config_hash(cfg: Config) -> str:

@@ -764,7 +764,7 @@ def positioning_mse(
     return ErrorBudget(mse.reshape(batch + (2, 2)), e_p.reshape(batch), cond.reshape(batch))
 
 
-def grid_average(values, inside, inside_only: bool = False) -> float:
+def grid_average(values, inside=None, inside_only: bool = False) -> float:
     """Mean of the non-NaN ``values``, over the ``inside`` points only if asked.
 
     NaN marks a point without a value (a singular geometry, a point without

@@ -178,7 +178,7 @@ def run_point(
     fixed = errors[~np.isnan(errors)]
     return PointResult(
         rmse_m=_rms(fixed),
-        mean_error_m=float(np.mean(fixed)) if fixed.size else math.nan,
+        mean_error_m=grid_average(errors),
         solver_failures=sum(not fix.converged for fix in fixes),
         fixes=fixes,
         errors_m=errors,

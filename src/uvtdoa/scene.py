@@ -151,6 +151,8 @@ class GridSpec:
     steps_y: int = 9
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):  # no numpy scalar in a config's repr
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise SceneError(
                 f"grid bounds must satisfy x_min < x_max and y_min < y_max, got "

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import hashlib
 import json
@@ -11,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uvtdoa import ConfigError, config_hash, parse_config, serialize_config
+from uvtdoa import ConfigError, config_hash, generate_pilot, parse_config, serialize_config
 from uvtdoa.cli import (
     cluster_stats,
     main,
     parse_replay_log,
     sessions_from_records,
 )
+from uvtdoa.config import _KEYS
 from uvtdoa.scene import SPEED_OF_LIGHT
 
 CONFIG_TEXT = """
@@ -97,6 +99,56 @@ class TestConfigParsing:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    def test_canonical_text_is_pinned(self):
+        # config_sha256 is the hash of this text: a change to how the key
+        # table writes a value moves the hash of every artifact.
+        cfg = parse_config(CONFIG_TEXT)
+        assert config_hash(cfg) == (
+            "42d15055acbbbaf3619ac23612548063d71a2b1b99d88321fe33d3a7e7aac87a")
+        text = serialize_config(cfg)
+        assert "\nlo_ns = 0.0\nhi_ns = 100.0\n" in text
+        ideal = serialize_config(parse_config(CONFIG_TEXT.replace(
+            "distribution = uniform", "distribution = none")))
+        assert "\n[clock]\ndistribution = none\n\n[campaign]\n" in ideal
+
+    @pytest.mark.parametrize("old, new", [
+        # the default grid's bounds are computed, and must reach the text
+        # as plain floats on any numpy
+        ("x_min_m = 25\nx_max_m = 50\ny_min_m = 20\ny_max_m = 45\n", ""),
+        ("[grid]\nx_min_m = 25\nx_max_m = 50\ny_min_m = 20\ny_max_m = 45\n"
+         "steps_x = 3\nsteps_y = 3\n", ""),
+        # math.radians(math.degrees(r)) is not r for the radians of 3 or 24
+        # degrees: the text must hold a degree value that maps back to r
+        ("divergence_full_angle_deg = 120", "divergence_full_angle_deg = 3"),
+        ("divergence_full_angle_deg = 120", "divergence_full_angle_deg = 24"),
+    ], ids=["grid_steps_only", "no_grid_section", "3_deg", "24_deg"])
+    def test_round_trip_of_computed_values(self, old, new):
+        assert old in CONFIG_TEXT
+        cfg = parse_config(CONFIG_TEXT.replace(old, new))
+        again = parse_config(serialize_config(cfg))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+
+    def test_ideal_is_not_a_clock_distribution(self, tmp_path, capsys):
+        text = CONFIG_TEXT.replace("distribution = uniform", "distribution = ideal")
+        with pytest.raises(ConfigError, match="must be 'uniform' or 'none', got 'ideal'"):
+            parse_config(text)
+        path = tmp_path / "ideal.cfg"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "must be 'uniform' or 'none'" in capsys.readouterr().err
+
+    def test_readme_example_has_every_key(self):
+        # The README's example config sets exactly the keys of the key table.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration format", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), strict=True)
+        cp.read_string(block)
+        keys = {(name, key) for name in cp.sections() for key in cp[name]}
+        assert keys == {(row.section, row.key) for row in _KEYS}
+        parse_config(block)
 
     def test_config_takes_its_points_from_the_grid_only(self):
         # serialize_config, and so config_sha256, records the grid and not a
@@ -204,9 +256,9 @@ seed = 11
 # cache: files, then each run's stdout and stderr.
 WEAK_LINK_WARNINGS = 23
 WEAK_LINK_DIGESTS = {
-    "theory_map.csv": "51b84bcec63af094cddc50e9bcff68a8e56f4559ed75263f3a0ec5cecf695a51",
-    "theory_map.json": "eefad39f13588dcc8a50a1e2ef34185db4a768d6a2052fdaf123e4901ad5f484",
-    "sweep.csv": "178fb32e615db843c6f63005997ffa605f84741e1ed4e1755d9cee958c1db602",
+    "theory_map.csv": "694169545a3fc19ed403674069403428797dc63bab6e05cbe55db739f13c872b",
+    "theory_map.json": "9e26588d9764f0867597c4503c6539265c53920ade36c569ba00bd7d705d769c",
+    "sweep.csv": "88f76ce39982dbad07d2bd55f47e24e402add1577d79e31691f18279938b9558",
     "theory0.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
     "theory0.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "theory1.stdout": "b33a7bd7408f5210756ec941d81efc808f6dd7bda898510d418067303662d0d9",
@@ -763,6 +815,26 @@ class TestCliExitCodes:
         parse_config(CONFIG_TEXT.replace("lo_ns = 0", "lo_ns = -130"))
         with pytest.raises(ConfigError, match="lo_ns"):
             parse_config(CONFIG_TEXT.replace("lo_ns = 0", "lo_ns = -135"))
+
+    def test_anchor_a_pilot_starts_inside_the_frame(self, tmp_path, capsys):
+        # 500 ns chips and a grid point 0.7 m from anchor A: the fractional
+        # offset can start A's pilot up to 248 ns before the frame's first
+        # chip. A pilot whose first symbol is off still has all its photons
+        # in the frame; one whose first symbol is on cannot be rendered.
+        text = (CONFIG_TEXT.replace("symbol_rate_hz = 1e6", "symbol_rate_hz = 1e5")
+                .replace("x_min_m = 25", "x_min_m = 0.5").replace("y_min_m = 20", "y_min_m = 0.5"))
+        for seed, bit in ((1, 0), (63, 1)):
+            assert generate_pilot(64, seed)[0] == bit
+            path = tmp_path / f"first-{bit}.cfg"
+            path.write_text(text.replace(
+                "slot_interval_s = 100e-6", f"slot_interval_s = 1e-3\npilot_seed = {seed}"))
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / f"o{bit}")])
+            err = capsys.readouterr().err
+            if bit:
+                assert code == 2
+                assert "anchor A's pilot, whose first symbol is on" in err
+            else:
+                assert code == 0, err
 
     def test_non_utf8_config_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
