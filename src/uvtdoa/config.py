@@ -171,6 +171,11 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             kind = _ROWS[section, key].kind
             values[section, key] = _parse_value(kind, raw, f"[{section}] {key}")
+    if values.get(("clock", "distribution")) == "none":
+        # an ideal clock has no bounds: a bound given for it would be dropped
+        for key in ("lo_ns", "hi_ns"):
+            if ("clock", key) in values:
+                raise ConfigError(f"[clock] {key} is not allowed with distribution = none")
     for row in _KEYS:
         if row.required and (row.section, row.key) not in values:
             raise ConfigError(f"missing required key {row.key!r} in section [{row.section}]")

@@ -295,6 +295,52 @@ def _p_cross(lam_s: float, params: SyncBoundParams, factors, e):
     return p if limit is None else np.where(ok, p, limit)
 
 
+# Cells per block of a cross-symbol pass: ~64 KB per float64 temporary,
+# under the 128 KB from which glibc's malloc maps fresh pages for an array
+# and faults them in anew for every rate. On a 2-core Xeon (numpy 2.4.6),
+# a weak bound (lam_s = 2, L = 256) whose pass ran over all 52 800 cells
+# of the default grid at once took 4.9 ms, ~970 minor faults and a 4.1 MB
+# traced peak; in blocks of one m-row, 3.3 ms, no fault and 1.0 MB.
+_CROSS_BLOCK = 2**13
+
+
+def _cross_blocks(m_max: int, k_count: int, points: int) -> list:
+    """(m, k) slices tiling the cross-symbol cells, at most ``_CROSS_BLOCK`` cells each.
+
+    Whole m-rows of ``k_count * points`` cells, as many as fit; an m-row
+    larger than the budget is split along k (a single k-row is the
+    smallest block, whatever its size).
+    """
+    row = k_count * points
+    if row <= _CROSS_BLOCK:
+        step = _CROSS_BLOCK // row
+        return [(slice(m, m + step), slice(None)) for m in range(0, m_max, step)]
+    step = max(1, _CROSS_BLOCK // points)
+    return [(slice(m, m + 1), slice(k, k + step))
+            for m in range(m_max) for k in range(0, k_count, step)]
+
+
+def _cross_terms(lam_s: float, params: SyncBoundParams, g: _BoundGrid,
+                 terms: np.ndarray) -> bool:
+    """Fill ``terms``, (m_max, 2n, Q), with each cross cell's squared timing error times its p.
+
+    One ``_p_cross`` per block of ``_cross_blocks``, on the block's slices
+    of the broadcast factors, so every cell goes through the float
+    operations of a whole-grid call. True when some probability is not 0.0
+    (NaN included).
+    """
+    neg_2m, x, y, z, var_f = g.cross
+    live = False
+    for ms, ks in _cross_blocks(*terms.shape):
+        p = _p_cross(lam_s, params, (neg_2m[ms], x[:, ks], y, z[:, ks], var_f[ms, ks]), g.e_cross)
+        live = live or bool(p.any())
+        t = terms[ms, ks]
+        np.subtract(g.shift_mk[ms, ks], g.eps, out=t)
+        np.square(t, out=t)
+        t *= p
+    return live
+
+
 # Truncation is declared unconverged when the last m-term carries more than
 # this fraction of the accumulated bound.
 TAIL_FRACTION_LIMIT = 1e-6
@@ -638,8 +684,10 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple:
     the numpy erfc's fixed per-call cost, and the bounds of all the rates
     from one weighted sum over them; then each rate below the grid's
     threshold (see ``_cross_zero_from``) that ``_cross_is_negligible`` does
-    not clear runs its own cross-symbol pass. A pass that runs and a pass
-    that is skipped leave the same bound; a skipped pass leaves a tail of 0.
+    not clear runs its own cross-symbol pass, in blocks of cells (see
+    ``_cross_terms``) into one grid of terms that it sums whole. A pass
+    that runs and a pass that is skipped leave the same bound; a skipped
+    pass leaves a tail of 0.
     """
     g = _bound_grid(
         params.chips_per_symbol, params.length, params.symbol_s,
@@ -658,14 +706,16 @@ def _sync_mse_bound_detail(params: SyncBoundParams) -> tuple:
     # interval cancels the interval half-width against the node scaling.
     value, tail_value = 0.5 * np.sum(g.weights * rows, axis=1), np.zeros(len(rates))
     # Offsets beyond a symbol, doubled for the mirrored direction; where every
-    # probability underflows to 0.0 the block adds exactly nothing, so only
+    # probability underflows to 0.0 the pass adds exactly nothing, so only
     # the rates below the grid's threshold rate (and NaN) can run the pass.
+    terms = None  # one (m_max, 2n, Q) grid of terms, filled anew by each pass
     for i in np.flatnonzero(~_cross_is_zero(rates, params, g)).tolist():
         lam_s, integrand = rates[i].item(), rows[i]
-        if (not _cross_is_negligible(lam_s, params, g, integrand)
-                and (pmk := _p_cross(lam_s, params, g.cross, g.e_cross)).any()):
-            terms = (g.shift_mk - g.eps) ** 2  # squared timing errors, (m_max, 2n, Q)
-            terms *= pmk.reshape(terms.shape)
+        if _cross_is_negligible(lam_s, params, g, integrand):
+            continue
+        if terms is None:
+            terms = np.empty(g.shift_mk.shape[:2] + g.eps.shape)
+        if _cross_terms(lam_s, params, g, terms):
             integrand = integrand + 2.0 * np.sum(terms, axis=(0, 1))
             tail = 2.0 * np.sum(terms[-1], axis=0)
             tail_value[i] = 0.5 * np.sum(g.weights * tail)

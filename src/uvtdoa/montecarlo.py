@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (
+    ChannelError,
     LinkBudget,
     SignalParams,
     los_photon_rate,
@@ -290,8 +291,10 @@ def sync_mse_empirical(
 
     Each Poisson draw's mean must stay at or below ``EMPIRICAL_MEAN_MAX``
     (1e18 photons): ``lambda_s`` itself, and ``lambda_b`` times the
-    window's length in symbols. Bad arguments raise ``CampaignError``
-    naming the argument.
+    window's length in symbols. The pilot must fit the window at both
+    extreme fractional offsets, which ``window_half_chips = 0`` does not
+    when the pilot's first symbol is on. Bad arguments raise
+    ``CampaignError`` naming the argument.
     """
     if trials < 1:
         raise CampaignError(f"trials must be >= 1, got {trials}")
@@ -317,13 +320,22 @@ def sync_mse_empirical(
         raise CampaignError(f"lambda_b must be <= {EMPIRICAL_MEAN_MAX * n / total:.3g} "
                             f"for a {total}-chip window, got {lambda_b}")
     t_true = half
+    # eps / t_chip lies in [-1/2, 1/2]: eps is drawn from [-Tc/2, Tc/2) and
+    # the division rounds monotonically. A pilot inside the window at both
+    # extreme starts is inside it at every drawn start.
+    try:
+        pilot_rate_profile(seq, n, [t_true - 0.5, t_true + 0.5], total)
+    except ChannelError:
+        raise CampaignError(f"window_half_chips = {half} leaves no room in the window for "
+                            f"a pilot that starts 1/2 chip off chip {half}") from None
+    on_starts = np.flatnonzero(seq) * n  # each on-symbol's first chip after the start
     rng = np.random.default_rng([seed, length, n, int(lambda_s * 1e6), int(lambda_b * 1e6)])
     window = range(0, 2 * half + 1)
     sum_sq = 0.0
     for done in range(0, trials, ROW_BLOCK):
         b = min(ROW_BLOCK, trials - done)
         eps = rng.uniform(-t_chip / 2.0, t_chip / 2.0, size=b)
-        starts = pilot_rate_profile(seq, n, t_true + eps / t_chip, total)
+        starts = (t_true + eps / t_chip)[:, None] + on_starts
         counts = sample_photons(rng, starts, lambda_s, lambda_b, n, total)
         start = estimate_start(correlate(counts, seq, n, window))
         err = (start - t_true) * t_chip - eps

@@ -109,7 +109,7 @@ class TestConfigParsing:
         text = serialize_config(cfg)
         assert "\nlo_ns = 0.0\nhi_ns = 100.0\n" in text
         ideal = serialize_config(parse_config(CONFIG_TEXT.replace(
-            "distribution = uniform", "distribution = none")))
+            "distribution = uniform\nlo_ns = 0\nhi_ns = 100\n", "distribution = none\n")))
         assert "\n[clock]\ndistribution = none\n\n[campaign]\n" in ideal
 
     @pytest.mark.parametrize("old, new", [
@@ -129,6 +129,22 @@ class TestConfigParsing:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize("bounds", ["lo_ns = 0\nhi_ns = 100\n", "hi_ns = 100\n",
+                                        "lo_ns = -5\n"])
+    def test_an_ideal_clock_takes_no_bounds(self, bounds, tmp_path, capsys):
+        # A bound on a `none` clock would be dropped from the config and its
+        # hash; it fails to load as an unknown key does, naming the key.
+        text = CONFIG_TEXT.replace("distribution = uniform\nlo_ns = 0\nhi_ns = 100\n",
+                                   "distribution = none\n" + bounds)
+        key = bounds.split()[0]
+        with pytest.raises(ConfigError, match=f"^\\[clock\\] {key} is not allowed"):
+            parse_config(text)
+        path = tmp_path / "ideal.cfg"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_ideal_is_not_a_clock_distribution(self, tmp_path, capsys):
         text = CONFIG_TEXT.replace("distribution = uniform", "distribution = ideal")

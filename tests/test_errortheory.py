@@ -947,6 +947,93 @@ class TestNegligibleCrossPass:
         assert calls == {"_p_cross": 0, "_cross_is_negligible": 0}
 
 
+def whole_grid_detail(params):
+    # The bound at one rate with its cross-symbol pass in one _p_cross call
+    # over the whole (m, k, node) grid of cells, as before the pass ran in
+    # blocks, and run whenever some cell is not 0.0: the reference for the
+    # blocked pass, bit for bit.
+    g = grid_of(params)
+    lam_s = params.lambda_s
+    row = g.eps**2 if params.chips_per_symbol == 1 else within_rows(params, [lam_s])[0]
+    value, tail_value = 0.5 * np.sum(g.weights * row), 0.0
+    if (pmk := _p_cross(lam_s, params, g.cross, g.e_cross)).any():
+        terms = (g.shift_mk - g.eps) ** 2
+        terms *= pmk
+        row = row + 2.0 * np.sum(terms, axis=(0, 1))
+        tail_value = 0.5 * np.sum(g.weights * (2.0 * np.sum(terms[-1], axis=0)))
+        value = 0.5 * np.sum(g.weights * row)
+    return float(value), float(tail_value / value) if value > 0 else 0.0
+
+
+BLOCKED_RATES = [0.0, 1e-3, 0.5, 2.0, 5.0, math.nan]
+
+
+class TestBlockedCrossPass:
+    def assert_blocked_equals_whole_grid(self, params):
+        # hex of both the bound and its tail fraction, with the skip proof
+        # off so that every rate below the zero threshold runs its pass
+        got = _sync_mse_bound_detail(params)
+        want = whole_grid_detail(params)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want], params
+        return got
+
+    @pytest.mark.parametrize("length", [16, 64, 256])
+    def test_equals_the_whole_grid_pass(self, length, monkeypatch):
+        monkeypatch.setattr(errortheory, "_cross_is_negligible", lambda *args: False)
+        m_max = min(errortheory.DEFAULT_M_MAX, (length - 1) // 2)
+        tails = []
+        for lam_s, lam_b in itertools.product(BLOCKED_RATES, (0.0, 0.5, 1.0)):
+            params = bound_params(lam_s=lam_s, lam_b=lam_b, length=length, m_max=m_max)
+            with np.errstate(invalid="ignore"):
+                tails.append(self.assert_blocked_equals_whole_grid(params)[1])
+        assert sum(t > 0 for t in tails) >= 6
+
+    def test_equals_the_whole_grid_pass_on_degenerate_variance(self):
+        # At L = 64, m_max = 22, n = 100 the grid has no gap bound, and the
+        # cells with a negative variance factor take the CDF's limit value
+        # in the blocks that hold them.
+        assert grid_of(bound_params(length=64, m_max=22)).cross_max is None
+        for lam_s in BLOCKED_RATES:
+            params = bound_params(lam_s=lam_s, lam_b=5.0, length=64, m_max=22)
+            with np.errstate(invalid="ignore"):
+                self.assert_blocked_equals_whole_grid(params)
+
+    def test_equals_the_whole_grid_pass_where_a_block_splits_k(self, monkeypatch):
+        # At n = 1024 one m-row of 2n * Q cells is larger than the budget.
+        shapes = []
+        def recording(lam_s, params, factors, e):
+            p = _p_cross(lam_s, params, factors, e)
+            shapes.append(p.shape)
+            return p
+        n = 1024
+        assert 2 * n * 33 > errortheory._CROSS_BLOCK
+        for lam_s in (1e-3, 2.0, math.nan):
+            params = bound_params(lam_s=lam_s, lam_b=1.0, length=64, n=n)
+            monkeypatch.setattr(errortheory, "_p_cross", recording)
+            got = _sync_mse_bound_detail(params)
+            monkeypatch.undo()
+            with np.errstate(invalid="ignore"):
+                want = whole_grid_detail(params)
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want], lam_s
+        assert shapes and all(s[0] == 1 and s[1] < 2 * n for s in shapes)
+        assert all(np.prod(s) <= errortheory._CROSS_BLOCK for s in shapes)
+
+    def test_weak_bound_peak_memory(self):
+        # One weak bound whose cross-symbol pass runs, on a warm grid. Over
+        # all 52 800 cells at once the pass's temporaries took the traced
+        # peak to 4.1 MB; in blocks it is about 1 MB (numpy 2.4.6).
+        params = bound_params(lam_s=2.0, lam_b=1.0, length=256)
+        _, tail = _sync_mse_bound_detail(params)
+        assert tail > 0
+        tracemalloc.start()
+        try:
+            _sync_mse_bound_detail(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
+
+
 def _node_scan_maxima(neg_2m, x, y, z, var_f, e, big_l):
     # _cross_maxima as a scan of every node, one m at a time: the reference
     # for its closed form on the end nodes.

@@ -23,6 +23,7 @@ from uvtdoa import (
 from uvtdoa.channel import pilot_rate_profile
 from uvtdoa.errortheory import SyncBoundTailWarning, anchor_sigma2
 from uvtdoa.montecarlo import (
+    EMPIRICAL_PILOT_SEED,
     CampaignError,
     CampaignResult,
     PointResult,
@@ -332,10 +333,22 @@ class TestSyncMseEmpirical:
         args = (lambda_s, 1.0, length, 100, 1e6, trials, 424242)
         assert sync_mse_empirical(*args) == unblocked_sync_mse(*args)
 
-    def test_equals_unblocked_batches_explicit_window(self):
+    # A half width of 0 fits this pilot, whose first symbol is off.
+    @pytest.mark.parametrize("half", [13, 0])
+    def test_equals_unblocked_batches_explicit_window(self, half):
         args = (10.0, 0.5, 64, 20, 1e6, 37, 5)
-        got = sync_mse_empirical(*args, window_half_chips=13)
-        assert got == unblocked_sync_mse(*args, window_half_chips=13)
+        got = sync_mse_empirical(*args, window_half_chips=half)
+        assert got == unblocked_sync_mse(*args, window_half_chips=half)
+
+    @pytest.mark.parametrize("length", [2, 3, 8, 9])
+    def test_rejects_a_window_without_room_for_the_pilot(self, length):
+        # These pilots start with an on-symbol: without a search half width,
+        # a start half a chip early falls before the window's first chip,
+        # and the call fails before any draw, whatever the offsets drawn.
+        assert generate_pilot(length, EMPIRICAL_PILOT_SEED)[0] == 1
+        with pytest.raises(CampaignError, match="^window_half_chips = 0 "):
+            sync_mse_empirical(10.0, 1.0, length, 20, 1e6, 30, 1, window_half_chips=0)
+        sync_mse_empirical(10.0, 1.0, length, 20, 1e6, 30, 1, window_half_chips=1)
 
     def test_memory_stays_flat_in_the_trial_count(self):
         # Each pass draws, bins and scores one row block, so the traced peak
